@@ -4,6 +4,12 @@ The pairwise penalty is the max over time of a Gaussian bump in the distance
 between two time-aligned trajectories; expectations over sample sets are
 weighted double sums. Matrices of pairwise penalties are precomputed once per
 solve because sample trajectories never change, only weights do.
+
+The min-over-time squared distance is accumulated one time step at a time, so
+a row block needs (1 + dim) floats of scratch per entry whatever the horizon.
+Penalties below the smallest normal number of the output dtype are flushed to
+zero: a subnormal entry adds nothing a normal one would not, but it slows every
+later product with the matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ __all__ = [
     "joint_expected_penalty",
 ]
 
-# Row-block size cap (in scratch floats) when materializing distance tensors.
+# Row-block size cap, in scratch floats: the running minimum plus one
+# difference per axis, (1 + dim) * rows * mb, for one time step at a time.
 _BLOCK_BUDGET = 8_000_000
 
 
@@ -48,9 +55,24 @@ class CollisionKernel:
 
 
 def _min_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-over-time squared distance between batches (ma,T,d) and (mb,T,d)."""
-    diff = a[:, None, :, :] - b[None, :, :, :]
-    return np.einsum("abtd,abtd->abt", diff, diff).min(axis=2)
+    """Min-over-time squared distance between batches (ma,T,d) and (mb,T,d).
+
+    Per time step, the per-axis differences are squared and summed in axis
+    order, the same arithmetic as a sum over the last axis of diff * diff.
+    """
+    at = np.ascontiguousarray(a.transpose(1, 2, 0))  # (T, d, ma)
+    bt = np.ascontiguousarray(b.transpose(1, 2, 0))  # (T, d, mb)
+    steps, dim = at.shape[:2]
+    acc = np.full((at.shape[2], bt.shape[2]), np.inf)
+    diffs = np.empty((dim,) + acc.shape)
+    for t in range(steps):
+        for k in range(dim):
+            np.subtract.outer(at[t, k], bt[t, k], out=diffs[k])
+        np.square(diffs, out=diffs)
+        for k in range(1, dim):
+            diffs[0] += diffs[k]
+        np.minimum(acc, diffs[0], out=acc)
+    return acc
 
 
 def _penalty_block(a: np.ndarray, b: np.ndarray, kernel: CollisionKernel) -> np.ndarray:
@@ -76,7 +98,8 @@ def penalty_matrix(
     """Matrix of pairwise penalties, entry (y, z) = penalty(a_y, b_z).
 
     Computed in row blocks to bound scratch memory; ``dtype=np.float32`` halves
-    the cache footprint for very large sample sets.
+    the cache footprint for very large sample sets. Entries below the dtype's
+    smallest normal number are stored as 0.
     """
     require_same_grid(a.grid, b.grid, "sample sets")
     if a.dim != b.dim:
@@ -84,10 +107,13 @@ def penalty_matrix(
     ta, tb = a.trajectories, b.trajectories
     ma, mb = ta.shape[0], tb.shape[0]
     out = np.empty((ma, mb), dtype=dtype)
-    block = max(1, _BLOCK_BUDGET // max(mb * a.grid.steps * a.dim, 1))
+    tiny = np.finfo(out.dtype).tiny
+    block = max(1, _BLOCK_BUDGET // ((1 + a.dim) * mb))
     for s in range(0, ma, block):
         e = min(s + block, ma)
-        out[s:e] = _penalty_block(ta[s:e], tb, kernel)
+        rows = out[s:e]
+        rows[...] = _penalty_block(ta[s:e], tb, kernel)
+        rows[rows < tiny] = 0
     return out
 
 

@@ -54,7 +54,8 @@ class TrajectoryDataset:
 
 
 def load_dataset(path, frame_period: float | None = None) -> TrajectoryDataset:
-    """Parse a dataset file; malformed records raise ConfigError with the line number."""
+    """Parse a dataset file; malformed records or negative pedestrian ids raise
+    ConfigError with the line number."""
     path = Path(path)
     if frame_period is None:
         frame_period = _sidecar_frame_period(path)
@@ -75,6 +76,9 @@ def load_dataset(path, frame_period: float | None = None) -> TrajectoryDataset:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
             if not (np.isfinite(x) and np.isfinite(y)):
                 raise ConfigError(f"{path}:{lineno}: non-finite position")
+            if ped < 0:
+                # -1 is the robot's id in a replay, and seeds need ids >= -1
+                raise ConfigError(f"{path}:{lineno}: pedestrian id {ped} is negative")
             rows.append((frame, ped, x, y))
     if not rows:
         raise ConfigError(f"{path}: dataset contains no records")

@@ -274,14 +274,21 @@ def interaction_scores(
     sets: Sequence[SampleSet],
     kernel: CollisionKernel,
 ) -> dict:
-    """Mean weighted penalty of each agent's samples against the robot's intent."""
-    scores: dict[Hashable, float] = {}
+    """Mean weighted penalty of each agent's samples against the robot's intent.
+
+    One penalty row of the intent against every set's samples at once; each
+    set's score reads its own slice of that row.
+    """
+    if not sets:
+        return {}
     for s in sets:
         require_same_grid(robot_intent.grid, s.grid, "robot intent and sample set")
-        intent_set = SampleSet(None, robot_intent.grid, robot_intent.states[None], np.ones(1))
-        row = penalty_matrix(intent_set, s, kernel)[0]
-        scores[s.agent] = float(row @ s.weights) / s.m
-    return scores
+    grid = robot_intent.grid
+    intent_set = SampleSet(None, grid, robot_intent.states[None], np.ones(1))
+    stacked = np.concatenate([s.trajectories for s in sets])
+    row = penalty_matrix(intent_set, SampleSet(None, grid, stacked, np.ones(len(stacked))), kernel)[0]
+    parts = np.split(row, np.cumsum([s.m for s in sets[:-1]], dtype=int))
+    return {s.agent: float(part @ s.weights) / s.m for s, part in zip(sets, parts)}
 
 
 def select_critical(scores: Mapping, threshold: float, robot: Hashable = None) -> list:

@@ -10,7 +10,6 @@ sequential variational solve, and read off the best sample per agent.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -30,8 +29,6 @@ from .grids import TimeGrid, Trajectory
 from .world import WorldState
 
 __all__ = ["PlannerConfig", "ReplanResult", "replan"]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)

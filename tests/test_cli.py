@@ -127,6 +127,14 @@ class TestReplay:
         bad.write_text("0 1 0.0 0.0\nbroken line here\n")
         assert run_cli("replay", "--dataset", bad, "--out", tmp_path / "x") == 2
 
+    def test_robot_id_in_dataset_exits_2(self, tmp_path, capsys):
+        walkers = tmp_path / "walkers.txt"
+        walkers.write_text(
+            "".join(f"{k} {ped} {0.52 * k} {y}\n" for k in range(25) for ped, y in ((-1, 0.0), (2, 3.0)))
+        )
+        assert run_cli("replay", "--dataset", walkers, "--out", tmp_path / "x", "--limit", 2) == 2
+        assert "pedestrian id -1" in capsys.readouterr().err
+
     def test_parallel_jobs_match_serial(self, dataset, tmp_path, fast_config):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         for out, jobs in ((serial, 1), (parallel, 2)):

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distnav import collision
 from distnav.collision import (
     CollisionKernel,
     expected_penalty,
@@ -10,6 +14,7 @@ from distnav.collision import (
     pairwise_penalty,
     penalty_matrix,
 )
+from distnav.engine import interaction_scores
 from distnav.errors import GridMismatchError
 from distnav.grids import TimeGrid, Trajectory
 from distnav.samples import SampleSet
@@ -171,3 +176,112 @@ class TestJointExpectedPenalty:
         for perm in ([3, 1, 0, 2], [2, 3, 1, 0], [1, 0, 3, 2]):
             val = joint_expected_penalty([sets[i] for i in perm], KERNEL)
             assert val == pytest.approx(ref, rel=1e-12)
+
+
+def einsum_penalty(ta, tb, kernel, dtype=np.float64):
+    """Reference penalty matrix: one (ma, mb, T, d) difference tensor, then the
+    subnormal flush of the output dtype."""
+    diff = ta[:, None, :, :] - tb[None, :, :, :]
+    d2 = np.einsum("abtd,abtd->abt", diff, diff).min(axis=2)
+    np.multiply(d2, -0.5 / kernel.sigma**2, out=d2)
+    np.exp(d2, out=d2)
+    d2 *= kernel.peak(ta.shape[2])
+    out = d2.astype(dtype)
+    out[out < np.finfo(dtype).tiny] = 0
+    return out
+
+
+def drawn_sets(seed, sizes, steps, dim, spread):
+    """Sample sets on one grid; every other set reuses rows of the first, so
+    some pairs meet exactly (the kernel peak) while others are far apart."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.0, 0.4, steps)
+    first = rng.normal(scale=spread, size=(sizes[0], steps, dim))
+    sets = []
+    for k, m in enumerate(sizes):
+        states = rng.normal(scale=spread, size=(m, steps, dim)) if k else first
+        if k % 2:
+            shared = min(m, sizes[0])
+            states[:shared:2] = first[:shared:2]
+        sets.append(SampleSet(k, grid, states, rng.uniform(0.0, 2.0, m)))
+    return sets
+
+
+SPREADS = st.sampled_from([0.1, 1.0, 5.0, 40.0])  # 40 m puts most entries far below float32 tiny
+
+
+class TestPenaltyKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ma=st.integers(1, 40),
+        mb=st.integers(1, 40),
+        steps=st.integers(1, 25),
+        dim=st.sampled_from([1, 2]),
+        spread=SPREADS,
+        budget=st.integers(1, 400),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_matches_einsum_reference_across_row_blocks(
+        self, seed, ma, mb, steps, dim, spread, budget, dtype
+    ):
+        a, b = drawn_sets(seed, [ma, mb], steps, dim, spread)
+        kernel = CollisionKernel(weight=10.0, sigma=0.3)
+        with mock.patch.object(collision, "_BLOCK_BUDGET", budget):
+            mat = penalty_matrix(a, b, kernel, dtype=dtype)
+        ref = einsum_penalty(a.trajectories, b.trajectories, kernel, dtype)
+        assert mat.dtype == dtype
+        assert np.array_equal(mat, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ma=st.integers(1, 40),
+        mb=st.integers(1, 40),
+        spread=SPREADS,
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_no_subnormal_entries(self, seed, ma, mb, spread, dtype):
+        a, b = drawn_sets(seed, [ma, mb], 1, 1, spread)
+        mat = penalty_matrix(a, b, CollisionKernel(weight=10.0, sigma=0.3), dtype=dtype)
+        assert not np.any((mat > 0) & (mat < np.finfo(dtype).tiny))
+
+    def test_float32_flush_hits_only_subnormals(self):
+        # 1D samples around -2 and 2 with weight 10, sigma 0.3: a fifth of the
+        # float32 entries would be subnormal without the flush
+        rng = np.random.default_rng(7)
+        g = TimeGrid(0.0, 1.0, 1)
+        a = SampleSet(0, g, -2.0 + 0.5 * rng.standard_normal((400, 1, 1)), np.ones(400))
+        b = SampleSet(1, g, 2.0 + 0.5 * rng.standard_normal((400, 1, 1)), np.ones(400))
+        kernel = CollisionKernel(weight=10.0, sigma=0.3)
+        exact = einsum_penalty(a.trajectories, b.trajectories, kernel, np.float64)
+        raw = exact.astype(np.float32)
+        tiny = np.finfo(np.float32).tiny
+        subnormal = (raw > 0) & (raw < tiny)
+        assert subnormal.mean() > 0.1
+        mat = penalty_matrix(a, b, kernel, dtype=np.float32)
+        assert np.all(mat[subnormal] == 0)
+        assert np.array_equal(mat[~subnormal], raw[~subnormal])
+
+
+class TestInteractionScoresProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+        steps=st.integers(1, 12),
+        dim=st.sampled_from([1, 2]),
+        spread=SPREADS,
+    )
+    def test_equals_per_set_scores(self, seed, sizes, steps, dim, spread):
+        intent_set, *sets = drawn_sets(seed, [1] + sizes, steps, dim, spread)
+        intent = intent_set.trajectory(0)
+        kernel = CollisionKernel(weight=10.0, sigma=0.35)
+        scores = interaction_scores(intent, sets, kernel)
+        assert list(scores) == [s.agent for s in sets]
+        for s in sets:
+            row = penalty_matrix(intent_set, s, kernel)[0]
+            assert scores[s.agent] == float(row @ s.weights) / s.m
+
+    def test_no_sets_gives_no_scores(self):
+        assert interaction_scores(traj(np.zeros((GRID.steps, 2))), [], KERNEL) == {}

@@ -51,6 +51,13 @@ class TestLoadDataset:
         with pytest.raises(ConfigError, match="duplicate"):
             load_dataset(path)
 
+    def test_negative_pedestrian_id_names_file_and_id(self, tmp_path):
+        # -1 is the robot's id in a replay
+        lines = straight_walker(-1, 25) + straight_walker(2, 25, y=3.0)
+        path = write_dataset(tmp_path, lines, name="two_walkers.txt")
+        with pytest.raises(ConfigError, match=r"two_walkers\.txt:1: pedestrian id -1 "):
+            load_dataset(path)
+
     def test_sidecar_frame_period(self, tmp_path):
         path = write_dataset(tmp_path, ["0 1 0.0 0.0", "1 1 0.5 0.0"])
         (tmp_path / "ds.txt.meta.yaml").write_text("frame_period_s: 0.25\n")
