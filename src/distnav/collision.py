@@ -27,6 +27,7 @@ __all__ = [
     "CollisionKernel",
     "pairwise_penalty",
     "penalty_matrix",
+    "batch_penalty_matrix",
     "expected_penalty",
     "joint_expected_penalty",
 ]
@@ -55,19 +56,17 @@ class CollisionKernel:
 
 
 def _min_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-over-time squared distance between batches (ma,T,d) and (mb,T,d).
+    """Min-over-time squared distance between batches (T,d,ma) and (T,d,mb).
 
     Per time step, the per-axis differences are squared and summed in axis
     order, the same arithmetic as a sum over the last axis of diff * diff.
     """
-    at = np.ascontiguousarray(a.transpose(1, 2, 0))  # (T, d, ma)
-    bt = np.ascontiguousarray(b.transpose(1, 2, 0))  # (T, d, mb)
-    steps, dim = at.shape[:2]
-    acc = np.full((at.shape[2], bt.shape[2]), np.inf)
+    steps, dim = a.shape[:2]
+    acc = np.full((a.shape[2], b.shape[2]), np.inf)
     diffs = np.empty((dim,) + acc.shape)
     for t in range(steps):
         for k in range(dim):
-            np.subtract.outer(at[t, k], bt[t, k], out=diffs[k])
+            np.subtract.outer(a[t, k], b[t, k], out=diffs[k])
         np.square(diffs, out=diffs)
         for k in range(1, dim):
             diffs[0] += diffs[k]
@@ -76,11 +75,11 @@ def _min_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _penalty_block(a: np.ndarray, b: np.ndarray, kernel: CollisionKernel) -> np.ndarray:
-    """Penalty for every pair of the (ma,T,d) and (mb,T,d) trajectory batches."""
+    """Penalty for every pair of the (T,d,ma) and (T,d,mb) trajectory batches."""
     d2 = _min_sq_dist(a, b)
     np.multiply(d2, -0.5 / kernel.sigma**2, out=d2)
     np.exp(d2, out=d2)
-    d2 *= kernel.peak(a.shape[2])
+    d2 *= kernel.peak(a.shape[1])
     return d2
 
 
@@ -89,7 +88,7 @@ def pairwise_penalty(fa: Trajectory, fb: Trajectory, kernel: CollisionKernel) ->
     require_same_grid(fa.grid, fb.grid, "trajectories")
     if fa.dim != fb.dim:
         raise ValueError(f"trajectory dims differ: {fa.dim} vs {fb.dim}")
-    return float(_penalty_block(fa.states[None], fb.states[None], kernel)[0, 0])
+    return float(_penalty_block(fa.states[:, :, None], fb.states[:, :, None], kernel)[0, 0])
 
 
 def penalty_matrix(
@@ -104,15 +103,23 @@ def penalty_matrix(
     require_same_grid(a.grid, b.grid, "sample sets")
     if a.dim != b.dim:
         raise ValueError(f"sample set dims differ: {a.dim} vs {b.dim}")
-    ta, tb = a.trajectories, b.trajectories
-    ma, mb = ta.shape[0], tb.shape[0]
+    at = np.ascontiguousarray(a.trajectories.transpose(1, 2, 0))
+    bt = np.ascontiguousarray(b.trajectories.transpose(1, 2, 0))
+    return batch_penalty_matrix(at, bt, kernel, dtype)
+
+
+def batch_penalty_matrix(
+    a: np.ndarray, b: np.ndarray, kernel: CollisionKernel, dtype=np.float64
+) -> np.ndarray:
+    """:func:`penalty_matrix` of two trajectory batches in (T, d, m) layout."""
+    ma, mb = a.shape[2], b.shape[2]
     out = np.empty((ma, mb), dtype=dtype)
     tiny = np.finfo(out.dtype).tiny
-    block = max(1, _BLOCK_BUDGET // ((1 + a.dim) * mb))
+    block = max(1, _BLOCK_BUDGET // ((1 + a.shape[1]) * mb))
     for s in range(0, ma, block):
         e = min(s + block, ma)
         rows = out[s:e]
-        rows[...] = _penalty_block(ta[s:e], tb, kernel)
+        rows[...] = _penalty_block(a[:, :, s:e], b, kernel)
         rows[rows < tiny] = 0
     return out
 

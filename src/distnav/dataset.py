@@ -30,17 +30,34 @@ MAX_RUN_LENGTH = 12.0
 
 @dataclass
 class TrajectoryDataset:
-    """Per-pedestrian recorded frames and positions, sorted by frame."""
+    """Per-pedestrian recorded frames and positions, sorted by frame.
+
+    A frame index, built once from ``tracks``, lists the pedestrians recorded
+    at each distinct frame id. ``frame_stride`` is the gcd of the steps
+    between those ids: recordings often number frames 0, 10, 20, ..., and
+    one stride is one ``frame_period``.
+    """
 
     frame_period: float
     tracks: dict = field(default_factory=dict)  # ped_id -> (frames (k,), xy (k,2))
+
+    def __post_init__(self):
+        peds = self.pedestrians()
+        counts = [len(self.tracks[p][0]) for p in peds]
+        frames = np.concatenate([self.tracks[p][0] for p in peds]) if peds else np.zeros(0, int)
+        owner = np.repeat(np.arange(len(peds)), counts)
+        order = np.argsort(frames, kind="stable")  # pedestrians stay in id order
+        ids, starts = np.unique(frames[order], return_index=True)
+        groups = np.split(owner[order], starts[1:])
+        self._present = {int(f): [peds[i] for i in g] for f, g in zip(ids, groups)}
+        self._frames = ids
+        self.frame_stride = int(np.gcd.reduce(np.diff(ids))) if ids.size > 1 else 1
 
     def pedestrians(self) -> list:
         return sorted(self.tracks)
 
     def frames(self) -> np.ndarray:
-        all_frames = np.concatenate([f for f, _ in self.tracks.values()])
-        return np.unique(all_frames)
+        return self._frames.copy()
 
     def position_at(self, ped_id: int, frame: int) -> np.ndarray | None:
         frames, xy = self.tracks[ped_id]
@@ -50,7 +67,7 @@ class TrajectoryDataset:
         return None
 
     def present_at(self, frame: int) -> list:
-        return [p for p in self.pedestrians() if self.position_at(p, frame) is not None]
+        return list(self._present.get(frame, ()))
 
 
 def load_dataset(path, frame_period: float | None = None) -> TrajectoryDataset:

@@ -18,7 +18,12 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .collision import CollisionKernel, joint_expected_penalty, penalty_matrix
+from .collision import (
+    CollisionKernel,
+    batch_penalty_matrix,
+    joint_expected_penalty,
+    penalty_matrix,
+)
 from .errors import NumericalError
 from .gp import PreferenceGP, log_densities
 from .grids import Trajectory, require_same_grid
@@ -283,10 +288,11 @@ def interaction_scores(
         return {}
     for s in sets:
         require_same_grid(robot_intent.grid, s.grid, "robot intent and sample set")
-    grid = robot_intent.grid
-    intent_set = SampleSet(None, grid, robot_intent.states[None], np.ones(1))
-    stacked = np.concatenate([s.trajectories for s in sets])
-    row = penalty_matrix(intent_set, SampleSet(None, grid, stacked, np.ones(len(stacked))), kernel)[0]
+        if s.dim != robot_intent.dim:
+            raise ValueError(f"sample set dim {s.dim} != robot intent dim {robot_intent.dim}")
+    intent = robot_intent.states[:, :, None]  # (T, d, 1)
+    stacked = np.concatenate([s.trajectories.transpose(1, 2, 0) for s in sets], axis=2)
+    row = batch_penalty_matrix(intent, stacked, kernel)[0]
     parts = np.split(row, np.cumsum([s.m for s in sets[:-1]], dtype=int))
     return {s.agent: float(part @ s.weights) / s.m for s, part in zip(sets, parts)}
 

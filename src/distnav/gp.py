@@ -5,6 +5,18 @@ fitted to its observed positions (per axis, squared-exponential kernel,
 independent x/y). The navigation goal and any waypoints enter as artificial
 observations so the posterior mean passes through them. Sampling the GP
 yields the weighted-sample representation the solver operates on.
+
+The posterior covariance depends only on the observation times and noises,
+never on the positions, so agents observed on the same schedule share it.
+``fit_preference`` keeps one entry per schedule in a caller-held dict: the
+Gram Cholesky factor, the cross-covariance and the posterior covariance are
+computed once, and the Cholesky factors that sampling and log-densities need
+are computed on first use and kept there too. Each agent then pays only for
+its own mean.
+
+Sampling multiplies the lower factor by standard normal draws one column at
+a time, summing over the factor's columns in order; for planar samples this
+is bit for bit the same sum as ``einsum("ts,msd->mtd", low, z)``.
 """
 
 from __future__ import annotations
@@ -75,13 +87,16 @@ class PreferenceGP:
     """GP posterior over the grid: per-axis mean, one shared T x T covariance.
 
     The same observation times and noises condition both axes, so the
-    posterior covariance is axis-independent; only the means differ.
+    posterior covariance is axis-independent; only the means differ. The
+    covariance is read-only: fits on one observation schedule share it.
     """
 
     grid: TimeGrid
     mean: np.ndarray = field(repr=False)  # (steps, dim)
     cov: np.ndarray = field(repr=False)  # (steps, steps)
     jitter: float = 0.0
+    # the schedule's shared posterior, when ``cov`` is its already checked covariance
+    _post: "_Posterior | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -89,18 +104,10 @@ class PreferenceGP:
             mean = mean[:, None]
         if mean.shape[0] != self.grid.steps or mean.shape[1] not in (1, 2):
             raise ValueError(f"mean must be ({self.grid.steps}, 1|2), got {mean.shape}")
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (self.grid.steps, self.grid.steps):
-            raise ValueError(f"cov must be square of size {self.grid.steps}")
-        scale = max(np.abs(cov).max(), 1.0)
-        if np.abs(cov - cov.T).max() > 1e-9 * scale:
-            raise ValueError("cov is not symmetric within 1e-9 relative")
-        cov = 0.5 * (cov + cov.T)
-        trace = np.trace(cov)
-        if np.linalg.eigvalsh(cov).min() < -1e-9 * max(trace, 1.0):
-            raise ValueError("cov is not positive semi-definite within tolerance")
         self.mean = mean
-        self.cov = cov
+        if self._post is None or self._post.cov is not self.cov:
+            self._post = None
+            self.cov = _checked_cov(self.cov, self.grid.steps)
 
     @property
     def dim(self) -> int:
@@ -108,6 +115,63 @@ class PreferenceGP:
 
     def mean_trajectory(self) -> Trajectory:
         return Trajectory(self.grid, self.mean)
+
+    def _posterior(self) -> "_Posterior":
+        """The covariance with its Cholesky factors, made on first use."""
+        post = self._post
+        if post is None or post.cov is not self.cov or post.jitter != self.jitter:
+            post = self._post = _Posterior(self.cov, self.jitter)
+        return post
+
+
+def _checked_cov(cov, steps: int) -> np.ndarray:
+    """Symmetrized, read-only copy of a covariance that is symmetric and PSD
+    within tolerance."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (steps, steps):
+        raise ValueError(f"cov must be square of size {steps}")
+    scale = max(np.abs(cov).max(), 1.0)
+    if np.abs(cov - cov.T).max() > 1e-9 * scale:
+        raise ValueError("cov is not symmetric within 1e-9 relative")
+    cov = 0.5 * (cov + cov.T)
+    trace = np.trace(cov)
+    if np.linalg.eigvalsh(cov).min() < -1e-9 * max(trace, 1.0):
+        raise ValueError("cov is not positive semi-definite within tolerance")
+    cov.setflags(write=False)
+    return cov
+
+
+class _Posterior:
+    """A posterior covariance and the Cholesky factors made from it.
+
+    From a fit it also carries the observation schedule's Gram factor and
+    cross-covariance, from which each agent's mean follows. The sampling and
+    density factors are computed on first use.
+    """
+
+    __slots__ = ("cov", "jitter", "gram_low", "k_star", "_sample_low", "_density")
+
+    def __init__(self, cov, jitter, gram_low=None, k_star=None):
+        self.cov, self.jitter = cov, jitter
+        self.gram_low, self.k_star = gram_low, k_star
+        self._sample_low = None
+        self._density = None
+
+    def sample_factor(self) -> np.ndarray:
+        """Lower factor of the covariance (zero for a zero covariance)."""
+        if self._sample_low is None:
+            self._sample_low = _cholesky_psd(self.cov, self.jitter)
+        return self._sample_low
+
+    def density_factor(self) -> tuple:
+        """Lower factor of cov + jitter * I, and half its log-determinant."""
+        if self._density is None:
+            steps = self.cov.shape[0]
+            low = _cholesky_psd(self.cov + self.jitter * np.eye(steps), self.jitter)
+            if not low.any():
+                raise NumericalError("degenerate (zero) covariance has no density")
+            self._density = (low, float(np.sum(np.log(np.diag(low)))))
+        return self._density
 
 
 class DensityMoments(NamedTuple):
@@ -168,9 +232,15 @@ def augment_with_goal(
 
 
 def fit_preference(
-    obs: Sequence[Observation], grid: TimeGrid, kp: KernelParams
+    obs: Sequence[Observation], grid: TimeGrid, kp: KernelParams, shared: dict | None = None
 ) -> PreferenceGP:
-    """GP posterior over the grid times, per axis, from the given observations."""
+    """GP posterior over the grid times, per axis, from the given observations.
+
+    ``shared`` maps each observation schedule (times, noises, dimension, grid
+    and kernel) to its posterior; a fit on a schedule already in it solves
+    only for its own mean. Pass one dict to every fit of a replan. The result
+    is bit for bit the same with or without it.
+    """
     if not obs:
         raise ValueError("at least one observation is required")
     t_obs = np.array([o.t for o in obs], dtype=float)
@@ -183,8 +253,23 @@ def fit_preference(
     y = np.array([o.pos for o in obs], dtype=float)  # (n, dim)
     noise = np.array([o.noise_var for o in obs], dtype=float)
 
+    if shared is None:
+        shared = {}
+    key = (t_obs.tobytes(), noise.tobytes(), dim, grid, kp)
+    post = shared.get(key)
+    if post is None:
+        post = shared[key] = _fit_posterior(t_obs, noise, grid, kp)
+    alpha = cho_solve((post.gram_low, True), y)  # (n, dim)
+    mean = post.k_star.T @ alpha  # (steps, dim)
+    return PreferenceGP(grid, mean, post.cov, jitter=kp.jitter, _post=post)
+
+
+def _fit_posterior(
+    t_obs: np.ndarray, noise: np.ndarray, grid: TimeGrid, kp: KernelParams
+) -> _Posterior:
+    """The posterior covariance of one observation schedule, checked."""
     gram = _se_kernel(t_obs, t_obs, kp) + np.diag(noise)
-    n = len(obs)
+    n = t_obs.size
     jit = kp.jitter
     for attempt in range(_MAX_JITTER_ESCALATIONS + 1):
         try:
@@ -200,12 +285,26 @@ def fit_preference(
 
     t_grid = grid.times()
     k_star = _se_kernel(t_obs, t_grid, kp)  # (n, steps)
-    alpha = cho_solve((low, True), y)  # (n, dim)
-    mean = k_star.T @ alpha  # (steps, dim)
     v = solve_triangular(low, k_star, lower=True)  # (n, steps)
     cov = _se_kernel(t_grid, t_grid, kp) - v.T @ v
     cov = 0.5 * (cov + cov.T) + kp.jitter * np.eye(grid.steps)
-    return PreferenceGP(grid, mean, cov, jitter=kp.jitter)
+    return _Posterior(_checked_cov(cov, grid.steps), kp.jitter, low, k_star)
+
+
+def _lower_product(low: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``low @ z[k]`` for every draw of z (m, steps, dim), as a (steps, dim, m) array.
+
+    ``low`` is lower-triangular. One column of it at a time, in column order,
+    is multiplied by the draws at that step and added into the rows it reaches.
+    """
+    steps = z.shape[1]
+    zt = np.ascontiguousarray(z.transpose(1, 2, 0))  # (steps, dim, m)
+    out = np.zeros_like(zt)
+    term = np.empty_like(zt)
+    for s in range(steps):
+        np.multiply(low[s:, s, None, None], zt[s], out=term[s:])
+        out[s:] += term[s:]
+    return out
 
 
 def sample_trajectories(
@@ -217,11 +316,12 @@ def sample_trajectories(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    low = _cholesky_psd(gp.cov, gp.jitter)
+    low = gp._posterior().sample_factor()
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, gp.grid.steps, gp.dim))
-    traj = gp.mean[None, :, :] + np.einsum("ts,msd->mtd", low, z)
-    return SampleSet(agent, gp.grid, traj, np.ones(m))
+    traj = _lower_product(low, z)
+    traj += gp.mean[:, :, None]
+    return SampleSet(agent, gp.grid, traj.transpose(2, 0, 1), np.ones(m))
 
 
 def log_density(gp: PreferenceGP, f: Trajectory) -> float:
@@ -230,13 +330,9 @@ def log_density(gp: PreferenceGP, f: Trajectory) -> float:
     if f.dim != gp.dim:
         raise GridMismatchError(f"trajectory dim {f.dim} != GP dim {gp.dim}")
     steps = gp.grid.steps
-    cov = gp.cov + gp.jitter * np.eye(steps)
-    low = _cholesky_psd(cov, gp.jitter)
-    if not low.any():
-        raise NumericalError("degenerate (zero) covariance has no density")
+    low, log_det_half = gp._posterior().density_factor()
     resid = f.states - gp.mean  # (steps, dim)
     z = solve_triangular(low, resid, lower=True)
-    log_det_half = float(np.sum(np.log(np.diag(low))))
     total = 0.0
     for axis in range(gp.dim):
         total += -0.5 * float(z[:, axis] @ z[:, axis]) - log_det_half - 0.5 * steps * _LOG_2PI
@@ -253,14 +349,10 @@ def log_densities(gp: PreferenceGP, trajectories: np.ndarray) -> np.ndarray:
         raise GridMismatchError(
             f"batch shape {traj.shape} incompatible with GP ({gp.grid.steps}, {gp.dim})"
         )
-    cov = gp.cov + gp.jitter * np.eye(steps)
-    low = _cholesky_psd(cov, gp.jitter)
-    if not low.any():
-        raise NumericalError("degenerate (zero) covariance has no density")
+    low, log_det_half = gp._posterior().density_factor()
     resid = (traj - gp.mean[None]).transpose(1, 0, 2).reshape(steps, m * dim)
     z = solve_triangular(low, resid, lower=True).reshape(steps, m, dim)
     quad = np.einsum("tmd,tmd->m", z, z)
-    log_det_half = float(np.sum(np.log(np.diag(low))))
     return -0.5 * quad - dim * (log_det_half + 0.5 * steps * _LOG_2PI)
 
 

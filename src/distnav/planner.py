@@ -3,7 +3,8 @@
 Every frame: fit a preference GP per agent from recent observations (the
 robot's goal enters as an artificial observation; pedestrians get a
 constant-velocity waypoint so the squared-exponential posterior does not sag
-back to the prior mean over the horizon), sample each GP, keep only agents
+back to the prior mean over the horizon; agents observed on the same schedule
+share one posterior covariance), sample each GP, keep only agents
 whose interaction score against the robot's intent is critical, run the
 sequential variational solve, and read off the best sample per agent.
 """
@@ -124,8 +125,9 @@ def replan(
     now = world.time
     grid = cfg.grid_at(now)
 
+    posteriors: dict = {}  # one GP posterior per observation schedule, shared by its agents
     robot_obs = _robot_observations(robot, history.get(robot.id, ()), cfg, now)
-    robot_gp = fit_preference(robot_obs, grid, cfg.kernel)
+    robot_gp = fit_preference(robot_obs, grid, cfg.kernel, posteriors)
     gps = {robot.id: robot_gp}
     sets = {
         robot.id: sample_trajectories(
@@ -134,7 +136,7 @@ def replan(
     }
     for ped in world.pedestrians():
         ped_obs = _pedestrian_observations(ped, history.get(ped.id, ()), cfg, now)
-        gps[ped.id] = fit_preference(ped_obs, grid, cfg.kernel)
+        gps[ped.id] = fit_preference(ped_obs, grid, cfg.kernel, posteriors)
         sets[ped.id] = sample_trajectories(
             gps[ped.id], cfg.samples_per_agent, _sample_seed(seed, frame, ped.id), agent=ped.id
         )

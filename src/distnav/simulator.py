@@ -84,20 +84,21 @@ def run_replay(
     """Drive the robot over one partial run against the replayed crowd."""
     if partial.ped_id not in ds.tracks:
         raise ValueError(f"pedestrian {partial.ped_id} not in dataset")
-    period = ds.frame_period
+    period, stride = ds.frame_period, ds.frame_stride
     cfg = planner_cfg
     if cfg.dt != period:
         cfg = _with_dt(cfg, period)
 
-    n_frames = partial.end_frame - partial.start_frame + 1
-    last_frame = partial.end_frame + math.ceil(replay_cfg.grace_fraction * n_frames)
+    # frame ids step by the recording's stride; one stride is one frame period
+    n_frames = (partial.end_frame - partial.start_frame) // stride + 1
+    last_frame = partial.end_frame + stride * math.ceil(replay_cfg.grace_fraction * n_frames)
 
     robot = AgentState(ROBOT_ID, partial.start.copy(), np.zeros(2), partial.goal.copy(), ROBOT)
     history: dict[int, list] = {ROBOT_ID: []}
     log = RunLog(seed=seed, robot_id=ROBOT_ID, human_length=partial.human_length)
 
-    for frame in range(partial.start_frame, last_frame + 1):
-        now = frame * period
+    for frame in range(partial.start_frame, last_frame + 1, stride):
+        now = frame * period / stride
         agents = [robot.copy()]
         for ped in ds.present_at(frame):
             if ped == partial.ped_id:
@@ -130,12 +131,12 @@ def run_replay(
 
 def human_baseline(ds: TrajectoryDataset, partial: PartialRun) -> RunLog:
     """Score the removed pedestrian's own recording as if it were the robot."""
-    period = ds.frame_period
+    period, stride = ds.frame_period, ds.frame_stride
     frames, xy = ds.tracks[partial.ped_id]
     mask = (frames >= partial.start_frame) & (frames <= partial.end_frame)
     log = RunLog(seed=None, robot_id=ROBOT_ID, human_length=partial.human_length)
     for frame, pos in zip(frames[mask], xy[mask]):
-        now = float(frame) * period
+        now = float(frame) * period / stride
         agents = [AgentState(ROBOT_ID, pos, np.zeros(2), partial.goal.copy(), ROBOT)]
         for ped in ds.present_at(int(frame)):
             if ped == partial.ped_id:

@@ -135,6 +135,25 @@ class TestReplay:
         assert run_cli("replay", "--dataset", walkers, "--out", tmp_path / "x", "--limit", 2) == 2
         assert "pedestrian id -1" in capsys.readouterr().err
 
+    def test_strided_frame_ids_keep_the_crowd_in_every_replan(self, tmp_path, fast_config):
+        # frame ids 0, 10, ..., 390: one stride of 10 ids is one frame period
+        walkers = tmp_path / "strided.txt"
+        walkers.write_text(
+            "".join(f"{10 * k} {ped} {0.52 * k} {y}\n" for k in range(40) for ped, y in ((1, 0.0), (2, 3.0)))
+        )
+        out = tmp_path / "runs"
+        code = run_cli(
+            "replay", "--dataset", walkers, "--config", fast_config,
+            "--out", out, "--limit", 1, "--no-timing",
+        )
+        assert code == 0
+        rows = list(csv.DictReader((out / "run_0000.csv").open()))
+        robot = [r for r in rows if r["agent_id"] == "-1"]
+        assert len(robot) >= 15
+        assert all(r["min_sep"] for r in robot)
+        times = [float(r["t"]) for r in robot]
+        assert all(abs((b - a) - 0.4) < 1e-9 for a, b in zip(times, times[1:]))
+
     def test_parallel_jobs_match_serial(self, dataset, tmp_path, fast_config):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         for out, jobs in ((serial, 1), (parallel, 2)):

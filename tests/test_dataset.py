@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distnav.dataset import (
     PartialRun,
+    TrajectoryDataset,
     arc_length,
     extract_partials,
     load_dataset,
@@ -71,6 +76,38 @@ class TestLoadDataset:
         path = write_dataset(tmp_path, ["0 1 0.0 0.0"])
         (tmp_path / "ds.txt.meta.yaml").write_text("frame_period_s: 0.25\n")
         assert load_dataset(path, frame_period=1.0).frame_period == 1.0
+
+
+class TestFrameIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_peds=st.integers(1, 8),
+        stride=st.sampled_from([1, 2, 10]),
+        offset=st.integers(0, 9),
+    )
+    def test_matches_a_scan_of_every_track(self, seed, n_peds, stride, offset):
+        rng = np.random.default_rng(seed)
+        tracks = {}
+        for ped in rng.choice(100, n_peds, replace=False):
+            steps = np.unique(rng.integers(0, 30, rng.integers(1, 12)))
+            frames = offset + stride * steps
+            tracks[int(ped)] = (frames, rng.normal(size=(frames.size, 2)))
+        ds = TrajectoryDataset(0.4, tracks)
+        ids = np.unique(np.concatenate([f for f, _ in tracks.values()]))
+        assert np.array_equal(ds.frames(), ids)
+        assert ds.frame_stride == (math.gcd(*np.diff(ids).tolist()) if ids.size > 1 else 1)
+        assert ids.size == 1 or ds.frame_stride % stride == 0
+        for frame in range(int(ids[0]) - 1, int(ids[-1]) + 2):
+            scan = [p for p in ds.pedestrians() if ds.position_at(p, frame) is not None]
+            assert ds.present_at(frame) == scan
+
+    def test_stride_of_a_loaded_file(self, tmp_path):
+        lines = [f"{10 * k} {ped} {0.52 * k} {y}" for k in range(5) for ped, y in ((1, 0.0), (2, 3.0))]
+        ds = load_dataset(write_dataset(tmp_path, lines))
+        assert ds.frame_stride == 10
+        assert ds.present_at(20) == [1, 2]
+        assert ds.present_at(25) == []
 
 
 class TestArcLength:

@@ -1,15 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
-from distnav.errors import GridMismatchError
+import distnav.gp
+from distnav.errors import GridMismatchError, NumericalError
 from distnav.gp import (
     KernelParams,
     Observation,
     PreferenceGP,
     augment_with_goal,
+    _cholesky_psd,
+    _lower_product,
     fit_preference,
+    log_densities,
     log_density,
     moments_1d,
     sample_trajectories,
@@ -185,6 +193,161 @@ class TestLogDensity:
         other = Trajectory(make_grid(t0=1.0, steps=3), np.zeros((3, 2)))
         with pytest.raises(GridMismatchError):
             log_density(gp, other)
+
+
+# how an agent's observation schedule relates to the group's first one
+SCHEDULES = ["same", "shifted_times", "other_noise", "zero_noise_duplicates"]
+
+
+def schedule_group(seed, n_obs, kinds, dim):
+    """One observation list per kind; positions always differ between agents."""
+    rng = np.random.default_rng(seed)
+    base_t = np.sort(rng.uniform(-3.0, 8.0, n_obs))
+    base_noise = rng.uniform(0.0, 0.1, n_obs)
+    group = []
+    for kind in kinds:
+        t, noise = base_t.copy(), base_noise.copy()
+        if kind == "shifted_times":
+            t[-1] += 0.25
+        elif kind == "other_noise":
+            noise[0] += 0.01
+        elif kind == "zero_noise_duplicates":
+            t = np.repeat(t[:1], n_obs)
+            noise = np.zeros(n_obs)
+        pos = rng.normal(scale=2.0, size=(n_obs, dim))
+        group.append([Observation(ti, tuple(p), ni) for ti, p, ni in zip(t, pos, noise)])
+    return group
+
+
+def fit_or_error(obs, grid, kp, shared=None):
+    try:
+        return fit_preference(obs, grid, kp, shared)
+    except (NumericalError, ValueError) as exc:
+        return type(exc)
+
+
+def reference_log_densities(gp, traj):
+    """log_densities as computed before factors were shared: factorise on every call."""
+    m, steps, dim = traj.shape
+    low = _cholesky_psd(gp.cov + gp.jitter * np.eye(steps), gp.jitter)
+    resid = (traj - gp.mean[None]).transpose(1, 0, 2).reshape(steps, m * dim)
+    z = solve_triangular(low, resid, lower=True).reshape(steps, m, dim)
+    quad = np.einsum("tmd,tmd->m", z, z)
+    log_det_half = float(np.sum(np.log(np.diag(low))))
+    return -0.5 * quad - dim * (log_det_half + 0.5 * steps * math.log(2.0 * math.pi))
+
+
+class TestSharedPosterior:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_obs=st.integers(1, 9),
+        kinds=st.lists(st.sampled_from(SCHEDULES), min_size=1, max_size=6),
+        dim=st.sampled_from([1, 2]),
+        jitter=st.sampled_from([1e-8, 1e-18]),  # 1e-18 vanishes next to a unit Gram entry
+    )
+    def test_shared_fit_equals_fresh_fit_bit_for_bit(self, seed, n_obs, kinds, dim, jitter):
+        grid = make_grid(steps=12)
+        kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=jitter)
+        shared = {}
+        for obs in schedule_group(seed, n_obs, kinds, dim):
+            fresh = fit_or_error(obs, grid, kp)
+            got = fit_or_error(obs, grid, kp, shared)
+            if isinstance(fresh, type):
+                assert got is fresh
+                continue
+            assert got.mean.tobytes() == fresh.mean.tobytes()
+            assert got.cov.tobytes() == fresh.cov.tobytes()
+            assert got.jitter == fresh.jitter
+
+    def test_duplicate_zero_noise_times_escalate_jitter_once(self):
+        grid = make_grid(steps=6)
+        kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-18)
+        group = schedule_group(4, 3, ["zero_noise_duplicates"] * 3, 2)
+        shared = {}
+        with mock.patch.object(distnav.gp, "cholesky", wraps=distnav.gp.cholesky) as chol:
+            fit_preference(group[0], grid, kp, shared)
+            assert chol.call_count > 1  # the first jitter is lost to rounding
+            first = chol.call_count
+            for obs in group[1:]:
+                fit_preference(obs, grid, kp, shared)
+            assert chol.call_count == first
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_gram_cholesky_per_schedule(self, dim):
+        grid = make_grid()
+        group = schedule_group(9, 9, ["same"] * 5, dim)
+        shared = {}
+        with mock.patch.object(distnav.gp, "cholesky", wraps=distnav.gp.cholesky) as chol:
+            gps = [fit_preference(obs, grid, KernelParams(), shared) for obs in group]
+        assert chol.call_count == 1
+        assert len(shared) == 1
+        assert all(gp.cov is gps[0].cov for gp in gps)
+        assert len({gp.mean.tobytes() for gp in gps}) == len(gps)
+
+    def test_shared_covariance_is_read_only(self):
+        grid = make_grid(steps=4)
+        gp = fit_preference([Observation(0.0, (0.0, 0.0), 0.01)], grid, KernelParams())
+        with pytest.raises(ValueError):
+            gp.cov[0, 0] = 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_obs=st.integers(1, 9),
+        steps=st.integers(1, 20),
+        m=st.integers(1, 40),
+        dim=st.sampled_from([1, 2]),
+    )
+    def test_log_densities_equal_a_fresh_factorisation(self, seed, n_obs, steps, m, dim):
+        grid = make_grid(steps=steps)
+        kp = KernelParams(length_scale=2.0, signal_var=1.0)
+        shared = {}
+        gps = [fit_preference(obs, grid, kp, shared)
+               for obs in schedule_group(seed, n_obs, ["same", "same"], dim)]
+        traj = np.random.default_rng(seed).normal(scale=2.0, size=(m, steps, dim))
+        for gp in gps:
+            ref = reference_log_densities(gp, traj)
+            for _ in range(2):  # the second call reads the kept factor
+                assert log_densities(gp, traj).tobytes() == ref.tobytes()
+            assert log_density(gp, Trajectory(grid, traj[0])) == pytest.approx(ref[0], rel=1e-12)
+
+
+class TestSamplingProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 25),
+        m=st.integers(1, 60),
+    )
+    def test_planar_samples_equal_the_einsum_bit_for_bit(self, seed, steps, m):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(steps, steps))
+        gp = PreferenceGP(make_grid(steps=steps), rng.normal(size=(steps, 2)),
+                          a @ a.T / steps + 1e-3 * np.eye(steps), jitter=1e-9)
+        got = sample_trajectories(gp, m, seed=seed)
+        z = np.random.default_rng(seed).standard_normal((m, steps, 2))
+        low = _cholesky_psd(gp.cov, gp.jitter)
+        ref = gp.mean[None, :, :] + np.einsum("ts,msd->mtd", low, z)
+        assert got.trajectories.tobytes() == ref.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 25),
+        m=st.integers(1, 60),
+        dim=st.sampled_from([1, 2]),
+    )
+    def test_product_within_rounding_of_the_einsum(self, seed, steps, m, dim):
+        rng = np.random.default_rng(seed)
+        low = np.tril(rng.normal(size=(steps, steps)))
+        z = rng.standard_normal((m, steps, dim))
+        got = _lower_product(low, z).transpose(2, 0, 1)
+        ref = np.einsum("ts,msd->mtd", low, z)
+        bound = 4 * steps * np.finfo(float).eps * np.einsum("ts,msd->mtd", np.abs(low), np.abs(z))
+        assert np.all(np.abs(got - ref) <= bound)
+        if dim == 2:
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestMoments1d:
