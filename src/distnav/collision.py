@@ -7,9 +7,15 @@ solve because sample trajectories never change, only weights do.
 
 The min-over-time squared distance is accumulated one time step at a time, so
 a row block needs (1 + dim) floats of scratch per entry whatever the horizon.
-Penalties below the smallest normal number of the output dtype are flushed to
-zero: a subnormal entry adds nothing a normal one would not, but it slows every
-later product with the matrix.
+Row blocks are sized so that this scratch, 8 * _BLOCK_BUDGET bytes at most,
+is allocated once per call and stays in a core's L2 cache (2 MiB per core on
+the 2-vCPU Xeon the benchmark was measured on): every time step rereads and
+rewrites the whole block, and a block larger than the cache turns each of
+those passes into memory traffic. Entries do not depend on the block size, so
+a call may stack several sample sets as rows. Penalties below the smallest
+normal number of the output dtype are flushed to zero: a subnormal entry adds
+nothing a normal one would not, but it slows every later product with the
+matrix.
 """
 
 from __future__ import annotations
@@ -32,9 +38,11 @@ __all__ = [
     "joint_expected_penalty",
 ]
 
-# Row-block size cap, in scratch floats: the running minimum plus one
-# difference per axis, (1 + dim) * rows * mb, for one time step at a time.
-_BLOCK_BUDGET = 8_000_000
+# Row-block size cap, in float64 of scratch: the running minimum plus one
+# difference per axis, (1 + dim) * rows * mb, for one time step at a time, and
+# a flag byte per entry for the flush. 2^17 float64 are 1 MiB, half a core's
+# L2 cache, which leaves the other half to the block's output rows and inputs.
+_BLOCK_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -55,15 +63,19 @@ class CollisionKernel:
         return self.weight * (2.0 * math.pi * self.sigma**2) ** (-dim / 2.0)
 
 
-def _min_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _min_sq_dist(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Min-over-time squared distance between batches (T,d,ma) and (T,d,mb).
 
-    Per time step, the per-axis differences are squared and summed in axis
-    order, the same arithmetic as a sum over the last axis of diff * diff.
+    ``scratch``, float64 of shape (1 + d, ma, mb), holds the running minimum
+    and one difference per axis; the result is ``scratch[0]``. Per time step,
+    the per-axis differences are squared and summed in axis order, the same
+    arithmetic as a sum over the last axis of diff * diff.
     """
     steps, dim = a.shape[:2]
-    acc = np.full((a.shape[2], b.shape[2]), np.inf)
-    diffs = np.empty((dim,) + acc.shape)
+    if scratch is None:
+        scratch = np.empty((1 + dim, a.shape[2], b.shape[2]))
+    acc, diffs = scratch[0], scratch[1:]
+    acc.fill(np.inf)
     for t in range(steps):
         for k in range(dim):
             np.subtract.outer(a[t, k], b[t, k], out=diffs[k])
@@ -74,9 +86,11 @@ def _min_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _penalty_block(a: np.ndarray, b: np.ndarray, kernel: CollisionKernel) -> np.ndarray:
+def _penalty_block(
+    a: np.ndarray, b: np.ndarray, kernel: CollisionKernel, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Penalty for every pair of the (T,d,ma) and (T,d,mb) trajectory batches."""
-    d2 = _min_sq_dist(a, b)
+    d2 = _min_sq_dist(a, b, scratch)
     np.multiply(d2, -0.5 / kernel.sigma**2, out=d2)
     np.exp(d2, out=d2)
     d2 *= kernel.peak(a.shape[1])
@@ -92,35 +106,55 @@ def pairwise_penalty(fa: Trajectory, fb: Trajectory, kernel: CollisionKernel) ->
 
 
 def penalty_matrix(
-    a: SampleSet, b: SampleSet, kernel: CollisionKernel, dtype=np.float64
+    a: SampleSet | Sequence[SampleSet],
+    b: SampleSet,
+    kernel: CollisionKernel,
+    dtype=np.float64,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matrix of pairwise penalties, entry (y, z) = penalty(a_y, b_z).
 
-    Computed in row blocks to bound scratch memory; ``dtype=np.float32`` halves
-    the cache footprint for very large sample sets. Entries below the dtype's
-    smallest normal number are stored as 0.
+    ``a`` may also be a list of sample sets: their samples then make the rows
+    one set after another, so one call stacks the matrices of every set in
+    ``a`` against ``b``, each a contiguous block of rows holding the entries
+    a call for that set alone gives. Computed in row blocks to bound scratch
+    memory; ``dtype=np.float32`` halves the cache footprint for very large
+    sample sets. Entries below the dtype's smallest normal number are stored
+    as 0. ``out``, a C-contiguous array of the result's shape, receives the
+    entries in place of a new array (its dtype then replaces ``dtype``).
     """
-    require_same_grid(a.grid, b.grid, "sample sets")
-    if a.dim != b.dim:
-        raise ValueError(f"sample set dims differ: {a.dim} vs {b.dim}")
-    at = np.ascontiguousarray(a.trajectories.transpose(1, 2, 0))
+    rows = [a] if isinstance(a, SampleSet) else list(a)
+    for s in rows:
+        require_same_grid(s.grid, b.grid, "sample sets")
+        if s.dim != b.dim:
+            raise ValueError(f"sample set dims differ: {s.dim} vs {b.dim}")
+    at = np.concatenate([s.trajectories.transpose(1, 2, 0) for s in rows], axis=2)
     bt = np.ascontiguousarray(b.trajectories.transpose(1, 2, 0))
-    return batch_penalty_matrix(at, bt, kernel, dtype)
+    return batch_penalty_matrix(at, bt, kernel, dtype, out)
 
 
 def batch_penalty_matrix(
-    a: np.ndarray, b: np.ndarray, kernel: CollisionKernel, dtype=np.float64
+    a: np.ndarray,
+    b: np.ndarray,
+    kernel: CollisionKernel,
+    dtype=np.float64,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`penalty_matrix` of two trajectory batches in (T, d, m) layout."""
-    ma, mb = a.shape[2], b.shape[2]
-    out = np.empty((ma, mb), dtype=dtype)
+    dim, ma, mb = a.shape[1], a.shape[2], b.shape[2]
+    if out is None:
+        out = np.empty((ma, mb), dtype=dtype)
+    elif out.shape != (ma, mb):
+        raise ValueError(f"out has shape {out.shape}, expected {(ma, mb)}")
     tiny = np.finfo(out.dtype).tiny
-    block = max(1, _BLOCK_BUDGET // ((1 + a.shape[1]) * mb))
+    # per entry: (1 + dim) scratch floats and one byte for the flush's flags
+    block = max(1, min(ma, 8 * _BLOCK_BUDGET // ((8 * (1 + dim) + 1) * mb)))
+    scratch = np.empty((1 + dim, block, mb))  # reused, so it stays in cache
     for s in range(0, ma, block):
         e = min(s + block, ma)
         rows = out[s:e]
-        rows[...] = _penalty_block(a[:, :, s:e], b, kernel)
-        rows[rows < tiny] = 0
+        rows[...] = _penalty_block(a[:, :, s:e], b, kernel, scratch[:, : e - s])
+        rows *= rows >= tiny  # the flush; penalties are >= 0, so x * 0 is +0
     return out
 
 

@@ -7,6 +7,16 @@ their fresh weights, later agents their pre-sweep weights. This is an exact
 coordinate update of the coupled objective restricted to the sample support,
 so every full sweep decreases the joint expected penalty by at least the sum
 of per-agent KL divergences between consecutive weight distributions.
+
+The objective after a sweep is not evaluated by a pass of its own. Each
+update already forms agent i's terms (M_ij @ w_j) / m_j for gamma_hat; those of
+the agents updated before i in the sweep, which carry their final weights,
+also go into a vector earlier_i, and J = sum_i (w_i / m_i) . earlier_i with
+the updated w_i counts each unordered pair once, at its later member. A sweep
+thus reads every pair matrix twice (once from each side), and only the initial
+objective goes through :func:`joint_expected_penalty`. The terms are formed
+in float64 on the float32 cache too, so the objective there is summed in
+float64 while the initial one is float32 arithmetic.
 """
 
 from __future__ import annotations
@@ -88,8 +98,14 @@ class SolveReport:
 class PenaltyCache:
     """Pairwise penalty matrices for a list of sample sets, built once.
 
-    Matrices are stored for index pairs i < j and served transposed for the
-    reverse order, so both directions always see the same symmetric values.
+    The matrices of every earlier agent i < j against agent j come from one
+    penalty call that stacks the earlier agents' samples as rows, written
+    into column j's stretch of one buffer that holds the whole cache. The
+    matrix of pair (i, j) is agent i's block of rows in that column, a
+    contiguous (m_i, m_j) view laid out as a call for that pair alone lays it
+    out, so products with it round the same way. It is served transposed for
+    the reverse order, so both directions always see the same symmetric
+    values.
     """
 
     def __init__(
@@ -100,9 +116,16 @@ class PenaltyCache:
     ):
         self.n = len(sets)
         self._mats: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                self._mats[(i, j)] = penalty_matrix(sets[i], sets[j], kernel, dtype=dtype)
+        sizes = [s.m for s in sets]
+        edges = np.cumsum(sizes)
+        buffer = np.empty(sum(edges[j - 1] * sizes[j] for j in range(1, self.n)), dtype=dtype)
+        start = 0
+        for j in range(1, self.n):
+            column = buffer[start : start + edges[j - 1] * sizes[j]].reshape(-1, sizes[j])
+            start += column.size
+            penalty_matrix(sets[:j], sets[j], kernel, out=column)
+            for i, mat in enumerate(np.split(column, edges[: j - 1])):
+                self._mats[(i, j)] = mat
 
     @classmethod
     def from_matrices(cls, n: int, mats: Mapping[tuple, np.ndarray]) -> "PenaltyCache":
@@ -118,20 +141,38 @@ class PenaltyCache:
             return self._mats[(i, j)]
         return self._mats[(j, i)].T
 
+    def partners(self, i: int) -> list[tuple[int, np.ndarray]]:
+        """(j, matrix of i against j) for every other agent j, in index order."""
+        return [(j, self.get(i, j)) for j in range(self.n) if j != i]
+
     def pair_matrices(self) -> dict[tuple, np.ndarray]:
         return dict(self._mats)
 
 
-def _gamma_all(i: int, sets: Sequence[SampleSet], cache: PenaltyCache) -> np.ndarray:
-    """gamma_hat for every sample of agent i, under everyone's current weights."""
-    total = np.zeros(sets[i].m)
-    for j in range(len(sets)):
-        if j == i:
-            continue
-        mat = cache.get(i, j)
-        wj = sets[j].weights.astype(mat.dtype, copy=False)
-        total += np.asarray(mat @ wj, dtype=float) / sets[j].m
-    return total
+def _gamma(
+    i: int,
+    sets: Sequence[SampleSet],
+    partners: Sequence[tuple[int, np.ndarray]],
+    earlier: set | frozenset = frozenset(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_hat for every sample of agent i, under everyone's current weights,
+    and the part of it that the agents in ``earlier`` contribute.
+
+    Terms (M_ij @ w_j) / m_j are summed over j in index order.
+    """
+    gamma = np.zeros(sets[i].m)
+    part = np.zeros(sets[i].m)
+    for j, mat in partners:
+        wj = sets[j].weights
+        if mat.dtype == wj.dtype:
+            term = mat @ wj
+            term /= sets[j].m
+        else:
+            term = np.asarray(mat @ wj.astype(mat.dtype), dtype=float) / sets[j].m
+        gamma += term
+        if j in earlier:
+            part += term
+    return gamma, part
 
 
 def gamma_hat(
@@ -151,19 +192,12 @@ def gamma_hat(
     """
     if i in updated:
         raise ValueError(f"agent {i} cannot condition on its own update")
-    return float(_gamma_all(i, sets, cache)[y])
+    return float(_gamma(i, sets, cache.partners(i))[0][y])
 
 
-def _update_agent(
-    i: int,
-    sets: Sequence[SampleSet],
-    cache: PenaltyCache,
-    updated: set,
-) -> tuple[float, int]:
-    """Reweight agent i in place; returns (KL(new || old), clamp count)."""
-    if i in updated:
-        raise ValueError(f"agent {i} cannot condition on its own update")
-    gamma = _gamma_all(i, sets, cache)
+def _reweight(i: int, sets: Sequence[SampleSet], gamma: np.ndarray) -> tuple[float, int]:
+    """Set agent i's weights to old * exp(-gamma), renormalised; returns
+    (KL(new || old), clamp count)."""
     clamped = int(np.count_nonzero(gamma > GAMMA_CLAMP))
     if clamped:
         log.warning(
@@ -193,6 +227,18 @@ def _update_agent(
     return max(kl, 0.0), clamped
 
 
+def _update_agent(
+    i: int,
+    sets: Sequence[SampleSet],
+    cache: PenaltyCache,
+    updated: set,
+) -> tuple[float, int]:
+    """Reweight agent i in place; returns (KL(new || old), clamp count)."""
+    if i in updated:
+        raise ValueError(f"agent {i} cannot condition on its own update")
+    return _reweight(i, sets, _gamma(i, sets, cache.partners(i))[0])
+
+
 def update_agent(
     i: int,
     sets: Sequence[SampleSet],
@@ -205,32 +251,51 @@ def update_agent(
     return kl
 
 
+def _checked_order(n: int, order: Sequence[int] | None) -> list[int]:
+    order = list(range(n)) if order is None else list(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order}")
+    return order
+
+
+def _sweep(sets, partners, order) -> tuple[float, int, float]:
+    """Update every agent once in ``order``; returns (KL sum, clamp count,
+    objective after the sweep).
+
+    ``partners[i]`` lists agent i's (j, matrix) pairs. The objective is read
+    off the products the updates compute anyway: agent i's terms from agents
+    already updated in this sweep carry those agents' final weights, so
+    (w_i' / m_i) . earlier_i is the expected penalty of every pair whose later
+    member is i, and the sum over i counts each unordered pair once.
+    """
+    kl_sum = 0.0
+    clamps = 0
+    jc = 0.0
+    done: set[int] = set()
+    for i in order:
+        gamma, earlier = _gamma(i, sets, partners[i], done)
+        kl, c = _reweight(i, sets, gamma)
+        jc += float(sets[i].weights @ earlier) / sets[i].m
+        kl_sum += kl
+        clamps += c
+        done.add(i)
+    return kl_sum, clamps, jc
+
+
 def sweep(
     sets: Sequence[SampleSet],
     kernel: CollisionKernel,
     cache: PenaltyCache,
     order: Sequence[int] | None = None,
 ) -> tuple[float, float]:
-    """Update every agent once, sequentially; returns (KL sum, objective after)."""
-    kl_sum, _, jc = _sweep_full(sets, kernel, cache, order)
+    """Update every agent once, sequentially; returns (KL sum, objective after).
+
+    The objective is read off the sweep's own products, so ``kernel`` is not
+    used; it is kept so that callers name the problem they sweep.
+    """
+    partners = [cache.partners(i) for i in range(len(sets))]
+    kl_sum, _, jc = _sweep(sets, partners, _checked_order(len(sets), order))
     return kl_sum, jc
-
-
-def _sweep_full(sets, kernel, cache, order=None) -> tuple[float, int, float]:
-    n = len(sets)
-    order = list(range(n)) if order is None else list(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order}")
-    kl_sum = 0.0
-    clamps = 0
-    updated: set[int] = set()
-    for i in order:
-        kl, c = _update_agent(i, sets, cache, updated)
-        kl_sum += kl
-        clamps += c
-        updated.add(i)
-    jc = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
-    return kl_sum, clamps, jc
 
 
 def solve(
@@ -240,7 +305,11 @@ def solve(
     cache: PenaltyCache | None = None,
 ) -> SolveReport:
     """Run sweeps until the objective drops below epsilon, a fixed point is
-    reached, or max_sweeps expires. Mutates the sets' weights in place."""
+    reached, or max_sweeps expires. Mutates the sets' weights in place.
+
+    The pair matrices are read once per sweep for the updates; the objective
+    after each sweep comes from those same products (see :func:`_sweep`), and
+    only the initial objective takes a pass of its own."""
     if len(sets) < 2:
         raise ValueError("solve needs at least 2 sample sets")
     for s in sets[1:]:
@@ -258,8 +327,10 @@ def solve(
         report.terminated_by = "objective_threshold"
         return report
 
+    order = _checked_order(len(sets), config.agent_order)
+    partners = [cache.partners(i) for i in range(len(sets))]
     for _ in range(config.max_sweeps):
-        kl_sum, clamps, jc = _sweep_full(sets, kernel, cache, config.agent_order)
+        kl_sum, clamps, jc = _sweep(sets, partners, order)
         report.sweeps += 1
         report.objective_trace.append(jc)
         report.kl_trace.append(kl_sum)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from distnav.collision import (
     pairwise_penalty,
     penalty_matrix,
 )
-from distnav.engine import interaction_scores
+from distnav.engine import PenaltyCache, interaction_scores
 from distnav.errors import GridMismatchError
 from distnav.grids import TimeGrid, Trajectory
 from distnav.samples import SampleSet
@@ -262,6 +263,63 @@ class TestPenaltyKernelProperties:
         mat = penalty_matrix(a, b, kernel, dtype=np.float32)
         assert np.all(mat[subnormal] == 0)
         assert np.array_equal(mat[~subnormal], raw[~subnormal])
+
+
+class TestPenaltyCacheRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 30), min_size=2, max_size=6),
+        steps=st.integers(1, 12),
+        dim=st.sampled_from([1, 2]),
+        spread=SPREADS,
+        budget=st.integers(1, 400),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_row_views_equal_per_pair_matrices(
+        self, seed, sizes, steps, dim, spread, budget, dtype
+    ):
+        sets = drawn_sets(seed, sizes, steps, dim, spread)
+        with mock.patch.object(collision, "_BLOCK_BUDGET", budget):
+            cache = PenaltyCache(sets, KERNEL, dtype=dtype)
+        for i in range(len(sets)):
+            for j in range(i + 1, len(sets)):
+                ref = penalty_matrix(sets[i], sets[j], KERNEL, dtype=dtype)
+                assert cache.get(i, j).dtype == dtype
+                # laid out as a per-pair build, so BLAS products round alike
+                assert cache.get(i, j).flags.c_contiguous
+                assert np.array_equal(cache.get(i, j), ref)
+                assert np.array_equal(cache.get(j, i), ref.T)
+
+    def test_out_receives_the_entries_and_must_match_the_shape(self):
+        a, b = drawn_sets(3, [7, 5], 4, 2, 1.0)
+        out = np.empty((7, 5), dtype=np.float32)
+        assert penalty_matrix(a, b, KERNEL, out=out) is out
+        assert np.array_equal(out, penalty_matrix(a, b, KERNEL, dtype=np.float32))
+        with pytest.raises(ValueError, match="shape"):
+            penalty_matrix(a, b, KERNEL, out=np.empty((8, 5)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("budget", [None, 20_000])
+    def test_scratch_stays_within_block_budget(self, dim, dtype, budget):
+        # 300 rows against 2000 columns take many row blocks at either budget
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(5, dim, 300))
+        b = rng.normal(size=(5, dim, 2000))
+        budget = collision._BLOCK_BUDGET if budget is None else budget
+        with mock.patch.object(collision, "_BLOCK_BUDGET", budget):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                out = collision.batch_penalty_matrix(a, b, KERNEL, dtype=dtype)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # slack: numpy's ufunc loops buffer up to 8192 elements per operand
+        # whatever the block size (about 128 KiB for the broadcast subtract)
+        assert peak - before <= out.nbytes + 8 * budget + 256 * 1024
 
 
 class TestInteractionScoresProperties:

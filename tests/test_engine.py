@@ -1,10 +1,15 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import gaussian_kde
 
-from distnav.collision import CollisionKernel, joint_expected_penalty
+from distnav import engine
+from distnav.collision import CollisionKernel, joint_expected_penalty, penalty_matrix
 from distnav.engine import (
     PenaltyCache,
     SolverConfig,
@@ -377,3 +382,84 @@ class TestSufficientDecreaseProperty:
                 if kl_sum > 1e-12:
                     assert jc_next < jc
                 jc = jc_next
+
+
+def crowd_sets(seed, sizes, steps, dim):
+    """Overlapping Gaussian clouds of unequal size on one grid, random weights."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.0, 0.4, steps)
+    return [
+        SampleSet(
+            k,
+            grid,
+            rng.uniform(-1.0, 1.0, size=dim) + rng.normal(scale=0.6, size=(m, steps, dim)),
+            rng.uniform(0.2, 2.0, m),
+        )
+        for k, m in enumerate(sizes)
+    ]
+
+
+def copied(sets):
+    return [SampleSet(s.agent, s.grid, s.trajectories, s.weights.copy()) for s in sets]
+
+
+def reference_solve(sets, kernel, sweeps, order, dtype):
+    """Per-pair sweeps as a plain loop: one penalty_matrix per pair i < j, served
+    transposed for j > i; gamma summed over j in index order."""
+    n = len(sets)
+    mats = {(i, j): penalty_matrix(sets[i], sets[j], kernel, dtype=dtype)
+            for i in range(n) for j in range(i + 1, n)}
+    for _ in range(sweeps):
+        for i in order:
+            gamma = np.zeros(sets[i].m)
+            for j in range(n):
+                if j != i:
+                    mat = mats[(i, j)] if i < j else mats[(j, i)].T
+                    wj = sets[j].weights.astype(dtype, copy=False)
+                    gamma += np.asarray(mat @ wj, dtype=float) / sets[j].m
+            new = sets[i].weights * np.exp(-np.minimum(gamma, engine.GAMMA_CLAMP))
+            new *= sets[i].m / new.sum()
+            sets[i].weights = new
+
+
+class TestSweepProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 25), min_size=2, max_size=4),
+        steps=st.integers(1, 6),
+        dim=st.sampled_from([1, 2]),
+    )
+    def test_objective_trace_is_the_objective_after_each_sweep(self, seed, sizes, steps, dim):
+        sets = crowd_sets(seed, sizes, steps, dim)
+        kernel = CollisionKernel(weight=5.0, sigma=0.5)
+        for order in itertools.permutations(range(len(sets))):
+            for sweeps in (1, 2, 3):
+                run = copied(sets)
+                config = SolverConfig(epsilon=0.0, max_sweeps=sweeps, agent_order=order)
+                report = solve(run, kernel, config)
+                direct = joint_expected_penalty(run, kernel)
+                # abs_tol only matters where the objective itself nears underflow
+                assert math.isclose(report.objective_trace[-1], direct, rel_tol=1e-12, abs_tol=1e-300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 25), min_size=2, max_size=5),
+        steps=st.integers(1, 6),
+        dim=st.sampled_from([1, 2]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        data=st.data(),
+    )
+    def test_weights_equal_a_per_pair_reference_sweep(self, seed, sizes, steps, dim, dtype, data):
+        sets = crowd_sets(seed, sizes, steps, dim)
+        order = tuple(data.draw(st.permutations(range(len(sets)))))
+        kernel = CollisionKernel(weight=5.0, sigma=0.5)
+        run = copied(sets)
+        # a threshold of 0 entries puts every pair in the float32 cache
+        threshold = 0 if dtype == np.float32 else engine._FLOAT32_CACHE_ENTRIES
+        with mock.patch.object(engine, "_FLOAT32_CACHE_ENTRIES", threshold):
+            report = solve(run, kernel, SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order))
+        reference_solve(sets, kernel, report.sweeps, order, dtype)
+        for got, want in zip(run, sets):
+            assert np.array_equal(got.weights, want.weights)

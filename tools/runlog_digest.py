@@ -11,9 +11,11 @@ Runs, under ``--no-timing`` and into a temporary directory:
 - ``distnav simulate`` with the default config, 3 runs from seed 3.
 
 Prints the sha256 of every file written, then one total over all of them.
-A change meant to leave the program's outputs alone must leave the total
-unchanged. Uses the checkout's own ``src/`` and ``bench/`` and pins BLAS to
-one thread, as the benchmark does.
+A last line, outside the total, gives the sha256 of the sample weights after
+the benchmark's ``oracle1d_large_m`` solve of seed 7 (the inputs of its timed
+rounds), which no run log covers. A change meant to leave the program's
+outputs alone must leave both unchanged. Uses the checkout's own ``src/`` and
+``bench/`` and pins BLAS to one thread, as the benchmark does.
 """
 
 import os
@@ -42,6 +44,16 @@ def _distnav(*argv) -> None:
         sys.exit(f"distnav {' '.join(map(str, argv))} exited {code}")
 
 
+def oracle_weights_digest() -> str:
+    oracle = workloads.Oracle1dLargeM(workloads.FULL, 7, None)
+    sets = oracle._sets((1,))  # the draws every timed round solves
+    oracle._solve(sets)
+    digest = hashlib.sha256()
+    for s in sets:
+        digest.update(s.weights.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -66,6 +78,7 @@ def main() -> int:
             total.update(f"{name} {digest}\n".encode())
             print(f"{digest}  {name}")
         print(f"{total.hexdigest()}  total")
+    print(f"{oracle_weights_digest()}  oracle1d_large_m seed 7 weights")
     return 0
 
 
