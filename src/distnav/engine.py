@@ -14,9 +14,13 @@ the agents updated before i in the sweep, which carry their final weights,
 also go into a vector earlier_i, and J = sum_i (w_i / m_i) . earlier_i with
 the updated w_i counts each unordered pair once, at its later member. A sweep
 thus reads every pair matrix twice (once from each side), and only the initial
-objective goes through :func:`joint_expected_penalty`. The terms are formed
-in float64 on the float32 cache too, so the objective there is summed in
-float64 while the initial one is float32 arithmetic.
+objective goes through :func:`joint_expected_penalty`.
+
+The products only need ``@`` and ``.T``: when every set is 1D and single-step
+and the largest pair would exceed _DENSE_CACHE_ENTRIES, :func:`solve` serves
+each pair as a :class:`~distnav.collision.GaussTransform` instead of a
+matrix, and the sweeps, the objective and the update run through it
+unchanged.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from .collision import (
     CollisionKernel,
     batch_penalty_matrix,
+    gauss_transforms,
     joint_expected_penalty,
     penalty_matrix,
 )
@@ -58,9 +63,9 @@ log = logging.getLogger(__name__)
 GAMMA_CLAMP = 700.0
 # A sweep whose total KL falls below this is treated as a fixed point.
 FIXED_POINT_KL = 1e-12
-# Pairs with more matrix entries than this are cached in float32 to halve the
-# footprint (a 20000 x 20000 pair is 1.6 GB instead of 3.2 GB).
-_FLOAT32_CACHE_ENTRIES = 25_000_000
+# Solves whose largest pair has more matrix entries than this (200 MB of
+# float64) take the Gauss transform when their sets allow it.
+_DENSE_CACHE_ENTRIES = 25_000_000
 
 
 @dataclass(frozen=True)
@@ -108,17 +113,12 @@ class PenaltyCache:
     values.
     """
 
-    def __init__(
-        self,
-        sets: Sequence[SampleSet],
-        kernel: CollisionKernel,
-        dtype=np.float64,
-    ):
+    def __init__(self, sets: Sequence[SampleSet], kernel: CollisionKernel):
         self.n = len(sets)
         self._mats: dict[tuple[int, int], np.ndarray] = {}
         sizes = [s.m for s in sets]
         edges = np.cumsum(sizes)
-        buffer = np.empty(sum(edges[j - 1] * sizes[j] for j in range(1, self.n)), dtype=dtype)
+        buffer = np.empty(sum(edges[j - 1] * sizes[j] for j in range(1, self.n)))
         start = 0
         for j in range(1, self.n):
             column = buffer[start : start + edges[j - 1] * sizes[j]].reshape(-1, sizes[j])
@@ -129,14 +129,15 @@ class PenaltyCache:
 
     @classmethod
     def from_matrices(cls, n: int, mats: Mapping[tuple, np.ndarray]) -> "PenaltyCache":
-        """Build from explicit matrices keyed by (i, j) with i < j (tests, oracles)."""
+        """Build from explicit pair operators keyed by (i, j) with i < j: arrays
+        (tests, oracles) or anything else with ``@`` and ``.T``."""
         cache = cls.__new__(cls)
         cache.n = n
-        cache._mats = {k: np.asarray(v) for k, v in mats.items()}
+        cache._mats = dict(mats)
         return cache
 
     def get(self, i: int, j: int) -> np.ndarray:
-        """(m_i, m_j) matrix of penalties between sets i and j."""
+        """(m_i, m_j) matrix, or operator, of penalties between sets i and j."""
         if i < j:
             return self._mats[(i, j)]
         return self._mats[(j, i)].T
@@ -163,12 +164,8 @@ def _gamma(
     gamma = np.zeros(sets[i].m)
     part = np.zeros(sets[i].m)
     for j, mat in partners:
-        wj = sets[j].weights
-        if mat.dtype == wj.dtype:
-            term = mat @ wj
-            term /= sets[j].m
-        else:
-            term = np.asarray(mat @ wj.astype(mat.dtype), dtype=float) / sets[j].m
+        term = mat @ sets[j].weights
+        term /= sets[j].m
         gamma += term
         if j in earlier:
             part += term
@@ -309,7 +306,15 @@ def solve(
 
     The pair matrices are read once per sweep for the updates; the objective
     after each sweep comes from those same products (see :func:`_sweep`), and
-    only the initial objective takes a pass of its own."""
+    only the initial objective takes a pass of its own.
+
+    Without a ``cache``, pairs are dense float64 matrices unless the largest
+    has more than _DENSE_CACHE_ENTRIES entries and every set is 1D and
+    single-step: those solves (the 1D oracle comparisons) apply each pair as
+    a Gauss transform, in O(m) memory. A larger solve of any other shape
+    still builds the dense float64 cache, however big; no caller in this
+    package makes one at its defaults (closed-loop replans draw 100 samples
+    per agent, and only ``--m`` above 5000 would)."""
     if len(sets) < 2:
         raise ValueError("solve needs at least 2 sample sets")
     for s in sets[1:]:
@@ -318,8 +323,10 @@ def solve(
         biggest = max(
             sets[i].m * sets[j].m for i in range(len(sets)) for j in range(i + 1, len(sets))
         )
-        dtype = np.float32 if biggest > _FLOAT32_CACHE_ENTRIES else np.float64
-        cache = PenaltyCache(sets, kernel, dtype=dtype)
+        if biggest > _DENSE_CACHE_ENTRIES and all(s.grid.steps == 1 and s.dim == 1 for s in sets):
+            cache = PenaltyCache.from_matrices(len(sets), gauss_transforms(sets, kernel))
+        else:
+            cache = PenaltyCache(sets, kernel)
 
     initial = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
     report = SolveReport(sweeps=0, initial_objective=initial)

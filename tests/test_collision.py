@@ -11,6 +11,7 @@ from distnav import collision
 from distnav.collision import (
     CollisionKernel,
     expected_penalty,
+    gauss_transforms,
     joint_expected_penalty,
     pairwise_penalty,
     penalty_matrix,
@@ -179,17 +180,16 @@ class TestJointExpectedPenalty:
             assert val == pytest.approx(ref, rel=1e-12)
 
 
-def einsum_penalty(ta, tb, kernel, dtype=np.float64):
+def einsum_penalty(ta, tb, kernel):
     """Reference penalty matrix: one (ma, mb, T, d) difference tensor, then the
-    subnormal flush of the output dtype."""
+    subnormal flush."""
     diff = ta[:, None, :, :] - tb[None, :, :, :]
     d2 = np.einsum("abtd,abtd->abt", diff, diff).min(axis=2)
     np.multiply(d2, -0.5 / kernel.sigma**2, out=d2)
     np.exp(d2, out=d2)
     d2 *= kernel.peak(ta.shape[2])
-    out = d2.astype(dtype)
-    out[out < np.finfo(dtype).tiny] = 0
-    return out
+    d2[d2 < np.finfo(float).tiny] = 0
+    return d2
 
 
 def drawn_sets(seed, sizes, steps, dim, spread):
@@ -208,7 +208,7 @@ def drawn_sets(seed, sizes, steps, dim, spread):
     return sets
 
 
-SPREADS = st.sampled_from([0.1, 1.0, 5.0, 40.0])  # 40 m puts most entries far below float32 tiny
+SPREADS = st.sampled_from([0.1, 1.0, 5.0, 40.0])  # 40 m puts most entries below float64 tiny
 
 
 class TestPenaltyKernelProperties:
@@ -221,17 +221,16 @@ class TestPenaltyKernelProperties:
         dim=st.sampled_from([1, 2]),
         spread=SPREADS,
         budget=st.integers(1, 400),
-        dtype=st.sampled_from([np.float64, np.float32]),
     )
     def test_matches_einsum_reference_across_row_blocks(
-        self, seed, ma, mb, steps, dim, spread, budget, dtype
+        self, seed, ma, mb, steps, dim, spread, budget
     ):
         a, b = drawn_sets(seed, [ma, mb], steps, dim, spread)
         kernel = CollisionKernel(weight=10.0, sigma=0.3)
         with mock.patch.object(collision, "_BLOCK_BUDGET", budget):
-            mat = penalty_matrix(a, b, kernel, dtype=dtype)
-        ref = einsum_penalty(a.trajectories, b.trajectories, kernel, dtype)
-        assert mat.dtype == dtype
+            mat = penalty_matrix(a, b, kernel)
+        ref = einsum_penalty(a.trajectories, b.trajectories, kernel)
+        assert mat.dtype == np.float64
         assert np.array_equal(mat, ref)
 
     @settings(max_examples=40, deadline=None)
@@ -240,29 +239,11 @@ class TestPenaltyKernelProperties:
         ma=st.integers(1, 40),
         mb=st.integers(1, 40),
         spread=SPREADS,
-        dtype=st.sampled_from([np.float64, np.float32]),
     )
-    def test_no_subnormal_entries(self, seed, ma, mb, spread, dtype):
+    def test_no_subnormal_entries(self, seed, ma, mb, spread):
         a, b = drawn_sets(seed, [ma, mb], 1, 1, spread)
-        mat = penalty_matrix(a, b, CollisionKernel(weight=10.0, sigma=0.3), dtype=dtype)
-        assert not np.any((mat > 0) & (mat < np.finfo(dtype).tiny))
-
-    def test_float32_flush_hits_only_subnormals(self):
-        # 1D samples around -2 and 2 with weight 10, sigma 0.3: a fifth of the
-        # float32 entries would be subnormal without the flush
-        rng = np.random.default_rng(7)
-        g = TimeGrid(0.0, 1.0, 1)
-        a = SampleSet(0, g, -2.0 + 0.5 * rng.standard_normal((400, 1, 1)), np.ones(400))
-        b = SampleSet(1, g, 2.0 + 0.5 * rng.standard_normal((400, 1, 1)), np.ones(400))
-        kernel = CollisionKernel(weight=10.0, sigma=0.3)
-        exact = einsum_penalty(a.trajectories, b.trajectories, kernel, np.float64)
-        raw = exact.astype(np.float32)
-        tiny = np.finfo(np.float32).tiny
-        subnormal = (raw > 0) & (raw < tiny)
-        assert subnormal.mean() > 0.1
-        mat = penalty_matrix(a, b, kernel, dtype=np.float32)
-        assert np.all(mat[subnormal] == 0)
-        assert np.array_equal(mat[~subnormal], raw[~subnormal])
+        mat = penalty_matrix(a, b, CollisionKernel(weight=10.0, sigma=0.3))
+        assert not np.any((mat > 0) & (mat < np.finfo(float).tiny))
 
 
 class TestPenaltyCacheRows:
@@ -274,18 +255,15 @@ class TestPenaltyCacheRows:
         dim=st.sampled_from([1, 2]),
         spread=SPREADS,
         budget=st.integers(1, 400),
-        dtype=st.sampled_from([np.float64, np.float32]),
     )
-    def test_row_views_equal_per_pair_matrices(
-        self, seed, sizes, steps, dim, spread, budget, dtype
-    ):
+    def test_row_views_equal_per_pair_matrices(self, seed, sizes, steps, dim, spread, budget):
         sets = drawn_sets(seed, sizes, steps, dim, spread)
         with mock.patch.object(collision, "_BLOCK_BUDGET", budget):
-            cache = PenaltyCache(sets, KERNEL, dtype=dtype)
+            cache = PenaltyCache(sets, KERNEL)
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
-                ref = penalty_matrix(sets[i], sets[j], KERNEL, dtype=dtype)
-                assert cache.get(i, j).dtype == dtype
+                ref = penalty_matrix(sets[i], sets[j], KERNEL)
+                assert cache.get(i, j).dtype == np.float64
                 # laid out as a per-pair build, so BLAS products round alike
                 assert cache.get(i, j).flags.c_contiguous
                 assert np.array_equal(cache.get(i, j), ref)
@@ -293,9 +271,9 @@ class TestPenaltyCacheRows:
 
     def test_out_receives_the_entries_and_must_match_the_shape(self):
         a, b = drawn_sets(3, [7, 5], 4, 2, 1.0)
-        out = np.empty((7, 5), dtype=np.float32)
+        out = np.empty((7, 5))
         assert penalty_matrix(a, b, KERNEL, out=out) is out
-        assert np.array_equal(out, penalty_matrix(a, b, KERNEL, dtype=np.float32))
+        assert np.array_equal(out, penalty_matrix(a, b, KERNEL))
         with pytest.raises(ValueError, match="shape"):
             penalty_matrix(a, b, KERNEL, out=np.empty((8, 5)))
 
@@ -303,7 +281,8 @@ class TestPenaltyCacheRows:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("budget", [None, 20_000])
     def test_scratch_stays_within_block_budget(self, dim, dtype, budget):
-        # 300 rows against 2000 columns take many row blocks at either budget
+        # 300 rows against 2000 columns take many row blocks at either budget;
+        # the scratch is float64 whatever the dtype of the caller's ``out``
         rng = np.random.default_rng(17)
         a = rng.normal(size=(5, dim, 300))
         b = rng.normal(size=(5, dim, 2000))
@@ -313,13 +292,59 @@ class TestPenaltyCacheRows:
             try:
                 before, _ = tracemalloc.get_traced_memory()
                 tracemalloc.reset_peak()
-                out = collision.batch_penalty_matrix(a, b, KERNEL, dtype=dtype)
+                out = np.empty((300, 2000), dtype)
+                collision.batch_penalty_matrix(a, b, KERNEL, out=out)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         # slack: numpy's ufunc loops buffer up to 8192 elements per operand
         # whatever the block size (about 128 KiB for the broadcast subtract)
         assert peak - before <= out.nbytes + 8 * budget + 256 * 1024
+
+
+class TestGaussTransform:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ma=st.one_of(st.just(1), st.integers(1, 3000)),
+        mb=st.one_of(st.just(1), st.integers(1, 3000)),
+        sigma=st.floats(1e-3, 1e2),
+        log_spread=st.floats(math.log10(1 / 3), 4.0),  # sample spread / sigma, 1/3 to 1e4
+        centre=st.floats(-1e4, 1e4),  # in units of sigma
+        shared=st.floats(0.0, 1.0),
+        kept=st.floats(0.0, 1.0),
+    )
+    def test_products_match_the_dense_matrix(
+        self, seed, ma, mb, sigma, log_spread, centre, shared, kept
+    ):
+        rng = np.random.default_rng(seed)
+        spread = sigma * 10.0**log_spread
+        xa = centre * sigma + spread * rng.standard_normal(ma)
+        xb = centre * sigma + spread * rng.standard_normal(mb)
+        dup = int(shared * min(ma, mb))
+        xb[:dup] = xa[:dup]  # exact duplicates across the sets
+        xa[ma // 2 :] = xa[: ma - ma // 2]  # and within one set
+        grid = TimeGrid(0.0, 1.0, 1)
+        a = SampleSet(0, grid, xa[:, None, None], np.ones(ma))
+        b = SampleSet(1, grid, xb[:, None, None], np.ones(mb))
+        kernel = CollisionKernel(weight=float(rng.uniform(0.1, 20.0)), sigma=sigma)
+        op = gauss_transforms([a, b], kernel)[(0, 1)]
+        mat = penalty_matrix(a, b, kernel)
+        wa = rng.uniform(0.0, 2.0, ma) * (rng.random(ma) < kept)
+        wb = rng.uniform(0.0, 2.0, mb) * (rng.random(mb) < kept)
+        assert op.shape == op.T.T.shape == mat.shape
+        for got, want, w in ((op @ wb, mat @ wb, wb), (op.T @ wa, mat.T @ wa, wa)):
+            bound = 1e-13 * kernel.peak(1) * np.abs(w).sum()
+            assert np.abs(got - want).max() <= bound
+
+    def test_needs_one_dimensional_single_step_sets(self):
+        rng = np.random.default_rng(0)
+        a, b = drawn_sets(1, [3, 4], 2, 1, 1.0)
+        with pytest.raises(ValueError, match="1D single-step"):
+            gauss_transforms([a, b], KERNEL)
+        a, b = (sample_set(k, rng, 3) for k in range(2))
+        with pytest.raises(ValueError, match="1D single-step"):
+            gauss_transforms([a, b], KERNEL)
 
 
 class TestInteractionScoresProperties:

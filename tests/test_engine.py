@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -403,11 +404,11 @@ def copied(sets):
     return [SampleSet(s.agent, s.grid, s.trajectories, s.weights.copy()) for s in sets]
 
 
-def reference_solve(sets, kernel, sweeps, order, dtype):
+def reference_solve(sets, kernel, sweeps, order):
     """Per-pair sweeps as a plain loop: one penalty_matrix per pair i < j, served
     transposed for j > i; gamma summed over j in index order."""
     n = len(sets)
-    mats = {(i, j): penalty_matrix(sets[i], sets[j], kernel, dtype=dtype)
+    mats = {(i, j): penalty_matrix(sets[i], sets[j], kernel)
             for i in range(n) for j in range(i + 1, n)}
     for _ in range(sweeps):
         for i in order:
@@ -415,8 +416,7 @@ def reference_solve(sets, kernel, sweeps, order, dtype):
             for j in range(n):
                 if j != i:
                     mat = mats[(i, j)] if i < j else mats[(j, i)].T
-                    wj = sets[j].weights.astype(dtype, copy=False)
-                    gamma += np.asarray(mat @ wj, dtype=float) / sets[j].m
+                    gamma += mat @ sets[j].weights / sets[j].m
             new = sets[i].weights * np.exp(-np.minimum(gamma, engine.GAMMA_CLAMP))
             new *= sets[i].m / new.sum()
             sets[i].weights = new
@@ -448,18 +448,81 @@ class TestSweepProperties:
         sizes=st.lists(st.integers(1, 25), min_size=2, max_size=5),
         steps=st.integers(1, 6),
         dim=st.sampled_from([1, 2]),
-        dtype=st.sampled_from([np.float64, np.float32]),
         data=st.data(),
     )
-    def test_weights_equal_a_per_pair_reference_sweep(self, seed, sizes, steps, dim, dtype, data):
+    def test_weights_equal_a_per_pair_reference_sweep(self, seed, sizes, steps, dim, data):
         sets = crowd_sets(seed, sizes, steps, dim)
         order = tuple(data.draw(st.permutations(range(len(sets)))))
         kernel = CollisionKernel(weight=5.0, sigma=0.5)
         run = copied(sets)
-        # a threshold of 0 entries puts every pair in the float32 cache
-        threshold = 0 if dtype == np.float32 else engine._FLOAT32_CACHE_ENTRIES
-        with mock.patch.object(engine, "_FLOAT32_CACHE_ENTRIES", threshold):
-            report = solve(run, kernel, SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order))
-        reference_solve(sets, kernel, report.sweeps, order, dtype)
+        report = solve(run, kernel, SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order))
+        reference_solve(sets, kernel, report.sweeps, order)
         for got, want in zip(run, sets):
             assert np.array_equal(got.weights, want.weights)
+
+
+def line_sets(seed, sizes):
+    """1D single-step sample sets around random centres; random weights of mean 1,
+    as the objective's sufficient decrease assumes."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for k, m in enumerate(sizes):
+        xs = rng.uniform(-2.0, 2.0) + rng.uniform(0.2, 1.5) * rng.standard_normal((m, 1, 1))
+        w = rng.uniform(0.2, 2.0, m)
+        sets.append(SampleSet(k, GRID_1D, xs, w * (m / w.sum())))
+    return sets
+
+
+def transform_solve(sets, kernel, config):
+    """solve() with the dense-cache threshold at 0, so 1D single-step sets take
+    the Gauss transform; checks that they did."""
+    with mock.patch.object(engine, "_DENSE_CACHE_ENTRIES", 0), \
+            mock.patch.object(engine, "gauss_transforms", wraps=engine.gauss_transforms) as built:
+        report = solve(sets, kernel, config)
+    assert built.call_count == 1
+    return report
+
+
+class TestGaussTransformSolves:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 300), min_size=2, max_size=4),
+        weight=st.floats(0.5, 20.0),
+        sigma=st.floats(0.1, 1.0),
+    )
+    def test_every_order_decreases_by_at_least_kl(self, seed, sizes, weight, sigma):
+        sets = line_sets(seed, sizes)
+        kernel = CollisionKernel(weight=weight, sigma=sigma)
+        for order in itertools.permutations(range(len(sets))):
+            run = copied(sets)
+            report = transform_solve(run, kernel, SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order))
+            prev = report.initial_objective
+            for jc, kl in zip(report.objective_trace, report.kl_trace):
+                assert prev - jc >= kl - 1e-9 * max(1.0, abs(prev))
+                prev = jc
+            # each pair's expected penalty is within 1e-13 * peak of the dense one
+            direct = joint_expected_penalty(run, kernel)
+            pairs = len(sets) * (len(sets) - 1) / 2
+            assert abs(report.objective_trace[-1] - direct) <= 1e-13 * kernel.peak(1) * pairs
+
+    def test_identical_solves_give_identical_weights(self):
+        kernel = CollisionKernel(10.0, 0.3)
+        runs = []
+        for _ in range(2):
+            sets = gaussian_sets_1d([-1.0, 0.0, 1.0], sigma=0.5, m=2000, seed=5)
+            transform_solve(sets, kernel, SolverConfig(epsilon=0.0, max_sweeps=5))
+            runs.append([s.weights for s in sets])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
+    def test_memory_stays_far_below_the_dense_cache(self):
+        # dense float64 pairs of 3 agents at m=3000 would take 3 * 72 MB
+        sets = gaussian_sets_1d([-1.0, 0.0, 1.0], sigma=0.5, m=3000, seed=9)
+        tracemalloc.start()
+        try:
+            transform_solve(sets, CollisionKernel(10.0, 0.3), SolverConfig(epsilon=0.0, max_sweeps=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
