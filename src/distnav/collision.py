@@ -5,10 +5,38 @@ between two time-aligned trajectories; expectations over sample sets are
 weighted double sums. Matrices of pairwise penalties are precomputed once per
 solve because sample trajectories never change, only weights do.
 
-The min-over-time squared distance is accumulated one time step at a time, so
-a row block needs (1 + dim) floats of scratch per entry whatever the horizon.
-Row blocks are sized so that this scratch, 8 * _BLOCK_BUDGET bytes at most,
-is allocated once per call and stays in a core's L2 cache (2 MiB per core on
+A set-against-set matrix (:func:`penalty_matrix`, which the solver's pair
+cache is built from) expands |p - q|^2 = |p|^2 + |q|^2 - 2 p.q. At each time
+step both sides are measured from the step's mean of the column set b, so a
+cache column and a per-pair call use the same origin, and one matrix product
+of the rows [p, |p|^2, 1] by the columns [-2q; 1; |q|^2] gives the squared
+distances of a row block: two passes per step (the product and the running
+minimum) where direct differences take six. The minimum is clamped at 0,
+since rounding can take it below.
+
+Error bound. With u = 2^-53, gamma_n = n u / (1 - n u), and p_t, q_t a row's
+and a column's positions at step t measured from that origin, each step's
+computed |p - q|^2 is within gamma_(3d+9) * (|p_t|^2 + |q_t|^2) of the exact
+squared distance of the input points in d dimensions: the centring rounds
+each coordinate difference by at most u (|p_k| + |q_k|), which moves
+|p - q|^2 by at most 4u (|p|^2 + |q|^2) to first order; the squared norms
+carry gamma_d; and the (d + 2)-term dot product carries gamma_(d+2) times
+sum |x_k y_k| = |p|^2 + |q|^2 + 2 sum |p_k q_k| <= 2 (|p|^2 + |q|^2). A
+minimum over steps moves by at most the largest step error, and the clamp
+only moves toward the exact value, which is >= 0. The kernel
+peak * exp(-s / (2 sigma^2)) moves by at most peak / (2 sigma^2) per unit of
+s >= 0, so every entry is within
+
+    peak / (2 sigma^2) * gamma_(3d+9) * max_t (|p_t|^2 + |q_t|^2)
+
+of the kernel at the exact distance, plus 8u * peak for the kernel's own
+evaluation (the argument's product, an exp within 2 ulp, the peak's product)
+and, where the flush cuts an entry, the smallest normal number. Centring is
+what keeps this small: measured from 0, |p|^2 of sets a kilometre out is
+1e6 m^2 whatever their spread.
+
+Rows are computed in blocks sized by _BLOCK_BUDGET, so that a block's running
+minimum and one step's product stay in a core's L2 cache (2 MiB per core on
 the 2-vCPU Xeon the benchmark was measured on): every time step rereads and
 rewrites the whole block, and a block larger than the cache turns each of
 those passes into memory traffic. Entries do not depend on the block size, so
@@ -16,6 +44,13 @@ a call may stack several sample sets as rows. Penalties below the smallest
 normal number of the output are flushed to zero: a subnormal entry adds
 nothing a normal one would not, but it slows every later product with the
 matrix.
+
+One trajectory against many (:func:`pairwise_penalty`, :func:`penalty_row`,
+which scores every pedestrian against the robot's intent) keeps direct
+differences. A direct entry depends only on its own two trajectories, so
+pairwise penalties are exactly symmetric and the critical sets, and so the
+solve order, stay what they were bit for bit; and a one-row product would
+cost more in operands (d + 2 floats per column and step) than it saves.
 
 For 1D single-step sets the penalty matrix is a Gaussian kernel matrix, and
 :class:`GaussTransform` applies it to a weight vector in O(m) time and memory
@@ -38,17 +73,18 @@ __all__ = [
     "CollisionKernel",
     "pairwise_penalty",
     "penalty_matrix",
-    "batch_penalty_matrix",
+    "penalty_row",
     "GaussTransform",
     "gauss_transforms",
     "expected_penalty",
     "joint_expected_penalty",
 ]
 
-# Row-block size cap, in float64 of scratch: the running minimum plus one
-# difference per axis, (1 + dim) * rows * mb, for one time step at a time, and
-# a flag byte per entry for the flush. 2^17 float64 are 1 MiB, half a core's
-# L2 cache, which leaves the other half to the block's output rows and inputs.
+# Row-block size cap, in float64: in penalty_matrix, a block's running minimum
+# and one time step's product, 2 * rows * mb, plus a flag byte per entry for
+# the flush; in GaussTransform, the gathered moments.
+# 2^17 float64 are 1 MiB, half a core's L2 cache, which leaves the other half
+# to the block's inputs.
 _BLOCK_BUDGET = 1 << 17
 
 # Error budget of the 1D Gauss transform, each as a fraction of peak * sum|w|:
@@ -78,17 +114,15 @@ class CollisionKernel:
         return self.weight * (2.0 * math.pi * self.sigma**2) ** (-dim / 2.0)
 
 
-def _min_sq_dist(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Min-over-time squared distance between batches (T,d,ma) and (T,d,mb).
+def _min_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Min-over-time squared distance between batches (T,d,ma) and (T,d,mb),
+    by direct differences.
 
-    ``scratch``, float64 of shape (1 + d, ma, mb), holds the running minimum
-    and one difference per axis; the result is ``scratch[0]``. Per time step,
-    the per-axis differences are squared and summed in axis order, the same
-    arithmetic as a sum over the last axis of diff * diff.
+    Per time step, the per-axis differences are squared and summed in axis
+    order, the same arithmetic as a sum over the last axis of diff * diff.
     """
     steps, dim = a.shape[:2]
-    if scratch is None:
-        scratch = np.empty((1 + dim, a.shape[2], b.shape[2]))
+    scratch = np.empty((1 + dim, a.shape[2], b.shape[2]))
     acc, diffs = scratch[0], scratch[1:]
     acc.fill(np.inf)
     for t in range(steps):
@@ -101,15 +135,21 @@ def _min_sq_dist(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None = None
     return acc
 
 
-def _penalty_block(
-    a: np.ndarray, b: np.ndarray, kernel: CollisionKernel, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """Penalty for every pair of the (T,d,ma) and (T,d,mb) trajectory batches."""
-    d2 = _min_sq_dist(a, b, scratch)
+def _to_penalty(d2: np.ndarray, kernel: CollisionKernel, dim: int, tiny: float) -> np.ndarray:
+    """Turn min squared distances into penalties in place, flushing entries
+    below ``tiny`` to 0."""
     np.multiply(d2, -0.5 / kernel.sigma**2, out=d2)
     np.exp(d2, out=d2)
-    d2 *= kernel.peak(a.shape[1])
+    d2 *= kernel.peak(dim)
+    d2 *= d2 >= tiny  # the flush; penalties are >= 0, so x * 0 is +0
     return d2
+
+
+def penalty_row(f: Trajectory, batch: np.ndarray, kernel: CollisionKernel) -> np.ndarray:
+    """Penalties of one trajectory against each of a (T, d, m) trajectory
+    batch, by the direct arithmetic of :func:`_min_sq_dist`."""
+    d2 = _min_sq_dist(f.states[:, :, None], batch)[0]
+    return _to_penalty(d2, kernel, f.dim, np.finfo(float).tiny)
 
 
 def pairwise_penalty(fa: Trajectory, fb: Trajectory, kernel: CollisionKernel) -> float:
@@ -117,7 +157,14 @@ def pairwise_penalty(fa: Trajectory, fb: Trajectory, kernel: CollisionKernel) ->
     require_same_grid(fa.grid, fb.grid, "trajectories")
     if fa.dim != fb.dim:
         raise ValueError(f"trajectory dims differ: {fa.dim} vs {fb.dim}")
-    return float(_penalty_block(fa.states[:, :, None], fb.states[:, :, None], kernel)[0, 0])
+    return float(penalty_row(fa, fb.states[:, :, None], kernel)[0])
+
+
+def _sum_squares(parts: Sequence[np.ndarray], out: np.ndarray) -> None:
+    """out = sum of the squares of ``parts``, elementwise and in their order."""
+    np.square(parts[0], out=out)
+    for x in parts[1:]:
+        out += x * x
 
 
 def penalty_matrix(
@@ -131,42 +178,62 @@ def penalty_matrix(
     ``a`` may also be a list of sample sets: their samples then make the rows
     one set after another, so one call stacks the matrices of every set in
     ``a`` against ``b``, each a contiguous block of rows holding the entries
-    a call for that set alone gives. Computed in row blocks to bound scratch
-    memory. Entries below the output's smallest normal number are stored as
-    0. ``out``, a C-contiguous array of the result's shape, receives the
-    entries in place of a new float64 array.
+    a call for that set alone gives. Entries are within the bound in the
+    module docstring of the exact penalties, and those below the output's
+    smallest normal number are stored as 0. ``out``, a C-contiguous array of
+    the result's shape, receives the entries in place of a new float64 array.
+
+    Each time step's squared distances come from one matrix product,
+    [p, |p|^2, 1] @ [-2q; 1; |q|^2] = |p - q|^2, with p and q measured from
+    the step's mean of ``b``; a running minimum folds the steps together. The
+    rows are computed in blocks of at least two: numpy sends a one-row
+    product to gemv, which sums in another order than gemm's rows, while gemm
+    gives a row the same entries whichever block it is in.
     """
-    rows = [a] if isinstance(a, SampleSet) else list(a)
-    for s in rows:
+    sets = [a] if isinstance(a, SampleSet) else list(a)
+    for s in sets:
         require_same_grid(s.grid, b.grid, "sample sets")
         if s.dim != b.dim:
             raise ValueError(f"sample set dims differ: {s.dim} vs {b.dim}")
-    at = np.concatenate([s.trajectories.transpose(1, 2, 0) for s in rows], axis=2)
-    bt = np.ascontiguousarray(b.trajectories.transpose(1, 2, 0))
-    return batch_penalty_matrix(at, bt, kernel, out)
-
-
-def batch_penalty_matrix(
-    a: np.ndarray,
-    b: np.ndarray,
-    kernel: CollisionKernel,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """:func:`penalty_matrix` of two trajectory batches in (T, d, m) layout."""
-    dim, ma, mb = a.shape[1], a.shape[2], b.shape[2]
+    steps, dim, ma, mb = b.grid.steps, b.dim, sum(s.m for s in sets), b.m
     if out is None:
         out = np.empty((ma, mb))
     elif out.shape != (ma, mb):
         raise ValueError(f"out has shape {out.shape}, expected {(ma, mb)}")
+    centre = b.trajectories.mean(axis=0)  # (T, d): the origin of this call
+    right = np.empty((steps, dim + 2, mb))  # [-2q; 1; |q|^2] per step
+    q = right[:, :dim]
+    np.subtract(b.trajectories.transpose(1, 2, 0), centre[:, :, None], out=q)
+    _sum_squares(q.transpose(1, 0, 2), right[:, dim + 1])
+    q *= -2.0
+    right[:, dim] = 1.0
+    n = max(ma, 2)
+    left = np.empty((steps, n, dim + 2))  # [p, |p|^2, 1] per row and step
+    left[:, ma:] = 0.0  # the padding row of a one-row call, never stored
+    start = 0
+    for s in sets:
+        p = left[:, start : start + s.m, :dim]
+        np.subtract(s.trajectories.transpose(1, 0, 2), centre[:, None, :], out=p)
+        _sum_squares(p.transpose(2, 0, 1), left[:, start : start + s.m, dim])
+        start += s.m
+    left[:, :, dim + 1] = 1.0
+
     tiny = np.finfo(out.dtype).tiny
-    # per entry: (1 + dim) scratch floats and one byte for the flush's flags
-    block = max(1, min(ma, 8 * _BLOCK_BUDGET // ((8 * (1 + dim) + 1) * mb)))
-    scratch = np.empty((1 + dim, block, mb))  # reused, so it stays in cache
-    for s in range(0, ma, block):
-        e = min(s + block, ma)
-        rows = out[s:e]
-        rows[...] = _penalty_block(a[:, :, s:e], b, kernel, scratch[:, : e - s])
-        rows *= rows >= tiny  # the flush; penalties are >= 0, so x * 0 is +0
+    # per entry: a block's running minimum, one time step's product, and one
+    # byte for the flush's flags, all reused so they stay in cache
+    block = max(2, min(n, 8 * _BLOCK_BUDGET // (17 * mb)))
+    scratch = np.empty((2, block, mb))
+    for lo in range(0, ma, block):
+        hi = min(lo + block, n)
+        lo = min(lo, hi - 2)  # a last row on its own is redone with the one before
+        acc, d2 = scratch[0, : hi - lo], scratch[1, : hi - lo]
+        np.matmul(left[0, lo:hi], right[0], out=acc)
+        for t in range(1, steps):
+            np.matmul(left[t, lo:hi], right[t], out=d2)
+            np.minimum(acc, d2, out=acc)
+        np.maximum(acc, 0.0, out=acc)  # rounding can take |p - q|^2 below 0
+        rows = out[lo : min(hi, ma)]
+        rows[...] = _to_penalty(acc, kernel, dim, tiny)[: len(rows)]
     return out
 
 

@@ -34,10 +34,10 @@ import numpy as np
 
 from .collision import (
     CollisionKernel,
-    batch_penalty_matrix,
     gauss_transforms,
     joint_expected_penalty,
     penalty_matrix,
+    penalty_row,
 )
 from .errors import NumericalError
 from .gp import PreferenceGP, log_densities
@@ -359,7 +359,8 @@ def interaction_scores(
 ) -> dict:
     """Mean weighted penalty of each agent's samples against the robot's intent.
 
-    One penalty row of the intent against every set's samples at once; each
+    One penalty row of the intent against every set's samples at once, by the
+    direct arithmetic of :func:`~distnav.collision.pairwise_penalty`; each
     set's score reads its own slice of that row.
     """
     if not sets:
@@ -368,9 +369,8 @@ def interaction_scores(
         require_same_grid(robot_intent.grid, s.grid, "robot intent and sample set")
         if s.dim != robot_intent.dim:
             raise ValueError(f"sample set dim {s.dim} != robot intent dim {robot_intent.dim}")
-    intent = robot_intent.states[:, :, None]  # (T, d, 1)
     stacked = np.concatenate([s.trajectories.transpose(1, 2, 0) for s in sets], axis=2)
-    row = batch_penalty_matrix(intent, stacked, kernel)[0]
+    row = penalty_row(robot_intent, stacked, kernel)
     parts = np.split(row, np.cumsum([s.m for s in sets[:-1]], dtype=int))
     return {s.agent: float(part @ s.weights) / s.m for s, part in zip(sets, parts)}
 

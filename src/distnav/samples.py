@@ -34,6 +34,8 @@ class SampleSet:
             )
         if traj.shape[0] < 1:
             raise ValueError("a sample set needs at least one trajectory")
+        if not np.all(np.isfinite(traj)):
+            raise ValueError("trajectories contain non-finite values")
         traj = traj.copy()
         traj.setflags(write=False)
         self.trajectories = traj

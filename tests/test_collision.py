@@ -88,11 +88,14 @@ class TestPairwisePenalty:
 
 class TestPenaltyMatrix:
     def test_self_matrix_symmetric_with_peak_diagonal(self):
+        # to within the written bound of the exact matrix, which is symmetric
+        # with the peak on its diagonal
         rng = np.random.default_rng(3)
         a = sample_set("a", rng, 6)
         mat = penalty_matrix(a, a, KERNEL)
-        assert np.array_equal(mat, mat.T)
-        assert np.allclose(np.diag(mat), KERNEL.peak(2))
+        bound = written_bound(a.trajectories, a.trajectories, KERNEL)
+        assert np.all(np.abs(mat - mat.T) <= bound + bound.T)
+        assert np.all(np.abs(np.diag(mat) - KERNEL.peak(2)) <= np.diag(bound))
 
     def test_single_sample_matches_pairwise(self):
         rng = np.random.default_rng(4)
@@ -101,18 +104,25 @@ class TestPenaltyMatrix:
         assert mat.shape == (1, 1)
         assert mat[0, 0] == pairwise_penalty(a.trajectory(0), b.trajectory(0), KERNEL)
 
-    def test_transpose_identity_exact(self):
+    def test_transpose_identity_within_bound(self):
+        # each side is measured from its own column set's mean, so the two
+        # differ by at most both written bounds
         rng = np.random.default_rng(5)
-        a, b = sample_set("a", rng, 3), sample_set("b", rng, 4)
-        assert np.array_equal(penalty_matrix(a, b, KERNEL), penalty_matrix(b, a, KERNEL).T)
+        a, b = (sample_set(k, rng, m, center=(1e3, -1e3)) for k, m in (("a", 3), ("b", 4)))
+        ta, tb = a.trajectories, b.trajectories
+        gap = np.abs(penalty_matrix(a, b, KERNEL) - penalty_matrix(b, a, KERNEL).T)
+        assert np.all(gap <= written_bound(ta, tb, KERNEL) + written_bound(tb, ta, KERNEL).T)
 
     def test_entries_match_pairwise_penalty(self):
+        # pairwise_penalty takes direct differences, as the reference does
         rng = np.random.default_rng(6)
         a, b = sample_set("a", rng, 3), sample_set("b", rng, 2)
         mat = penalty_matrix(a, b, KERNEL)
+        bound = reference_bound(a.trajectories, b.trajectories, KERNEL)
         for y in range(3):
             for z in range(2):
-                assert mat[y, z] == pairwise_penalty(a.trajectory(y), b.trajectory(z), KERNEL)
+                direct = pairwise_penalty(a.trajectory(y), b.trajectory(z), KERNEL)
+                assert abs(mat[y, z] - direct) <= bound[y, z]
 
 
 class TestExpectedPenalty:
@@ -192,15 +202,53 @@ def einsum_penalty(ta, tb, kernel):
     return d2
 
 
-def drawn_sets(seed, sizes, steps, dim, spread):
-    """Sample sets on one grid; every other set reuses rows of the first, so
-    some pairs meet exactly (the kernel peak) while others are far apart."""
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def gamma(n):
+    return n * U / (1 - n * U)
+
+
+def spread_from_centre(ta, tb):
+    """max over steps of |p_t|^2 + |q_t|^2 for every pair of samples (m, T, d),
+    measured from the per-step mean of the column samples, as penalty_matrix
+    measures them."""
+    centre = tb.mean(axis=0)
+    p2 = np.square(ta - centre).sum(axis=2)
+    q2 = np.square(tb - centre).sum(axis=2)
+    return (p2[:, None, :] + q2[None, :, :]).max(axis=2)
+
+
+def written_bound(ta, tb, kernel):
+    """The collision module's bound on |penalty_matrix - exact penalty|."""
+    dim = ta.shape[2]
+    peak = kernel.peak(dim)
+    lipschitz = peak / (2 * kernel.sigma**2)
+    return (lipschitz * gamma(3 * dim + 9) * spread_from_centre(ta, tb)
+            + 8 * U * peak + np.finfo(float).tiny)
+
+
+def reference_bound(ta, tb, kernel):
+    """written_bound plus the error of a direct reference: its rounded
+    differences, squares and sum carry gamma(d + 2) of |a - b|^2, at most
+    2 (|p|^2 + |q|^2) per step, and its evaluation another 8u * peak."""
+    dim = ta.shape[2]
+    peak = kernel.peak(dim)
+    lipschitz = peak / (2 * kernel.sigma**2)
+    own = lipschitz * gamma(2 * dim + 5) * spread_from_centre(ta, tb) + 8 * U * peak
+    return written_bound(ta, tb, kernel) + own
+
+
+def drawn_sets(seed, sizes, steps, dim, spread, centre=0.0):
+    """Sample sets around ``centre`` on every axis, on one grid; every other set
+    reuses rows of the first, so some pairs meet exactly (the kernel peak)
+    while others are far apart."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid(0.0, 0.4, steps)
-    first = rng.normal(scale=spread, size=(sizes[0], steps, dim))
+    first = centre + rng.normal(scale=spread, size=(sizes[0], steps, dim))
     sets = []
     for k, m in enumerate(sizes):
-        states = rng.normal(scale=spread, size=(m, steps, dim)) if k else first
+        states = centre + rng.normal(scale=spread, size=(m, steps, dim)) if k else first
         if k % 2:
             shared = min(m, sizes[0])
             states[:shared:2] = first[:shared:2]
@@ -220,18 +268,24 @@ class TestPenaltyKernelProperties:
         steps=st.integers(1, 25),
         dim=st.sampled_from([1, 2]),
         spread=SPREADS,
+        centre=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
         budget=st.integers(1, 400),
     )
     def test_matches_einsum_reference_across_row_blocks(
-        self, seed, ma, mb, steps, dim, spread, budget
+        self, seed, ma, mb, steps, dim, spread, centre, budget
     ):
-        a, b = drawn_sets(seed, [ma, mb], steps, dim, spread)
+        a, b = drawn_sets(seed, [ma, mb], steps, dim, spread, centre)
         kernel = CollisionKernel(weight=10.0, sigma=0.3)
         with mock.patch.object(collision, "_BLOCK_BUDGET", budget):
             mat = penalty_matrix(a, b, kernel)
-        ref = einsum_penalty(a.trajectories, b.trajectories, kernel)
+            cache = PenaltyCache([a, b], kernel)
+        ta, tb = a.trajectories, b.trajectories
         assert mat.dtype == np.float64
-        assert np.array_equal(mat, ref)
+        gap = np.abs(mat - einsum_penalty(ta, tb, kernel))
+        assert np.all(gap <= reference_bound(ta, tb, kernel))
+        assert np.all((mat >= 0) & (mat <= kernel.peak(dim)))
+        assert not np.any((mat > 0) & (mat < np.finfo(float).tiny))
+        assert np.array_equal(cache.get(1, 0), cache.get(0, 1).T)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -283,9 +337,8 @@ class TestPenaltyCacheRows:
     def test_scratch_stays_within_block_budget(self, dim, dtype, budget):
         # 300 rows against 2000 columns take many row blocks at either budget;
         # the scratch is float64 whatever the dtype of the caller's ``out``
-        rng = np.random.default_rng(17)
-        a = rng.normal(size=(5, dim, 300))
-        b = rng.normal(size=(5, dim, 2000))
+        steps = 5
+        a, b = drawn_sets(17, [300, 2000], steps, dim, 1.0)
         budget = collision._BLOCK_BUDGET if budget is None else budget
         with mock.patch.object(collision, "_BLOCK_BUDGET", budget):
             tracemalloc.start()
@@ -293,13 +346,16 @@ class TestPenaltyCacheRows:
                 before, _ = tracemalloc.get_traced_memory()
                 tracemalloc.reset_peak()
                 out = np.empty((300, 2000), dtype)
-                collision.batch_penalty_matrix(a, b, KERNEL, out=out)
+                penalty_matrix(a, b, KERNEL, out=out)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+        # beside the blocks, the product's operands: d + 2 floats per sample
+        # and step on either side
+        operands = 8 * steps * (dim + 2) * (300 + 2000)
         # slack: numpy's ufunc loops buffer up to 8192 elements per operand
         # whatever the block size (about 128 KiB for the broadcast subtract)
-        assert peak - before <= out.nbytes + 8 * budget + 256 * 1024
+        assert peak - before <= out.nbytes + 8 * budget + operands + 256 * 1024
 
 
 class TestGaussTransform:
@@ -329,7 +385,7 @@ class TestGaussTransform:
         b = SampleSet(1, grid, xb[:, None, None], np.ones(mb))
         kernel = CollisionKernel(weight=float(rng.uniform(0.1, 20.0)), sigma=sigma)
         op = gauss_transforms([a, b], kernel)[(0, 1)]
-        mat = penalty_matrix(a, b, kernel)
+        mat = einsum_penalty(a.trajectories, b.trajectories, kernel)
         wa = rng.uniform(0.0, 2.0, ma) * (rng.random(ma) < kept)
         wb = rng.uniform(0.0, 2.0, mb) * (rng.random(mb) < kept)
         assert op.shape == op.T.T.shape == mat.shape
@@ -363,7 +419,7 @@ class TestInteractionScoresProperties:
         scores = interaction_scores(intent, sets, kernel)
         assert list(scores) == [s.agent for s in sets]
         for s in sets:
-            row = penalty_matrix(intent_set, s, kernel)[0]
+            row = np.array([pairwise_penalty(intent, s.trajectory(z), kernel) for z in range(s.m)])
             assert scores[s.agent] == float(row @ s.weights) / s.m
 
     def test_no_sets_gives_no_scores(self):

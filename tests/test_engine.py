@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import gaussian_kde
 
 from distnav import engine
-from distnav.collision import CollisionKernel, joint_expected_penalty, penalty_matrix
+from distnav.collision import CollisionKernel, joint_expected_penalty
 from distnav.engine import (
     PenaltyCache,
     SolverConfig,
@@ -404,12 +404,10 @@ def copied(sets):
     return [SampleSet(s.agent, s.grid, s.trajectories, s.weights.copy()) for s in sets]
 
 
-def reference_solve(sets, kernel, sweeps, order):
-    """Per-pair sweeps as a plain loop: one penalty_matrix per pair i < j, served
-    transposed for j > i; gamma summed over j in index order."""
+def reference_solve(sets, mats, sweeps, order):
+    """Per-pair sweeps as a plain loop over the pair matrices ``mats`` (i < j),
+    served transposed for j > i; gamma summed over j in index order."""
     n = len(sets)
-    mats = {(i, j): penalty_matrix(sets[i], sets[j], kernel)
-            for i in range(n) for j in range(i + 1, n)}
     for _ in range(sweeps):
         for i in order:
             gamma = np.zeros(sets[i].m)
@@ -456,7 +454,7 @@ class TestSweepProperties:
         kernel = CollisionKernel(weight=5.0, sigma=0.5)
         run = copied(sets)
         report = solve(run, kernel, SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order))
-        reference_solve(sets, kernel, report.sweeps, order)
+        reference_solve(sets, PenaltyCache(sets, kernel).pair_matrices(), report.sweeps, order)
         for got, want in zip(run, sets):
             assert np.array_equal(got.weights, want.weights)
 

@@ -1,6 +1,6 @@
 """Fingerprint the run logs of three fixed closed-loop runs.
 
-    python3 tools/runlog_digest.py
+    python3 tools/runlog_digest.py [--expect TOTAL]
 
 Runs, under ``--no-timing`` and into a temporary directory:
 
@@ -14,8 +14,10 @@ Prints the sha256 of every file written, then one total over all of them.
 A last line, outside the total, gives the sha256 of the sample weights after
 the benchmark's ``oracle1d_large_m`` solve of seed 7 (the inputs of its timed
 rounds), which no run log covers. A change meant to leave the program's
-outputs alone must leave both unchanged. Uses the checkout's own ``src/`` and
-``bench/`` and pins BLAS to one thread, as the benchmark does.
+outputs alone must leave both unchanged. With ``--expect TOTAL`` the
+command still prints every line, then exits 1 when the total differs from
+TOTAL. Uses the checkout's own ``src/`` and ``bench/`` and pins BLAS to one
+thread, as the benchmark does.
 """
 
 import os
@@ -23,6 +25,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -54,7 +57,10 @@ def oracle_weights_digest() -> str:
     return digest.hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", metavar="TOTAL", help="exit 1 unless the total is TOTAL")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         inputs = tmp / "inputs"
@@ -79,6 +85,10 @@ def main() -> int:
             print(f"{digest}  {name}")
         print(f"{total.hexdigest()}  total")
     print(f"{oracle_weights_digest()}  oracle1d_large_m seed 7 weights")
+    if args.expect is not None and total.hexdigest() != args.expect:
+        print(f"runlog_digest: total {total.hexdigest()} differs from the expected {args.expect}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
