@@ -39,7 +39,7 @@ from .gp import (
     sample_trajectories,
 )
 from .grids import TimeGrid, Trajectory
-from .metrics import MetricsReport, Thresholds, aggregate, classify_run, path_arc_length
+from .metrics import MetricsReport, Thresholds, aggregate, classify_run
 from .oracle import GridDensity, exact_gamma, exact_update, ks_distance
 from .planner import PlannerConfig, ReplanResult, replan
 from .runlog import RunLog, read_runlog, write_runlog

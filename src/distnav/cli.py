@@ -1,7 +1,11 @@
 """Command-line entry point: evolve1d, replay, simulate, metrics, print-config.
 
-Exit codes: 0 success, 1 numerical failure at runtime, 2 configuration or
-input error.
+``replay`` and ``simulate`` share one batch runner. An episode that raises is
+reported on stderr and in its ``run_NNNN.summary.json`` (``"outcome":
+"error"``, no CSV); the other episodes are still written and aggregated.
+
+Exit codes: 0 success; 1 numerical failure at runtime, or an episode failed
+(the rest were written); 2 configuration or input error.
 """
 
 from __future__ import annotations
@@ -9,8 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +44,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -92,6 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freezing-ratio", type=float, default=None)
     p.set_defaults(func=cmd_metrics)
     return parser
+
+
+def _check_counts(args) -> None:
+    for flag in ("runs", "jobs", "limit"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag} must be >= 1")
 
 
 def _experiment_config(args, extra: dict | None = None) -> ExperimentConfig:
@@ -156,9 +170,37 @@ def _classification(log, thresholds, no_timing):
     return rc
 
 
-def _replay_worker(payload):
-    idx, ds, partial, planner_cfg, replay_cfg, seed = payload
-    return idx, run_replay(ds, partial, planner_cfg, replay_cfg, seed=seed)
+def _attempt(worker, payload):
+    """``worker(*payload)``'s run log, or the error summary of the exception it raised."""
+    try:
+        return worker(*payload)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return {"outcome": "error", "error": error, "traceback": traceback.format_exc()}
+
+
+def _run_batch(out: Path, jobs: int, worker, payloads, thresholds, no_timing: bool):
+    """Run ``worker(*payload)`` per payload; write and classify each completed run.
+    Returns the completed logs and their classifications in payload order."""
+    run = partial(_attempt, worker)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run, payloads))
+    else:
+        results = [run(p) for p in payloads]
+
+    logs, classifications = [], []
+    for k, result in enumerate(results):
+        csv_path, summary_path = out / f"run_{k:04d}.csv", out / f"run_{k:04d}.summary.json"
+        if isinstance(result, dict):
+            print(f"run_{k:04d}: {result['error']}", file=sys.stderr)
+            csv_path.unlink(missing_ok=True)  # a stale CSV would pair with this summary
+            summary_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+            continue
+        write_runlog(result, csv_path, summary_path, not no_timing)
+        logs.append(result)
+        classifications.append(_classification(result, thresholds, no_timing))
+    return logs, classifications
 
 
 def cmd_replay(args) -> int:
@@ -180,23 +222,13 @@ def cmd_replay(args) -> int:
 
     out = _out_dir(cfg)
     planner_cfg = cfg.planner_config()
-    payloads = [
-        (k, ds, p, planner_cfg, cfg.replay, cfg.seed + k) for k, p in enumerate(partials)
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_replay_worker, payloads))
-        logs = [results[k] for k in range(len(partials))]
-    else:
-        logs = [_replay_worker(p)[1] for p in payloads]
+    payloads = [(ds, p, planner_cfg, cfg.replay, cfg.seed + k) for k, p in enumerate(partials)]
+    logs, classifications = _run_batch(
+        out, args.jobs, run_replay, payloads, cfg.thresholds, args.no_timing
+    )
+    if not logs:
+        return 1  # every episode failed; each summary holds its error
 
-    include_timing = not args.no_timing
-    classifications = []
-    for k, log in enumerate(logs):
-        write_runlog(
-            log, out / f"run_{k:04d}.csv", out / f"run_{k:04d}.summary.json", include_timing
-        )
-        classifications.append(_classification(log, cfg.thresholds, args.no_timing))
     report = aggregate(classifications)
     (out / "metrics_report.json").write_text(report.to_json())
     table = report.to_table("distnav")
@@ -214,12 +246,7 @@ def cmd_replay(args) -> int:
     print(table, end="")
     timeouts = sum(1 for log in logs if log.outcome == "timeout")
     print(f"{len(logs)} runs written to {out} ({timeouts} timeouts)")
-    return 0
-
-
-def _simulate_worker(payload):
-    idx, scenario, planner_cfg, seed = payload
-    return idx, run_interactive(scenario, planner_cfg, seed=seed)
+    return 0 if len(logs) == len(payloads) else 1
 
 
 def cmd_simulate(args) -> int:
@@ -227,34 +254,23 @@ def cmd_simulate(args) -> int:
     if args.pedestrians is not None:
         extra["scenario.n_pedestrians"] = args.pedestrians
     cfg = _experiment_config(args, extra)
-    if args.runs < 1:
-        raise ConfigError("--runs must be >= 1")
     out = _out_dir(cfg)
     scenario = cfg.scenario_config()
     planner_cfg = cfg.planner_config()
-    payloads = [(k, scenario, planner_cfg, cfg.seed + k) for k in range(args.runs)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_simulate_worker, payloads))
-        logs = [results[k] for k in range(args.runs)]
-    else:
-        logs = [_simulate_worker(p)[1] for p in payloads]
-
-    include_timing = not args.no_timing
-    classifications = []
-    for k, log in enumerate(logs):
-        write_runlog(
-            log, out / f"run_{k:04d}.csv", out / f"run_{k:04d}.summary.json", include_timing
-        )
-        classifications.append(_classification(log, cfg.thresholds, args.no_timing))
+    payloads = [(scenario, planner_cfg, cfg.seed + k) for k in range(args.runs)]
+    logs, classifications = _run_batch(
+        out, args.jobs, run_interactive, payloads, cfg.thresholds, args.no_timing
+    )
+    if not logs:
+        return 1  # every episode failed; each summary holds its error
     report = aggregate(classifications)
 
     arrived = [log for log in logs if log.outcome == "arrived"]
     summary = {
-        "runs": args.runs,
+        "runs": len(logs),
         "pedestrians": scenario.n_pedestrians,
         "arrived": len(arrived),
-        "arrived_pct": 100.0 * len(arrived) / args.runs,
+        "arrived_pct": 100.0 * len(arrived) / len(logs),
         "collisions": sum(1 for c in classifications if c.collision),
         "mean_time_to_goal_s": (
             float(np.mean([log.duration for log in arrived])) if arrived else None
@@ -264,10 +280,10 @@ def cmd_simulate(args) -> int:
     (out / "simulation_report.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(report.to_table("distnav"), end="")
     print(
-        f"{summary['arrived']}/{args.runs} arrived, {summary['collisions']} collision runs, "
+        f"{summary['arrived']}/{len(logs)} arrived, {summary['collisions']} collision runs, "
         f"mean time to goal {summary['mean_time_to_goal_s']}"
     )
-    return 0
+    return 0 if len(logs) == len(payloads) else 1
 
 
 def cmd_metrics(args) -> int:

@@ -8,7 +8,7 @@ so typos fail loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -67,8 +67,6 @@ class ExperimentConfig:
 
     def planner_config(self) -> PlannerConfig:
         """Planner assembled from the shared sections plus planner-local knobs."""
-        from dataclasses import replace
-
         return replace(
             self.planner,
             samples_per_agent=self.samples_per_agent,
@@ -78,8 +76,6 @@ class ExperimentConfig:
         )
 
     def scenario_config(self) -> ScenarioConfig:
-        from dataclasses import replace
-
         return replace(self.scenario, sfm=self.sfm)
 
 
@@ -115,13 +111,19 @@ _EXCLUDED_FIELDS = {
 }
 
 
-def _build_section(name: str, cls, data: dict):
-    from dataclasses import fields as dc_fields
+def _check_ints(where: str, cls, data: dict) -> None:
+    """A field whose default is an int takes an int; a bool or a float is refused."""
+    for f in fields(cls):
+        if type(f.default) is int and f.name in data and type(data[f.name]) is not int:
+            raise ConfigError(f"{where}'{f.name}' must be an integer, got {data[f.name]!r}")
 
-    allowed = {f.name for f in dc_fields(cls)} - _EXCLUDED_FIELDS.get(name, set())
+
+def _build_section(name: str, cls, data: dict):
+    allowed = {f.name for f in fields(cls)} - _EXCLUDED_FIELDS.get(name, set())
     unknown = set(data) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys in section '{name}': {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in section '{name}': {sorted(map(str, unknown))}")
+    _check_ints(f"section '{name}': ", cls, data)
     coerced = {}
     for key, value in data.items():
         if isinstance(value, list):
@@ -159,18 +161,19 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             continue
         if "." in key:
             section, sub = key.split(".", 1)
-            data.setdefault(section, {})[sub] = value
+            target = data.setdefault(section, {})
+            if not isinstance(target, dict):
+                raise ConfigError(f"cannot set '{key}': '{section}' is not a mapping")
+            target[sub] = value
         else:
             data[key] = value
 
     unknown = set(data) - set(_SECTION_TYPES) - set(_SCALAR_KEYS)
     if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level config keys: {sorted(map(str, unknown))}")
 
-    kwargs = {}
-    for key in _SCALAR_KEYS:
-        if key in data:
-            kwargs[key] = data[key]
+    kwargs = {key: data[key] for key in _SCALAR_KEYS if key in data}
+    _check_ints("", ExperimentConfig, kwargs)
     for name, cls in _SECTION_TYPES.items():
         section = data.get(name, {})
         if not isinstance(section, dict):
@@ -184,21 +187,19 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 
 def default_config_dict() -> dict:
     """Plain-dict rendering of every default, for print-config."""
-    from dataclasses import fields as dc_fields
-
     cfg = ExperimentConfig()
     out: dict = {k: getattr(cfg, k) for k in _SCALAR_KEYS}
     for name, cls in _SECTION_TYPES.items():
         section = getattr(cfg, name)
-        fields = {}
-        for f in dc_fields(cls):
+        values = {}
+        for f in fields(cls):
             if f.name in _EXCLUDED_FIELDS.get(name, set()):
                 continue
             value = getattr(section, f.name)
             if isinstance(value, tuple):
                 value = list(value)
-            fields[f.name] = value
-        out[name] = fields
+            values[f.name] = value
+        out[name] = values
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import arc_length
 from .runlog import TIMEOUT
 
-__all__ = ["Thresholds", "RunClassification", "MetricsReport", "classify_run", "aggregate", "path_arc_length"]
+__all__ = ["Thresholds", "RunClassification", "MetricsReport", "classify_run", "aggregate"]
 
 
 @dataclass(frozen=True)
@@ -112,26 +112,18 @@ class MetricsReport:
         return line(headers) + "\n" + line(row) + "\n"
 
 
-def path_arc_length(positions) -> float:
-    """Sum of Euclidean segment lengths along a position sequence."""
-    positions = np.asarray(positions, dtype=float)
-    if positions.size == 0:
-        return 0.0
-    return arc_length(positions)
-
-
 def classify_run(log, human_path_length: float, th: Thresholds = Thresholds()) -> RunClassification:
     """Flags and scalars for one run against the given thresholds."""
-    if not log.min_sep_series().size:
+    seps = log.min_sep_series()
+    if not seps.size:
         raise ValueError("run log is empty")
     if not (human_path_length > 0):
         raise ValueError("human_path_length must be positive")
-    seps = log.min_sep_series()
     had_ped = bool(np.any(np.isfinite(seps)))
     min_sep = float(np.nanmin(seps)) if had_ped else math.nan
     collision = had_ped and min_sep < th.collision_dist
     discomfort = had_ped and min_sep < th.discomfort_dist
-    d_r = path_arc_length(log.robot_positions())
+    d_r = arc_length(log.robot_positions())
     ratio = d_r / human_path_length
     timed_out = log.outcome == TIMEOUT
     freezing = ratio > th.freezing_ratio or timed_out
@@ -156,9 +148,7 @@ def aggregate(results: Sequence[RunClassification]) -> MetricsReport:
     pct = lambda flags: 100.0 * sum(flags) / n
     seps = np.array([r.min_sep for r in results if r.had_pedestrian])
     paths = np.array([r.robot_path_length for r in results])
-    replans = np.concatenate([np.asarray(r.replan_times) for r in results]) if any(
-        r.replan_times for r in results
-    ) else np.array([])
+    replans = np.array([t for r in results for t in r.replan_times])
     return MetricsReport(
         runs=n,
         discomfort_pct=pct([r.discomfort for r in results]),

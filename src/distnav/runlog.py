@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import arc_length
 from .errors import ConfigError
-from .grids import Trajectory
-from .world import WorldState
+from .world import ROBOT, AgentState, WorldState
 
 __all__ = ["RunLogStep", "RunLog", "write_runlog", "read_runlog"]
 
@@ -30,8 +30,7 @@ TIMEOUT = "timeout"
 class RunLogStep:
     time: float
     world: WorldState
-    plan: Trajectory | None
-    replan_s: float
+    replan_s: float | None  # None on a step that made no replan
     min_sep: float  # NaN when no pedestrian is present
 
 
@@ -50,7 +49,7 @@ class RunLog:
         return np.array([s.min_sep for s in self.steps])
 
     def replan_times(self) -> list:
-        return [s.replan_s for s in self.steps if s.plan is not None]
+        return [s.replan_s for s in self.steps if s.replan_s is not None]
 
     @property
     def duration(self) -> float:
@@ -74,13 +73,11 @@ def write_runlog(log: RunLog, csv_path, summary_path, include_timing: bool = Tru
                 is_robot = agent.id == log.robot_id
                 min_sep = _fmt(step.min_sep) if is_robot and not math.isnan(step.min_sep) else ""
                 replan_ms = ""
-                if is_robot and step.plan is not None and include_timing:
+                if is_robot and step.replan_s is not None and include_timing:
                     replan_ms = _fmt(step.replan_s * 1000.0)
                 writer.writerow(
                     [_fmt(step.time), agent.id, _fmt(agent.pos[0]), _fmt(agent.pos[1]), min_sep, replan_ms]
                 )
-
-    from .dataset import arc_length  # local import to avoid a cycle
 
     summary = {
         "outcome": log.outcome,
@@ -97,35 +94,9 @@ def write_runlog(log: RunLog, csv_path, summary_path, include_timing: bool = Tru
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-@dataclass
-class LoadedRun:
-    """A run rebuilt from disk; mirrors the RunLog surface metrics consume."""
-
-    times: np.ndarray
-    robot_xy: np.ndarray
-    min_sep: np.ndarray
-    replan_s: list
-    outcome: str
-    seed: int | None
-    robot_id: int
-    human_length: float | None
-
-    # duck-typed RunLog surface
-    def robot_positions(self) -> np.ndarray:
-        return self.robot_xy
-
-    def min_sep_series(self) -> np.ndarray:
-        return self.min_sep
-
-    def replan_times(self) -> list:
-        return self.replan_s
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0]) if self.times.size >= 2 else 0.0
-
-
-def read_runlog(csv_path, summary_path) -> LoadedRun:
+def read_runlog(csv_path, summary_path) -> RunLog:
+    """Rebuild a run from disk. Each step's world holds the robot alone, since
+    the CSV records neither agent kinds nor velocities and goals."""
     csv_path, summary_path = Path(csv_path), Path(summary_path)
     try:
         summary = json.loads(summary_path.read_text())
@@ -133,7 +104,7 @@ def read_runlog(csv_path, summary_path) -> LoadedRun:
         raise ConfigError(f"cannot read run summary {summary_path}: {exc}") from None
     robot_id = int(summary["robot_id"])
 
-    times, xy, seps, replans = [], [], [], []
+    steps = []
     with csv_path.open() as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -142,18 +113,14 @@ def read_runlog(csv_path, summary_path) -> LoadedRun:
         for row in reader:
             if int(row[1]) != robot_id:
                 continue
-            times.append(float(row[0]))
-            xy.append((float(row[2]), float(row[3])))
-            seps.append(float(row[4]) if row[4] else math.nan)
-            if row[5]:
-                replans.append(float(row[5]) / 1000.0)
-    if not times:
+            t, pos = float(row[0]), (float(row[2]), float(row[3]))
+            world = WorldState(t, [AgentState(robot_id, pos, np.zeros(2), pos, ROBOT)])
+            replan_s = float(row[5]) / 1000.0 if row[5] else None
+            steps.append(RunLogStep(t, world, replan_s, float(row[4]) if row[4] else math.nan))
+    if not steps:
         raise ConfigError(f"{csv_path}: log contains no robot rows")
-    return LoadedRun(
-        times=np.asarray(times),
-        robot_xy=np.asarray(xy),
-        min_sep=np.asarray(seps),
-        replan_s=replans,
+    return RunLog(
+        steps=steps,
         outcome=summary["outcome"],
         seed=summary.get("seed"),
         robot_id=robot_id,

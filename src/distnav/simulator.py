@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,6 +74,55 @@ def _advance_along_plan(robot: AgentState, plan, dt: float, max_speed: float) ->
     robot.pos = robot.pos + step
 
 
+def _run_episode(robot, frames, crowd, cfg, goal_tolerance, seed, log, react=None) -> RunLog:
+    """Drive the robot until it reaches its goal or the frames run out.
+
+    ``frames`` yields ``(frame, now)`` pairs and ``crowd(frame)`` the other
+    agents at that frame. Each frame snapshots the world, records every
+    agent's observation, and either stops at the goal or replans, moves
+    the robot along the plan and then calls ``react(robot, now)``.
+    """
+    history: dict[int, list] = {}
+    for frame, now in frames:
+        world = WorldState(now, [robot.copy(), *crowd(frame)])
+        for agent in world.agents:
+            noise = cfg.current_obs_noise_var if agent.kind == ROBOT else cfg.obs_noise_var
+            obs = history.setdefault(agent.id, [])
+            obs.append(Observation(now, tuple(agent.pos), noise))
+            history[agent.id] = obs[-cfg.history_window :]
+        sep = min_separation(world)
+
+        if float(np.linalg.norm(robot.pos - robot.goal)) <= goal_tolerance:
+            log.steps.append(RunLogStep(now, world, None, sep))
+            log.outcome = ARRIVED
+            return log
+
+        t0 = _time.perf_counter()
+        result = replan(world, history, cfg, seed=seed, frame=frame)
+        elapsed = _time.perf_counter() - t0
+        log.steps.append(RunLogStep(now, world, elapsed, sep))
+        _advance_along_plan(robot, result.robot_plan, cfg.dt, cfg.max_speed)
+        if react is not None:
+            react(robot, now)
+
+    log.outcome = TIMEOUT
+    return log
+
+
+def _replay_crowd(ds: TrajectoryDataset, ped_id: int):
+    """Frame -> the recorded pedestrians present at it, ``ped_id`` left out."""
+
+    def crowd(frame: int) -> list:
+        agents = []
+        for ped in ds.present_at(frame):
+            if ped != ped_id:
+                pos = ds.position_at(ped, frame)
+                agents.append(AgentState(ped, pos, np.zeros(2), pos, REPLAY))
+        return agents
+
+    return crowd
+
+
 def run_replay(
     ds: TrajectoryDataset,
     partial: PartialRun,
@@ -85,48 +134,17 @@ def run_replay(
     if partial.ped_id not in ds.tracks:
         raise ValueError(f"pedestrian {partial.ped_id} not in dataset")
     period, stride = ds.frame_period, ds.frame_stride
-    cfg = planner_cfg
-    if cfg.dt != period:
-        cfg = _with_dt(cfg, period)
-
     # frame ids step by the recording's stride; one stride is one frame period
     n_frames = (partial.end_frame - partial.start_frame) // stride + 1
     last_frame = partial.end_frame + stride * math.ceil(replay_cfg.grace_fraction * n_frames)
+    frames = ((f, f * period / stride) for f in range(partial.start_frame, last_frame + 1, stride))
 
     robot = AgentState(ROBOT_ID, partial.start.copy(), np.zeros(2), partial.goal.copy(), ROBOT)
-    history: dict[int, list] = {ROBOT_ID: []}
     log = RunLog(seed=seed, robot_id=ROBOT_ID, human_length=partial.human_length)
-
-    for frame in range(partial.start_frame, last_frame + 1, stride):
-        now = frame * period / stride
-        agents = [robot.copy()]
-        for ped in ds.present_at(frame):
-            if ped == partial.ped_id:
-                continue
-            pos = ds.position_at(ped, frame)
-            agents.append(AgentState(ped, pos, np.zeros(2), pos, REPLAY))
-            history.setdefault(ped, []).append(
-                Observation(now, tuple(pos), cfg.obs_noise_var)
-            )
-            history[ped] = history[ped][-cfg.history_window :]
-        world = WorldState(now, agents)
-        history[ROBOT_ID].append(Observation(now, tuple(robot.pos), cfg.current_obs_noise_var))
-        history[ROBOT_ID] = history[ROBOT_ID][-cfg.history_window :]
-        sep = min_separation(world)
-
-        if float(np.linalg.norm(robot.pos - robot.goal)) <= replay_cfg.goal_tolerance:
-            log.steps.append(RunLogStep(now, world, None, 0.0, sep))
-            log.outcome = ARRIVED
-            return log
-
-        t0 = _time.perf_counter()
-        result = replan(world, history, cfg, seed=seed, frame=frame)
-        elapsed = _time.perf_counter() - t0
-        log.steps.append(RunLogStep(now, world, result.robot_plan, elapsed, sep))
-        _advance_along_plan(robot, result.robot_plan, period, cfg.max_speed)
-
-    log.outcome = TIMEOUT
-    return log
+    return _run_episode(
+        robot, frames, _replay_crowd(ds, partial.ped_id), replace(planner_cfg, dt=period),
+        replay_cfg.goal_tolerance, seed, log,
+    )
 
 
 def human_baseline(ds: TrajectoryDataset, partial: PartialRun) -> RunLog:
@@ -134,25 +152,15 @@ def human_baseline(ds: TrajectoryDataset, partial: PartialRun) -> RunLog:
     period, stride = ds.frame_period, ds.frame_stride
     frames, xy = ds.tracks[partial.ped_id]
     mask = (frames >= partial.start_frame) & (frames <= partial.end_frame)
+    crowd = _replay_crowd(ds, partial.ped_id)
     log = RunLog(seed=None, robot_id=ROBOT_ID, human_length=partial.human_length)
     for frame, pos in zip(frames[mask], xy[mask]):
         now = float(frame) * period / stride
-        agents = [AgentState(ROBOT_ID, pos, np.zeros(2), partial.goal.copy(), ROBOT)]
-        for ped in ds.present_at(int(frame)):
-            if ped == partial.ped_id:
-                continue
-            p = ds.position_at(ped, int(frame))
-            agents.append(AgentState(ped, p, np.zeros(2), p, REPLAY))
-        world = WorldState(now, agents)
-        log.steps.append(RunLogStep(now, world, None, 0.0, min_separation(world)))
+        robot = AgentState(ROBOT_ID, pos, np.zeros(2), partial.goal.copy(), ROBOT)
+        world = WorldState(now, [robot, *crowd(int(frame))])
+        log.steps.append(RunLogStep(now, world, None, min_separation(world)))
     log.outcome = ARRIVED
     return log
-
-
-def _with_dt(cfg: PlannerConfig, dt: float) -> PlannerConfig:
-    from dataclasses import replace
-
-    return replace(cfg, dt=dt)
 
 
 def _circle_point(radius: float, angle: float) -> np.ndarray:
@@ -165,59 +173,36 @@ def run_interactive(
     seed: int = 0,
 ) -> RunLog:
     """Robot crossing a circulating social-force crowd; ends at goal or time cap."""
-    cfg = planner_cfg
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xD15C)))
     radius = scenario.arena_radius
 
     robot = AgentState(
         ROBOT_ID, _circle_point(radius, math.pi), np.zeros(2), _circle_point(radius, 0.0), ROBOT
     )
-    agents = [robot]
+    peds = []
     # fixed rotation keeps every start clear of the robot's start and goal
     for k in range(scenario.n_pedestrians):
         angle = 2.0 * math.pi * (k + 0.5) / max(scenario.n_pedestrians, 1) + 0.37
         start = _circle_point(radius, angle)
-        agents.append(AgentState(k, start, np.zeros(2), -start, SFM))
-    world = WorldState(0.0, agents)
+        peds.append(AgentState(k, start, np.zeros(2), -start, SFM))
 
-    history: dict[int, list] = {a.id: [] for a in agents}
+    def react(robot: AgentState, now: float) -> None:
+        # the pedestrians see the robot where its move just took it
+        world = WorldState(now, [robot, *peds])
+        sub_dt = planner_cfg.dt / scenario.sfm_substeps
+        for _ in range(scenario.sfm_substeps):
+            world = step_sfm(world, scenario.sfm, sub_dt)
+        peds[:] = world.pedestrians()
+        for ped in peds:
+            if float(np.linalg.norm(ped.pos - ped.goal)) <= scenario.recycle_tolerance:
+                ped.goal = _circle_point(radius, rng.uniform(0.0, 2.0 * math.pi))
+
     log = RunLog(
         seed=seed,
         robot_id=ROBOT_ID,
         human_length=float(np.linalg.norm(robot.goal - robot.pos)),
     )
-    n_frames = int(math.ceil(scenario.time_cap_s / cfg.dt))
-
-    for frame in range(n_frames + 1):
-        now = frame * cfg.dt
-        world.time = now
-        robot = world.robot()
-        for agent in world.agents:
-            noise = cfg.current_obs_noise_var if agent.kind == ROBOT else cfg.obs_noise_var
-            history[agent.id].append(Observation(now, tuple(agent.pos), noise))
-            history[agent.id] = history[agent.id][-cfg.history_window :]
-        sep = min_separation(world)
-
-        if float(np.linalg.norm(robot.pos - robot.goal)) <= scenario.goal_tolerance:
-            log.steps.append(RunLogStep(now, world.copy(), None, 0.0, sep))
-            log.outcome = ARRIVED
-            return log
-
-        t0 = _time.perf_counter()
-        result = replan(world, history, cfg, seed=seed, frame=frame)
-        elapsed = _time.perf_counter() - t0
-        log.steps.append(RunLogStep(now, world.copy(), result.robot_plan, elapsed, sep))
-
-        _advance_along_plan(robot, result.robot_plan, cfg.dt, cfg.max_speed)
-        sub_dt = cfg.dt / scenario.sfm_substeps
-        for _ in range(scenario.sfm_substeps):
-            world = step_sfm(world, scenario.sfm, sub_dt)
-        world.time = now + cfg.dt
-        for agent in world.agents:
-            if agent.kind == SFM and (
-                float(np.linalg.norm(agent.pos - agent.goal)) <= scenario.recycle_tolerance
-            ):
-                agent.goal = _circle_point(radius, rng.uniform(0.0, 2.0 * math.pi))
-
-    log.outcome = TIMEOUT
-    return log
+    n_frames = int(math.ceil(scenario.time_cap_s / planner_cfg.dt))
+    frames = ((f, f * planner_cfg.dt) for f in range(n_frames + 1))
+    crowd = lambda frame: [p.copy() for p in peds]
+    return _run_episode(robot, frames, crowd, planner_cfg, scenario.goal_tolerance, seed, log, react)

@@ -30,6 +30,13 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 class TestPrintConfig:
     def test_prints_parseable_yaml(self, capsys):
         assert run_cli("print-config") == 0
@@ -48,6 +55,66 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "load_dataset", boom)
         code = run_cli("replay", "--dataset", tmp_path / "x.txt", "--out", tmp_path / "o")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("replay", "--limit", -1), "--limit must be >= 1"),
+            (("replay", "--limit", 0), "--limit must be >= 1"),
+            (("replay", "--jobs", -3), "--jobs must be >= 1"),
+            (("simulate", "--jobs", 0), "--jobs must be >= 1"),
+            (("simulate", "--runs", 0), "--runs must be >= 1"),
+        ],
+    )
+    def test_bad_counts_exit_2(self, dataset, tmp_path, capsys, argv, message):
+        extra = ("--dataset", dataset) if argv[0] == "replay" else ()
+        out = tmp_path / "o"
+        assert run_cli(*argv, *extra, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_scenario_section_with_pedestrians_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("scenario:\n")
+        code = run_cli("simulate", "--config", cfg, "--pedestrians", 2, "--out", tmp_path / "o")
+        assert code == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_episode_keeps_the_rest_of_the_batch(
+        self, tmp_path, fast_config, monkeypatch, capsys, jobs
+    ):
+        # the pool forks, so the patched planner reaches the workers too
+        import distnav.simulator as simulator
+        from distnav.errors import NumericalError
+
+        real = simulator.replan
+
+        def flaky(world, history, cfg, seed=0, frame=0):
+            if seed == 1:
+                raise NumericalError("synthetic failure")
+            return real(world, history, cfg, seed=seed, frame=frame)
+
+        monkeypatch.setattr(simulator, "replan", flaky)
+        out = tmp_path / "sim"
+        out.mkdir()
+        (out / "run_0001.csv").write_text("left by an earlier call\n")
+        code = run_cli(
+            "simulate", "--config", fast_config, "--pedestrians", 2, "--runs", 3,
+            "--seed", 0, "--out", out, "--no-timing", "--jobs", jobs,
+        )
+        assert code == 1
+        assert "run_0001: NumericalError: synthetic failure" in capsys.readouterr().err
+        assert not (out / "run_0001.csv").exists()
+        failed = json.loads((out / "run_0001.summary.json").read_text())
+        assert failed["outcome"] == "error"
+        assert failed["error"] == "NumericalError: synthetic failure"
+        assert "in flaky" in failed["traceback"]
+        for k in (0, 2):
+            assert (out / f"run_{k:04d}.csv").exists()
+            assert json.loads((out / f"run_{k:04d}.summary.json").read_text())["seed"] == k
+        report = json.loads((out / "simulation_report.json").read_text())
+        assert report["runs"] == 2
+        assert report["metrics"]["runs"] == 2
 
 
 class TestEvolve1d:
@@ -161,9 +228,7 @@ class TestReplay:
                 "replay", "--dataset", dataset, "--config", fast_config,
                 "--out", out, "--limit", 2, "--no-timing", "--jobs", jobs,
             )
-        assert (serial / "metrics_report.json").read_bytes() == (
-            parallel / "metrics_report.json"
-        ).read_bytes()
+        assert_same_files(serial, parallel)
 
 
 class TestSimulate:
@@ -191,6 +256,14 @@ class TestSimulate:
             reports.append((out / "simulation_report.json").read_bytes())
         assert reports[0] == reports[1] == reports[2]
 
+    def test_parallel_jobs_match_serial(self, tmp_path, fast_config):
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        for out, jobs in ((serial, 1), (parallel, 2)):
+            run_cli(
+                "simulate", "--config", fast_config, "--pedestrians", 2,
+                "--runs", 3, "--seed", 5, "--out", out, "--no-timing", "--jobs", jobs,
+            )
+        assert_same_files(serial, parallel)
 
     def test_seven_pedestrian_variant_runs(self, tmp_path, fast_config):
         out = tmp_path / "sim7"

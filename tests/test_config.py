@@ -1,7 +1,18 @@
+from dataclasses import fields
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from distnav.config import default_config_dict, dump_default_config, load_config
+from distnav.config import (
+    _SCALAR_KEYS,
+    _SECTION_TYPES,
+    ExperimentConfig,
+    default_config_dict,
+    dump_default_config,
+    load_config,
+)
 from distnav.errors import ConfigError
 
 
@@ -64,6 +75,72 @@ class TestLoadConfig:
         path.write_text("a: [unclosed\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_empty_section_with_an_override_rejected(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("scenario:\n")
+        with pytest.raises(ConfigError, match="scenario"):
+            load_config(path, {"scenario.n_pedestrians": 2})
+
+    @pytest.mark.parametrize(
+        "text", ["samples_per_agent: 2.5\n", "scenario:\n  n_pedestrians: true\n", "seed: 1.0\n"]
+    )
+    def test_int_fields_refuse_floats_and_bools(self, tmp_path, text):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            load_config(path)
+
+    def test_dotted_override_into_a_scalar_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(None, {"seed": 3, "seed.x": 1})
+
+
+def _int_fields(cls):
+    return [f.name for f in fields(cls) if type(f.default) is int]
+
+
+_FIELD_NAMES = sorted({f.name for cls in _SECTION_TYPES.values() for f in fields(cls)})
+_TOP_KEYS = list(_SECTION_TYPES) + list(_SCALAR_KEYS) + ["bogus"]
+_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 2**64),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-2, 5), st.floats(-2, 2)), max_size=3),
+)
+_sections = st.one_of(
+    st.dictionaries(st.one_of(st.sampled_from(_FIELD_NAMES + ["bogus"]), st.integers(0, 2)), _values, max_size=4),
+    _values,
+)
+_dotted = st.builds(
+    "{}.{}".format, st.sampled_from(_TOP_KEYS), st.sampled_from(_FIELD_NAMES + ["bogus"])
+)
+
+
+class TestLoadConfigProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.dictionaries(
+            st.one_of(st.sampled_from(_TOP_KEYS), st.integers(0, 2)),
+            st.one_of(_sections, _values),
+            max_size=4,
+        ),
+        overrides=st.dictionaries(st.one_of(st.sampled_from(_TOP_KEYS), _dotted), _values, max_size=4),
+    )
+    def test_config_or_config_error(self, tmp_path_factory, data, overrides):
+        path = tmp_path_factory.getbasetemp() / "property.yaml"
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        try:
+            cfg = load_config(path, overrides)
+        except ConfigError:
+            return
+        for name in _int_fields(ExperimentConfig):
+            assert type(getattr(cfg, name)) is int
+        for name, cls in _SECTION_TYPES.items():
+            for field_name in _int_fields(cls):
+                assert type(getattr(getattr(cfg, name), field_name)) is int
 
 
 class TestPlannerAssembly:

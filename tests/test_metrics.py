@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from distnav.metrics import Thresholds, aggregate, classify_run, path_arc_length
+from distnav.dataset import arc_length
+from distnav.metrics import Thresholds, aggregate, classify_run
 from distnav.runlog import ARRIVED, TIMEOUT, RunLog, RunLogStep
 from distnav.world import ROBOT, SFM, AgentState, WorldState
 
@@ -18,8 +19,8 @@ def synthetic_log(min_seps, xs=None, outcome=ARRIVED, replans=(0.01, 0.02)):
         if not math.isnan(sep):
             agents.append(AgentState(1, (x, sep), (0, 0), (0, 0), SFM))
         world = WorldState(0.4 * k, agents)
-        replan_s = replans[k % len(replans)] if replans else 0.0
-        steps.append(RunLogStep(0.4 * k, world, "plan" if replans else None, replan_s, sep))
+        replan_s = replans[k % len(replans)] if replans else None
+        steps.append(RunLogStep(0.4 * k, world, replan_s, sep))
     return RunLog(steps=steps, outcome=outcome, robot_id=-1)
 
 
@@ -46,7 +47,7 @@ class TestClassifyRun:
 
     def test_equal_paths_not_freezing(self):
         log = synthetic_log([1.0, 1.0, 1.0])
-        d_r = path_arc_length(log.robot_positions())
+        d_r = arc_length(log.robot_positions())
         rc = classify_run(log, human_path_length=d_r)
         assert rc.ratio == 1.0
         assert not rc.freezing
@@ -58,7 +59,7 @@ class TestClassifyRun:
 
     def test_long_detour_is_freezing(self):
         log = synthetic_log([1.0] * 10)
-        rc = classify_run(log, human_path_length=path_arc_length(log.robot_positions()) / 1.3)
+        rc = classify_run(log, human_path_length=arc_length(log.robot_positions()) / 1.3)
         assert rc.ratio == pytest.approx(1.3)
         assert rc.freezing
 
@@ -139,8 +140,8 @@ class TestAggregate:
 
 class TestPathArcLength:
     def test_single_point(self):
-        assert path_arc_length([(0.0, 0.0)]) == 0.0
+        assert arc_length([(0.0, 0.0)]) == 0.0
 
     def test_unit_square(self):
         pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
-        assert path_arc_length(pts) == pytest.approx(4.0)
+        assert arc_length(pts) == pytest.approx(4.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from distnav.errors import ConfigError
-from distnav.grids import TimeGrid, Trajectory
 from distnav.metrics import classify_run
 from distnav.runlog import RunLog, RunLogStep, read_runlog, write_runlog
 from distnav.world import REPLAY, ROBOT, AgentState, WorldState
@@ -12,15 +11,14 @@ from distnav.world import REPLAY, ROBOT, AgentState, WorldState
 
 def demo_log():
     rng = np.random.default_rng(0)
-    grid = TimeGrid(0.0, 0.4, 4)
     steps = []
     for k in range(6):
         robot = AgentState(-1, rng.normal(size=2), (0, 0), (5.0, 0.0), ROBOT)
         ped = AgentState(3, rng.normal(size=2), (0, 0), (0, 0), REPLAY)
         world = WorldState(0.4 * k, [robot, ped])
         sep = float(np.linalg.norm(robot.pos - ped.pos))
-        plan = Trajectory(grid, rng.normal(size=(4, 2))) if k < 5 else None
-        steps.append(RunLogStep(0.4 * k, world, plan, rng.uniform(0.01, 0.1), sep))
+        replan_s = rng.uniform(0.01, 0.1)
+        steps.append(RunLogStep(0.4 * k, world, replan_s if k < 5 else None, sep))
     return RunLog(steps=steps, outcome="arrived", seed=12, robot_id=-1, human_length=3.3)
 
 
@@ -31,9 +29,18 @@ class TestRoundTrip:
         loaded = read_runlog(tmp_path / "r.csv", tmp_path / "r.summary.json")
         assert np.array_equal(loaded.robot_positions(), log.robot_positions())
         assert np.array_equal(loaded.min_sep_series(), log.min_sep_series())
-        assert loaded.replan_times() == [s.replan_s for s in log.steps if s.plan is not None]
+        assert loaded.replan_times() == [s.replan_s for s in log.steps if s.replan_s is not None]
         assert loaded.outcome == log.outcome
         assert loaded.human_length == log.human_length
+
+    def test_loaded_steps_hold_the_robot_alone(self, tmp_path):
+        log = demo_log()
+        write_runlog(log, tmp_path / "r.csv", tmp_path / "r.summary.json")
+        loaded = read_runlog(tmp_path / "r.csv", tmp_path / "r.summary.json")
+        assert isinstance(loaded, RunLog)
+        assert [s.time for s in loaded.steps] == [s.time for s in log.steps]
+        assert all([a.kind for a in s.world.agents] == [ROBOT] for s in loaded.steps)
+        assert loaded.duration == log.duration
 
     def test_classification_identical_after_round_trip(self, tmp_path):
         log = demo_log()

@@ -11,10 +11,12 @@ Runs, under ``--no-timing`` and into a temporary directory:
 - ``distnav simulate`` with the default config, 3 runs from seed 3.
 
 Prints the sha256 of every file written, then one total over all of them.
-A last line, outside the total, gives the sha256 of the sample weights after
-the benchmark's ``oracle1d_large_m`` solve of seed 7 (the inputs of its timed
-rounds), which no run log covers. A change meant to leave the program's
-outputs alone must leave both unchanged. With ``--expect TOTAL`` the
+Two last lines, outside the total, give the sha256 of ``human_report.json``
+from a ``--human-baseline`` replay of the same plaza file (seed 7, 4 partial
+runs, m=100), and of the sample weights after the benchmark's
+``oracle1d_large_m`` solve of seed 7 (the inputs of its timed rounds); no run
+log covers either. A change meant to leave the program's outputs alone must
+leave all three unchanged. With ``--expect TOTAL`` the
 command still prints every line, then exits 1 when the total differs from
 TOTAL. Uses the checkout's own ``src/`` and ``bench/`` and pins BLAS to one
 thread, as the benchmark does.
@@ -84,6 +86,11 @@ def main(argv=None) -> int:
             total.update(f"{name} {digest}\n".encode())
             print(f"{digest}  {name}")
         print(f"{total.hexdigest()}  total")
+        human = tmp / "human"
+        _distnav("replay", "--dataset", plaza.plaza, "--limit", 4, "--m", 100, "--seed", 7,
+                 "--out", human, "--jobs", 1, "--no-timing", "--human-baseline")
+        print(f"{hashlib.sha256((human / 'human_report.json').read_bytes()).hexdigest()}  "
+              "human_report.json (replay --human-baseline)")
     print(f"{oracle_weights_digest()}  oracle1d_large_m seed 7 weights")
     if args.expect is not None and total.hexdigest() != args.expect:
         print(f"runlog_digest: total {total.hexdigest()} differs from the expected {args.expect}",
