@@ -111,11 +111,16 @@ _EXCLUDED_FIELDS = {
 }
 
 
-def _check_ints(where: str, cls, data: dict) -> None:
-    """A field whose default is an int takes an int; a bool or a float is refused."""
+_FIELD_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _check_types(where: str, cls, data: dict) -> None:
+    """An int field takes an int, a float field an int or a float, a str field
+    a str; a bool is none of these."""
     for f in fields(cls):
-        if type(f.default) is int and f.name in data and type(data[f.name]) is not int:
-            raise ConfigError(f"{where}'{f.name}' must be an integer, got {data[f.name]!r}")
+        accepted, kind = _FIELD_TYPES.get(type(f.default), (None, None))
+        if accepted and f.name in data and type(data[f.name]) not in accepted:
+            raise ConfigError(f"{where}'{f.name}' must be {kind}, got {data[f.name]!r}")
 
 
 def _build_section(name: str, cls, data: dict):
@@ -123,7 +128,7 @@ def _build_section(name: str, cls, data: dict):
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in section '{name}': {sorted(map(str, unknown))}")
-    _check_ints(f"section '{name}': ", cls, data)
+    _check_types(f"section '{name}': ", cls, data)
     coerced = {}
     for key, value in data.items():
         if isinstance(value, list):
@@ -173,7 +178,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"unknown top-level config keys: {sorted(map(str, unknown))}")
 
     kwargs = {key: data[key] for key in _SCALAR_KEYS if key in data}
-    _check_ints("", ExperimentConfig, kwargs)
+    _check_types("", ExperimentConfig, kwargs)
     for name, cls in _SECTION_TYPES.items():
         section = data.get(name, {})
         if not isinstance(section, dict):

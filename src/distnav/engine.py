@@ -1,31 +1,42 @@
 """Sequential iterative variational solver over weighted trajectory samples.
 
-One sweep visits every agent in order. Each agent reweights its samples by
-exp(-gamma_hat), where gamma_hat estimates the expected collision exposure of
-each sample against all other agents: agents earlier in the order contribute
-their fresh weights, later agents their pre-sweep weights. This is an exact
-coordinate update of the coupled objective restricted to the sample support,
-so every full sweep decreases the joint expected penalty by at least the sum
-of per-agent KL divergences between consecutive weight distributions.
+One sweep visits every agent in index order (:func:`solve` first puts its
+sets in ``agent_order``). Each agent reweights its samples by exp(-gamma_hat),
+where gamma_hat estimates the expected collision exposure of each sample
+against all other agents: agents earlier in the order contribute their fresh
+weights, later agents their pre-sweep weights. This is an exact coordinate
+update of the coupled objective restricted to the sample support, so every
+full sweep decreases the joint expected penalty by at least the sum of
+per-agent KL divergences between consecutive weight distributions. gamma_hat
+is shifted by its least value on a weighted sample before exp, and the
+normaliser cancels the shift exactly: nothing is clamped, and samples driven
+to zero weight are counted.
 
-The objective after a sweep is not evaluated by a pass of its own. Each
-update already forms agent i's terms (M_ij @ w_j) / m_j for gamma_hat; those of
-the agents updated before i in the sweep, which carry their final weights,
-also go into a vector earlier_i, and J = sum_i (w_i / m_i) . earlier_i with
-the updated w_i counts each unordered pair once, at its later member. A sweep
-thus reads every pair matrix twice (once from each side), and only the initial
-objective goes through :func:`joint_expected_penalty`.
+Column j of the pair cache stacks the penalty matrices of every agent i < j
+against j: one (e_j, m_j) operator, e_j = m_0 + ... + m_{j-1}. With v the
+concatenated w / m, agent k's update takes two products on its own column:
+earlier_k = col(k).T @ v[:e_k] (the agents already updated this sweep) and,
+after the update, col(k) @ v_k added into rows [:e_k] of ``later``. In each
+agent's rows ``later`` holds the terms of the agents after it at pre-sweep
+weights, so gamma_hat of k is earlier_k + later[rows of k]; rows once read
+are cleared and refilled for the next sweep. A seed pass, later[:e_j] +=
+col(j) @ v_j for ascending j, fills it first, in the order a sweep refills
+it, so :func:`gamma_hat` equals bit for bit what a sweep applies. It also
+gives J_0 = v . later; after a sweep, J = sum_k v_k' . earlier_k counts each
+pair once, at its later member.
 
-The products only need ``@`` and ``.T``: when every set is 1D and single-step
-and the largest pair would exceed _DENSE_CACHE_ENTRIES, :func:`solve` serves
-each pair as a :class:`~distnav.collision.GaussTransform` instead of a
-matrix, and the sweeps, the objective and the update run through it
-unchanged.
+Each gamma_hat entry sums M = sum_{j != k} m_j nonnegative terms, with two
+roundings each and M - 1 additions in any order, so it is within
+gamma_{M+1} = (M+1)u / (1 - (M+1)u), u = 2^-53, of its exact value, relative;
+tests/test_engine.py bounds every update of a solve against a per-pair update
+from there. When every set is 1D and single-step and the largest pair has
+more than _DENSE_CACHE_ENTRIES entries, :func:`solve` applies each pair as a
+:class:`~distnav.collision.GaussTransform` and a column stacks those
+operators: the sweeps only need ``@`` and ``.T``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
@@ -35,7 +46,7 @@ import numpy as np
 from .collision import (
     CollisionKernel,
     gauss_transforms,
-    joint_expected_penalty,
+    joint_expected_penalty,  # noqa: F401  (bench/layers.py traces it under this module)
     penalty_matrix,
     penalty_row,
 )
@@ -57,10 +68,6 @@ __all__ = [
     "select_optimal",
 ]
 
-log = logging.getLogger(__name__)
-
-# Cap on gamma_hat before exponentiation; exp(-700) is still representable.
-GAMMA_CLAMP = 700.0
 # A sweep whose total KL falls below this is treated as a fixed point.
 FIXED_POINT_KL = 1e-12
 # Solves whose largest pair has more matrix entries than this (200 MB of
@@ -93,48 +100,77 @@ class SolveReport:
     kl_trace: list = field(default_factory=list)
     terminated_by: str = "max_sweeps"
     initial_objective: float = math.nan
-    clamp_events: int = 0
+    zero_weights: int = 0  # samples the updates drove to zero weight
 
     @property
     def final_objective(self) -> float:
         return self.objective_trace[-1] if self.objective_trace else self.initial_objective
 
 
-class PenaltyCache:
-    """Pairwise penalty matrices for a list of sample sets, built once.
+class _StackedColumn:
+    """Column j of a :meth:`PenaltyCache.from_matrices` cache: the pair
+    operators (i, j), i < j, stacked by rows, with ``@`` and ``.T @``."""
 
-    The matrices of every earlier agent i < j against agent j come from one
-    penalty call that stacks the earlier agents' samples as rows, written
-    into column j's stretch of one buffer that holds the whole cache. The
-    matrix of pair (i, j) is agent i's block of rows in that column, a
-    contiguous (m_i, m_j) view laid out as a call for that pair alone lays it
-    out, so products with it round the same way. It is served transposed for
-    the reverse order, so both directions always see the same symmetric
-    values.
+    def __init__(self, parts: list, m: int, transposed: bool = False):
+        self._parts, self._m, self._transposed = parts, m, transposed
+        self._cuts = np.cumsum([part.shape[0] for part in parts[:-1]], dtype=int)
+
+    @property
+    def T(self) -> "_StackedColumn":
+        return _StackedColumn(self._parts, self._m, not self._transposed)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if self._transposed:
+            parts = zip(self._parts, np.split(v, self._cuts))
+            return sum((part.T @ x for part, x in parts), np.zeros(self._m))
+        return np.concatenate([np.zeros(0), *(part @ v for part in self._parts)])
+
+
+class PenaltyCache:
+    """Pairwise penalty matrices for a list of sample sets, built once and
+    read by columns.
+
+    Column j, the (e_j, m_j) block of every earlier agent against agent j, is
+    written by one penalty call that stacks the earlier agents' samples as
+    rows, into column j's stretch of one buffer that holds the whole cache.
+    Agent i owns rows ``edges[i]:edges[i + 1]`` of every later column: the
+    matrix of pair (i, j), a contiguous (m_i, m_j) view laid out as a call for
+    that pair alone lays it out, served transposed for the reverse order.
     """
 
     def __init__(self, sets: Sequence[SampleSet], kernel: CollisionKernel):
-        self.n = len(sets)
-        self._mats: dict[tuple[int, int], np.ndarray] = {}
         sizes = [s.m for s in sets]
-        edges = np.cumsum(sizes)
-        buffer = np.empty(sum(edges[j - 1] * sizes[j] for j in range(1, self.n)))
+        self._index(sizes)
+        buffer = np.empty(sum(e * m for e, m in zip(self.edges, sizes)))
+        self._columns = []
+        self._mats: dict[tuple[int, int], np.ndarray] = {}
         start = 0
-        for j in range(1, self.n):
-            column = buffer[start : start + edges[j - 1] * sizes[j]].reshape(-1, sizes[j])
+        for j, m in enumerate(sizes):
+            column = buffer[start : start + self.edges[j] * m].reshape(self.edges[j], m)
             start += column.size
-            penalty_matrix(sets[:j], sets[j], kernel, out=column)
-            for i, mat in enumerate(np.split(column, edges[: j - 1])):
-                self._mats[(i, j)] = mat
+            self._columns.append(column)
+            if j:
+                penalty_matrix(sets[:j], sets[j], kernel, out=column)
+                for i, mat in enumerate(np.split(column, self.edges[1:j])):
+                    self._mats[(i, j)] = mat
 
     @classmethod
     def from_matrices(cls, n: int, mats: Mapping[tuple, np.ndarray]) -> "PenaltyCache":
         """Build from explicit pair operators keyed by (i, j) with i < j: arrays
-        (tests, oracles) or anything else with ``@`` and ``.T``."""
+        (tests, oracles) or anything else with ``@``, ``.T`` and ``shape``."""
         cache = cls.__new__(cls)
-        cache.n = n
         cache._mats = dict(mats)
+        sizes = [mats[(0, 1)].shape[0]] + [mats[(0, j)].shape[1] for j in range(1, n)]
+        cache._index(sizes)
+        cache._columns = [_StackedColumn([mats[(i, j)] for i in range(j)], m) for j, m in enumerate(sizes)]
         return cache
+
+    def _index(self, sizes: list[int]) -> None:
+        self.n, self.edges = len(sizes), [0, *np.cumsum(sizes).tolist()]
+
+    def column(self, j: int):
+        """(e_j, m_j) matrix, or operator, of every earlier agent against agent j."""
+        return self._columns[j]
 
     def get(self, i: int, j: int) -> np.ndarray:
         """(m_i, m_j) matrix, or operator, of penalties between sets i and j."""
@@ -142,34 +178,33 @@ class PenaltyCache:
             return self._mats[(i, j)]
         return self._mats[(j, i)].T
 
-    def partners(self, i: int) -> list[tuple[int, np.ndarray]]:
-        """(j, matrix of i against j) for every other agent j, in index order."""
-        return [(j, self.get(i, j)) for j in range(self.n) if j != i]
-
     def pair_matrices(self) -> dict[tuple, np.ndarray]:
         return dict(self._mats)
 
 
-def _gamma(
-    i: int,
-    sets: Sequence[SampleSet],
-    partners: Sequence[tuple[int, np.ndarray]],
-    earlier: set | frozenset = frozenset(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_hat for every sample of agent i, under everyone's current weights,
-    and the part of it that the agents in ``earlier`` contribute.
+def _seed(sets: Sequence[SampleSet], cache: PenaltyCache) -> tuple[np.ndarray, np.ndarray]:
+    """v, every agent's w / m concatenated, and ``later`` for it: in the rows
+    of each agent, the terms of every agent after it, added in ascending
+    order as a sweep adds them."""
+    v = np.concatenate([s.weights / s.m for s in sets])
+    later = np.zeros(v.size)
+    for j in range(1, cache.n):
+        e, f = cache.edges[j], cache.edges[j + 1]
+        later[:e] += cache.column(j) @ v[e:f]
+    return v, later
 
-    Terms (M_ij @ w_j) / m_j are summed over j in index order.
-    """
-    gamma = np.zeros(sets[i].m)
-    part = np.zeros(sets[i].m)
-    for j, mat in partners:
-        term = mat @ sets[j].weights
-        term /= sets[j].m
-        gamma += term
-        if j in earlier:
-            part += term
-    return gamma, part
+
+def _gamma(i: int, cache: PenaltyCache, v: np.ndarray, later: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_hat for every sample of agent i, and the part of it that the
+    agents before i contribute."""
+    e, f = cache.edges[i], cache.edges[i + 1]
+    earlier = cache.column(i).T @ v[:e]
+    return earlier + later[e:f], earlier
+
+
+def _current_gamma(i: int, sets: Sequence[SampleSet], cache: PenaltyCache) -> np.ndarray:
+    """gamma_hat of agent i under everyone's current weights, formed as a sweep forms it."""
+    return _gamma(i, cache, *_seed(sets, cache))[0]
 
 
 def gamma_hat(
@@ -183,45 +218,38 @@ def gamma_hat(
 
     Agents listed in ``updated`` must already carry their new weights; all
     others contribute pre-sweep weights. Since weights are updated in place,
-    the estimate just reads everyone's current weight vector. Evaluated
-    through the same vectorized path the weight update uses, so the value is
-    bit-identical to what the update applies.
+    the estimate reads everyone's current weights, through the sweep's own
+    column products and seed pass: the value is bit-identical to what a
+    sweep applies.
     """
     if i in updated:
         raise ValueError(f"agent {i} cannot condition on its own update")
-    return float(_gamma(i, sets, cache.partners(i))[0][y])
+    return float(_current_gamma(i, sets, cache)[y])
 
 
 def _reweight(i: int, sets: Sequence[SampleSet], gamma: np.ndarray) -> tuple[float, int]:
-    """Set agent i's weights to old * exp(-gamma), renormalised; returns
-    (KL(new || old), clamp count)."""
-    clamped = int(np.count_nonzero(gamma > GAMMA_CLAMP))
-    if clamped:
-        log.warning(
-            "clamping %d gamma_hat values above %g for agent index %d "
-            "(collision penalty scale is likely too large)",
-            clamped,
-            GAMMA_CLAMP,
-            i,
-        )
-        gamma = np.minimum(gamma, GAMMA_CLAMP)
+    """Set agent i's weights to old * exp(low - gamma), renormalised, where
+    low is the least gamma of a sample that still has weight; returns
+    (KL(new || old), the number of samples this drove to zero weight).
 
+    The sample at ``low`` keeps its weight, so the normaliser is positive;
+    a sample without weight has its exponent capped at 0, so it stays 0.
+    With S the old total and T the new one before renormalising, the KL
+    divergence is log(S / T) + (new . (low - gamma)) / T.
+    """
     old = sets[i].weights
-    new = old * np.exp(-gamma)
+    alive = old > 0
+    low = gamma[alive].min(initial=np.inf)
+    if not math.isfinite(low):
+        raise NumericalError(f"agent index {i} has no weighted sample with a finite gamma_hat")
+    shift = np.minimum(low - gamma, 0.0)
+    new = np.exp(shift)
+    new *= old
     total = new.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        raise NumericalError(
-            f"all weights of agent index {i} underflowed to zero "
-            f"(max gamma_hat = {gamma.max():.6g})"
-        )
+    kl = math.log(old.sum() / total) + float(new @ shift) / total
     new *= sets[i].m / total  # mean weight back to 1
     sets[i].weights = new
-
-    q_new = new / sets[i].m
-    q_old = old / old.sum()
-    nz = q_new > 0
-    kl = float(np.sum(q_new[nz] * (np.log(q_new[nz]) - np.log(q_old[nz]))))
-    return max(kl, 0.0), clamped
+    return max(kl, 0.0), int(np.count_nonzero(alive)) - int(np.count_nonzero(new))
 
 
 def _update_agent(
@@ -230,10 +258,11 @@ def _update_agent(
     cache: PenaltyCache,
     updated: set,
 ) -> tuple[float, int]:
-    """Reweight agent i in place; returns (KL(new || old), clamp count)."""
+    """Reweight agent i in place; returns (KL(new || old), samples driven to
+    zero weight)."""
     if i in updated:
         raise ValueError(f"agent {i} cannot condition on its own update")
-    return _reweight(i, sets, _gamma(i, sets, cache.partners(i))[0])
+    return _reweight(i, sets, _current_gamma(i, sets, cache))
 
 
 def update_agent(
@@ -248,50 +277,36 @@ def update_agent(
     return kl
 
 
-def _checked_order(n: int, order: Sequence[int] | None) -> list[int]:
-    order = list(range(n)) if order is None else list(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order}")
-    return order
-
-
-def _sweep(sets, partners, order) -> tuple[float, int, float]:
-    """Update every agent once in ``order``; returns (KL sum, clamp count,
-    objective after the sweep).
-
-    ``partners[i]`` lists agent i's (j, matrix) pairs. The objective is read
-    off the products the updates compute anyway: agent i's terms from agents
-    already updated in this sweep carry those agents' final weights, so
-    (w_i' / m_i) . earlier_i is the expected penalty of every pair whose later
-    member is i, and the sum over i counts each unordered pair once.
-    """
-    kl_sum = 0.0
-    clamps = 0
-    jc = 0.0
-    done: set[int] = set()
-    for i in order:
-        gamma, earlier = _gamma(i, sets, partners[i], done)
-        kl, c = _reweight(i, sets, gamma)
-        jc += float(sets[i].weights @ earlier) / sets[i].m
+def _sweep(sets, cache, v, later) -> tuple[float, int, float]:
+    """Update every agent once in index order; returns (KL sum, samples driven
+    to zero weight, objective after the sweep). ``v`` is kept current, and
+    ``later`` becomes the next sweep's in place: agent k's rows are cleared
+    once read, and agents k+1, ... add into them in the seed pass's order."""
+    kl_sum, zeros, jc = 0.0, 0, 0.0
+    for k in range(cache.n):
+        e, f = cache.edges[k], cache.edges[k + 1]
+        gamma, earlier = _gamma(k, cache, v, later)
+        later[e:f] = 0.0
+        kl, z = _reweight(k, sets, gamma)
+        vk = np.divide(sets[k].weights, sets[k].m, out=v[e:f])
+        jc += float(vk @ earlier)
+        later[:e] += cache.column(k) @ vk
         kl_sum += kl
-        clamps += c
-        done.add(i)
-    return kl_sum, clamps, jc
+        zeros += z
+    return kl_sum, zeros, jc
 
 
 def sweep(
     sets: Sequence[SampleSet],
     kernel: CollisionKernel,
     cache: PenaltyCache,
-    order: Sequence[int] | None = None,
 ) -> tuple[float, float]:
-    """Update every agent once, sequentially; returns (KL sum, objective after).
+    """Update every agent once, in index order; returns (KL sum, objective after).
 
     The objective is read off the sweep's own products, so ``kernel`` is not
     used; it is kept so that callers name the problem they sweep.
     """
-    partners = [cache.partners(i) for i in range(len(sets))]
-    kl_sum, _, jc = _sweep(sets, partners, _checked_order(len(sets), order))
+    kl_sum, _, jc = _sweep(sets, cache, *_seed(sets, cache))
     return kl_sum, jc
 
 
@@ -299,49 +314,48 @@ def solve(
     sets: Sequence[SampleSet],
     kernel: CollisionKernel,
     config: SolverConfig = SolverConfig(),
-    cache: PenaltyCache | None = None,
 ) -> SolveReport:
     """Run sweeps until the objective drops below epsilon, a fixed point is
     reached, or max_sweeps expires. Mutates the sets' weights in place.
 
-    The pair matrices are read once per sweep for the updates; the objective
-    after each sweep comes from those same products (see :func:`_sweep`), and
-    only the initial objective takes a pass of its own.
+    The sets are first put in ``config.agent_order``. The initial objective
+    comes from the seed pass, each later one from its sweep's products.
 
-    Without a ``cache``, pairs are dense float64 matrices unless the largest
-    has more than _DENSE_CACHE_ENTRIES entries and every set is 1D and
-    single-step: those solves (the 1D oracle comparisons) apply each pair as
-    a Gauss transform, in O(m) memory. A larger solve of any other shape
-    still builds the dense float64 cache, however big; no caller in this
-    package makes one at its defaults (closed-loop replans draw 100 samples
-    per agent, and only ``--m`` above 5000 would)."""
+    Pairs are dense float64 matrices unless the largest has more than
+    _DENSE_CACHE_ENTRIES entries and every set is 1D and single-step: those
+    solves (the 1D oracle comparisons) apply each pair as a Gauss transform,
+    in O(m) memory. A larger solve of any other shape still builds the dense
+    float64 cache, however big; no caller in this package makes one at its
+    defaults (closed-loop replans draw 100 samples per agent, and only
+    ``--m`` above 5000 would)."""
     if len(sets) < 2:
         raise ValueError("solve needs at least 2 sample sets")
     for s in sets[1:]:
         require_same_grid(sets[0].grid, s.grid, "sample sets")
-    if cache is None:
-        biggest = max(
-            sets[i].m * sets[j].m for i in range(len(sets)) for j in range(i + 1, len(sets))
-        )
-        if biggest > _DENSE_CACHE_ENTRIES and all(s.grid.steps == 1 and s.dim == 1 for s in sets):
-            cache = PenaltyCache.from_matrices(len(sets), gauss_transforms(sets, kernel))
-        else:
-            cache = PenaltyCache(sets, kernel)
+    order = list(range(len(sets)) if config.agent_order is None else config.agent_order)
+    if sorted(order) != list(range(len(sets))):
+        raise ValueError(f"agent_order must be a permutation of 0..{len(sets) - 1}, got {order}")
+    sets = [sets[i] for i in order]
+    biggest = max(
+        sets[i].m * sets[j].m for i in range(len(sets)) for j in range(i + 1, len(sets))
+    )
+    if biggest > _DENSE_CACHE_ENTRIES and all(s.grid.steps == 1 and s.dim == 1 for s in sets):
+        cache = PenaltyCache.from_matrices(len(sets), gauss_transforms(sets, kernel))
+    else:
+        cache = PenaltyCache(sets, kernel)
 
-    initial = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
-    report = SolveReport(sweeps=0, initial_objective=initial)
-    if initial < config.epsilon:
+    v, later = _seed(sets, cache)
+    report = SolveReport(sweeps=0, initial_objective=float(v @ later))
+    if report.initial_objective < config.epsilon:
         report.terminated_by = "objective_threshold"
         return report
 
-    order = _checked_order(len(sets), config.agent_order)
-    partners = [cache.partners(i) for i in range(len(sets))]
     for _ in range(config.max_sweeps):
-        kl_sum, clamps, jc = _sweep(sets, partners, order)
+        kl_sum, zeros, jc = _sweep(sets, cache, v, later)
         report.sweeps += 1
         report.objective_trace.append(jc)
         report.kl_trace.append(kl_sum)
-        report.clamp_events += clamps
+        report.zero_weights += zeros
         if jc < config.epsilon:
             report.terminated_by = "objective_threshold"
             return report

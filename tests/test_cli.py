@@ -79,6 +79,21 @@ class TestExitCodes:
         code = run_cli("simulate", "--config", cfg, "--pedestrians", 2, "--out", tmp_path / "o")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("planner:\n  obs_noise_var: x\n", "'obs_noise_var' must be a number, got 'x'"),
+            ("out: 5\n", "'out' must be a string, got 5"),
+        ],
+    )
+    def test_mistyped_config_field_exits_2(self, tmp_path, monkeypatch, capsys, text, message):
+        monkeypatch.chdir(tmp_path)  # the config's own out, if it were taken
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert run_cli("simulate", "--config", cfg, "--runs", 1) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_episode_keeps_the_rest_of_the_batch(
         self, tmp_path, fast_config, monkeypatch, capsys, jobs

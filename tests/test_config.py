@@ -91,13 +91,33 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("planner:\n  obs_noise_var: x\n", "must be a number"),
+            ("collision:\n  sigma: true\n", "must be a number"),
+            ("out: 5\n", "must be a string"),
+            ("out: 1.5\n", "must be a string"),
+        ],
+    )
+    def test_float_and_str_fields_refuse_other_types(self, tmp_path, text, message):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    def test_float_fields_take_ints(self):
+        assert load_config(None, {"collision.sigma": 1}).collision.sigma == 1
+
     def test_dotted_override_into_a_scalar_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             load_config(None, {"seed": 3, "seed.x": 1})
 
 
-def _int_fields(cls):
-    return [f.name for f in fields(cls) if type(f.default) is int]
+def _typed_fields(cls):
+    """(name, accepted value types) of every int, float and str field."""
+    accepted = {int: (int,), float: (int, float), str: (str,)}
+    return [(f.name, accepted[type(f.default)]) for f in fields(cls) if type(f.default) in accepted]
 
 
 _FIELD_NAMES = sorted({f.name for cls in _SECTION_TYPES.values() for f in fields(cls)})
@@ -117,6 +137,11 @@ _sections = st.one_of(
 _dotted = st.builds(
     "{}.{}".format, st.sampled_from(_TOP_KEYS), st.sampled_from(_FIELD_NAMES + ["bogus"])
 )
+# every field under its own section's name, so that each can draw a string or a float
+_own_fields = st.sampled_from(
+    sorted(f"{name}.{f.name}" for name, cls in _SECTION_TYPES.items() for f in fields(cls))
+    + list(_SCALAR_KEYS)
+)
 
 
 class TestLoadConfigProperty:
@@ -127,7 +152,9 @@ class TestLoadConfigProperty:
             st.one_of(_sections, _values),
             max_size=4,
         ),
-        overrides=st.dictionaries(st.one_of(st.sampled_from(_TOP_KEYS), _dotted), _values, max_size=4),
+        overrides=st.dictionaries(
+            st.one_of(st.sampled_from(_TOP_KEYS), _dotted, _own_fields), _values, max_size=4
+        ),
     )
     def test_config_or_config_error(self, tmp_path_factory, data, overrides):
         path = tmp_path_factory.getbasetemp() / "property.yaml"
@@ -136,11 +163,11 @@ class TestLoadConfigProperty:
             cfg = load_config(path, overrides)
         except ConfigError:
             return
-        for name in _int_fields(ExperimentConfig):
-            assert type(getattr(cfg, name)) is int
+        for name, accepted in _typed_fields(ExperimentConfig):
+            assert type(getattr(cfg, name)) in accepted
         for name, cls in _SECTION_TYPES.items():
-            for field_name in _int_fields(cls):
-                assert type(getattr(getattr(cfg, name), field_name)) is int
+            for field_name, accepted in _typed_fields(cls):
+                assert type(getattr(getattr(cfg, name), field_name)) in accepted
 
 
 class TestPlannerAssembly:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import gaussian_kde
 
-from distnav import engine
+from distnav import collision, engine
 from distnav.collision import CollisionKernel, joint_expected_penalty
 from distnav.engine import (
     PenaltyCache,
@@ -97,15 +97,74 @@ class TestUpdateAgent:
             update_agent(0, sets, cache)
             assert abs(sets[0].weights.mean() - 1.0) < 1e-9
 
-    def test_total_underflow_reports_max_gamma(self):
+    def test_huge_penalty_update_is_exact(self):
+        # gamma_hat near 6e7 on both samples: the shift cancels it exactly
+        kernel = CollisionKernel(weight=1e6, sigma=0.05)
         states = np.zeros((2, 1, 2))
         a = SampleSet("a", GRID1, states, np.full(2, 1e-300))
         b = SampleSet("b", GRID1, states.copy(), np.ones(2))
-        # enormous weight drives gamma_hat to the clamp; 1e-300 * exp(-700) == 0
-        kernel = CollisionKernel(weight=1e6, sigma=0.05)
         cache = PenaltyCache([a, b], kernel)
-        with pytest.raises(NumericalError, match="gamma_hat"):
-            update_agent(0, [a, b], cache)
+        assert gamma_hat(0, 0, [a, b], cache) > 1e7
+        assert update_agent(0, [a, b], cache) == 0.0
+        assert np.allclose(a.weights, 1.0, rtol=1e-15, atol=0.0)
+        # one sample 6e7 above the other: exactly zero weight, KL exactly log 2
+        a = SampleSet("a", GRID1, np.array([[[0.0, 0.0]], [[100.0, 0.0]]]), np.ones(2))
+        kl, zeroed = engine._update_agent(0, [a, b], PenaltyCache([a, b], kernel), set())
+        assert a.weights.tolist() == [0.0, 2.0]
+        assert kl == math.log(2.0)
+        assert zeroed == 1
+
+    def test_shift_ignores_samples_without_weight(self):
+        # a shift by the zero-weight sample's gamma would underflow the others
+        s = SampleSet("a", GRID1, np.zeros((3, 1, 2)), np.array([0.0, 1.0, 1.0]))
+        kl, zeroed = engine._reweight(0, [s], np.array([0.0, 1e4, 1e4 + math.log(3.0)]))
+        assert np.allclose(s.weights, [0.0, 2.25, 0.75], rtol=1e-11, atol=0.0)
+        assert kl == pytest.approx(0.75 * math.log(3.0) - math.log(2.0), rel=1e-11)
+        assert zeroed == 0
+
+
+def unshifted_update(old, gamma):
+    """old * exp(-gamma), renormalised to mean 1, and its KL divergence from
+    old by the definition."""
+    new = old * np.exp(-gamma)
+    total = new.sum()
+    q_new, q_old = new / total, old / old.sum()
+    nz = q_new > 0
+    return new * (old.size / total), float(np.sum(q_new[nz] * np.log(q_new[nz] / q_old[nz])))
+
+
+class TestReweightProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), st.floats(0.0, 700.0)),
+            min_size=1,
+            max_size=50,
+        ).filter(lambda pairs: any(w > 0 for w, _ in pairs)),
+    )
+    def test_shift_changes_nothing_where_the_unshifted_update_does_not_underflow(self, pairs):
+        """Weights in [0.1, 10] and gamma in [0, 700] keep old * exp(-gamma)
+        above 1e-305, a normal float, so the unshifted update is exact up to
+        rounding. Both normalise the same old * exp(-gamma), and each side's
+        rounding moves |ln weight| by at most 2uG (the shift, G the largest
+        gamma), 2(8u + u) (exp within 4 ulps and the product with old, in a
+        sample and in the normaliser) and 2 gamma_{m-1} + 2u (the
+        normaliser's additions, m / T and the last product), as in the
+        per-pair property below. Either KL sums m terms of size at most
+        2G + 1 with a few roundings each: gamma_{m+4} (2G + 1) bounds each
+        side's error."""
+        old = np.array([w for w, _ in pairs])
+        gamma = np.array([g for _, g in pairs])
+        m, big = old.size, float(gamma.max())
+        want, want_kl = unshifted_update(old, gamma)
+        s = SampleSet("a", GRID1, np.zeros((m, 1, 2)), old)
+        kl, zeroed = engine._reweight(0, [s], gamma)
+        own = 2 * U * big + 2 * (8 * U + U) + 2 * gam(m - 1) + 2 * U
+        assert zeroed == 0
+        assert np.array_equal(s.weights == 0.0, old == 0.0)
+        live = old > 0
+        assert np.all(np.abs(np.log(s.weights[live] / want[live])) <= 2 * own)
+        assert abs(kl - want_kl) <= 2 * gam(m + 4) * (2 * big + 1)
 
 
 class TestSweep:
@@ -213,15 +272,19 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve([a], CollisionKernel(10.0, 0.35))
 
-    def test_clamp_events_counted(self):
+    def test_zero_weights_counted(self):
         rng = np.random.default_rng(13)
         grid = TimeGrid(0.0, 0.4, 1)
         near = rng.normal(scale=0.001, size=(4, 1, 2))
         a = SampleSet("a", grid, near, np.ones(4))
         b = SampleSet("b", grid, near + 0.001, np.ones(4))
-        hot = CollisionKernel(weight=1e6, sigma=0.01)  # gamma far above the clamp
+        hot = CollisionKernel(weight=1e6, sigma=0.01)  # gamma_hat gaps far past exp's range
         report = solve([a, b], hot, SolverConfig(epsilon=0.0, max_sweeps=1))
-        assert report.clamp_events > 0
+        zeros = sum(int(np.count_nonzero(s.weights == 0.0)) for s in (a, b))
+        assert report.zero_weights == zeros > 0
+        for s in (a, b):
+            assert np.all(np.isfinite(s.weights))
+            assert s.weights.mean() == pytest.approx(1.0, rel=1e-15)
 
     def test_explicit_matrix_cache_reproduces_hand_case(self):
         grid = GRID_1D
@@ -404,20 +467,23 @@ def copied(sets):
     return [SampleSet(s.agent, s.grid, s.trajectories, s.weights.copy()) for s in sets]
 
 
-def reference_solve(sets, mats, sweeps, order):
-    """Per-pair sweeps as a plain loop over the pair matrices ``mats`` (i < j),
-    served transposed for j > i; gamma summed over j in index order."""
-    n = len(sets)
-    for _ in range(sweeps):
-        for i in order:
-            gamma = np.zeros(sets[i].m)
-            for j in range(n):
-                if j != i:
-                    mat = mats[(i, j)] if i < j else mats[(j, i)].T
-                    gamma += mat @ sets[j].weights / sets[j].m
-            new = sets[i].weights * np.exp(-np.minimum(gamma, engine.GAMMA_CLAMP))
-            new *= sets[i].m / new.sum()
-            sets[i].weights = new
+U = 2.0**-53
+
+
+def gam(k):
+    """gamma_k = k u / (1 - k u): the relative error bound of k roundings."""
+    return k * U / (1 - k * U)
+
+
+def per_pair_gamma(i, sets, mats):
+    """gamma_hat of agent i from the pair matrices ``mats`` (i < j, served
+    transposed for j > i): (M_ij @ w_j) / m_j per partner, added in index order."""
+    gamma = np.zeros(sets[i].m)
+    for j in range(len(sets)):
+        if j != i:
+            mat = mats[(i, j)] if i < j else mats[(j, i)].T
+            gamma += mat @ sets[j].weights / sets[j].m
+    return gamma
 
 
 class TestSweepProperties:
@@ -440,7 +506,93 @@ class TestSweepProperties:
                 # abs_tol only matters where the objective itself nears underflow
                 assert math.isclose(report.objective_trace[-1], direct, rel_tol=1e-12, abs_tol=1e-300)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.one_of(st.just(1), st.integers(1, 25)), min_size=2, max_size=4),
+        steps=st.integers(1, 6),
+        dim=st.sampled_from([1, 2]),
+        transform=st.booleans(),
+    )
+    def test_every_update_is_within_the_rounding_bound_of_a_per_pair_update(
+        self, seed, sizes, steps, dim, transform
+    ):
+        """Each update of a solve, in every order, against a per-pair update
+        from the same weights.
+
+        Either gamma sums M = sum_{j != i} m_j nonnegative terms
+        psi * w_j / m_j, each rounded twice, with M - 1 additions, so each is
+        within gamma_{M+1} of the exact gamma, relative, and the two differ
+        by at most D = 2 gamma_{M+1} / (1 - gamma_{M+1}) times the per-pair
+        one. On the Gauss transform path (1D single-step sets) each of the
+        n - 1 stacked products is within 1e-13 * peak * sum_y w_j,y / m_j =
+        1e-13 * peak of the dense product (collision.GaussTransform), and
+        n - 2 more additions round them, so D gains
+        1e-13 * peak * (n - 1) * (1 + gamma_n).
+
+        Both gammas then go through ``_reweight``. Moving every gamma by at
+        most max D moves each normalised weight old * exp(-gamma) / sum(...)
+        by a factor within exp(+-2 max D). Against the exact update of its
+        own gamma, each side's arithmetic adds at most 2uG to |ln weight|
+        (the shift, u relative on values at most G, the largest gamma, in the
+        sample and in the normaliser), 2(8u + u) (exp within 4 ulps, the
+        product with old), 2 gamma_{m-1} (the normaliser's m - 1 additions)
+        and 2u (m / T and the last product). No weight here gets near
+        underflow, so every bound is relative.
+        """
+        kernel = CollisionKernel(weight=5.0, sigma=0.5)
+        sets = line_sets(seed, sizes) if transform else crowd_sets(seed, sizes, steps, dim)
+        run_solve = transform_solve if transform else solve
+        real = engine._reweight
+
+        def checked(i, current, gamma):
+            want = per_pair_gamma(i, current, PenaltyCache(current, kernel).pair_matrices())
+            n, m = len(current), current[i].m
+            gap = 2 * gam(sum(sizes) - m + 1) / (1 - gam(sum(sizes) - m + 1)) * want
+            if transform:
+                gap += 1e-13 * kernel.peak(1) * (n - 1) * (1 + gam(n))
+            assert np.all(np.abs(gamma - want) <= gap)
+            reference = copied(current)
+            real(i, reference, want)
+            result = real(i, current, gamma)
+            big = max(gamma.max(), want.max())
+            own = 2 * U * big + 2 * (8 * U + U) + 2 * gam(m - 1) + 2 * U  # each side's rounding
+            bound = 2 * gap.max() + 2 * own
+            got, ref = current[i].weights, reference[i].weights
+            assert np.all(ref > 0.0)
+            assert np.all(np.abs(np.log(got / ref)) <= bound)
+            return result
+
+        for order in itertools.permutations(range(len(sets))):
+            config = SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order)
+            with mock.patch.object(engine, "_reweight", side_effect=checked) as updates:
+                report = run_solve(copied(sets), kernel, config)
+            assert updates.call_count == report.sweeps * len(sets) > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 25), min_size=2, max_size=4),
+        steps=st.integers(1, 6),
+        dim=st.sampled_from([1, 2]),
+    )
+    def test_gamma_hat_is_the_gamma_each_update_applies(self, seed, sizes, steps, dim):
+        sets = crowd_sets(seed, sizes, steps, dim)
+        kernel = CollisionKernel(weight=5.0, sigma=0.5)
+        cache = PenaltyCache(sets, kernel)  # the cache solve() builds, bit for bit
+        real = engine._reweight
+        applied = []
+
+        def checked(i, current, gamma):
+            hat = [gamma_hat(i, y, current, cache, updated=set(range(i))) for y in range(current[i].m)]
+            applied.append(np.array(hat).tobytes() == gamma.tobytes())
+            return real(i, current, gamma)
+
+        with mock.patch.object(engine, "_reweight", side_effect=checked):
+            report = solve(sets, kernel, SolverConfig(epsilon=0.0, max_sweeps=3))
+        assert applied == [True] * report.sweeps * len(sets)
+
+    @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         sizes=st.lists(st.integers(1, 25), min_size=2, max_size=5),
@@ -448,15 +600,16 @@ class TestSweepProperties:
         dim=st.sampled_from([1, 2]),
         data=st.data(),
     )
-    def test_weights_equal_a_per_pair_reference_sweep(self, seed, sizes, steps, dim, data):
+    def test_agent_order_solves_the_permuted_sets(self, seed, sizes, steps, dim, data):
         sets = crowd_sets(seed, sizes, steps, dim)
         order = tuple(data.draw(st.permutations(range(len(sets)))))
         kernel = CollisionKernel(weight=5.0, sigma=0.5)
-        run = copied(sets)
-        report = solve(run, kernel, SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order))
-        reference_solve(sets, PenaltyCache(sets, kernel).pair_matrices(), report.sweeps, order)
-        for got, want in zip(run, sets):
-            assert np.array_equal(got.weights, want.weights)
+        ordered, permuted = copied(sets), copied(sets)
+        got = solve(ordered, kernel, SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order))
+        want = solve([permuted[i] for i in order], kernel, SolverConfig(epsilon=0.0, max_sweeps=4))
+        assert got == want
+        for a, b in zip(ordered, permuted):
+            assert np.array_equal(a.weights, b.weights)
 
 
 def line_sets(seed, sizes):
@@ -513,6 +666,15 @@ class TestGaussTransformSolves:
             runs.append([s.weights for s in sets])
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
+
+    def test_ten_sweeps_of_three_agents_take_63_products(self):
+        # 3 for the seed pass, then 2 per partner of each agent per sweep
+        sets = gaussian_sets_1d([-1.0, 0.0, 1.0], sigma=0.5, m=500, seed=4)
+        op = collision.GaussTransform
+        with mock.patch.object(op, "__matmul__", autospec=True, side_effect=op.__matmul__) as calls:
+            report = transform_solve(sets, CollisionKernel(10.0, 0.3), SolverConfig(epsilon=0.0, max_sweeps=10))
+        assert report.sweeps == 10
+        assert calls.call_count == 63
 
     def test_memory_stays_far_below_the_dense_cache(self):
         # dense float64 pairs of 3 agents at m=3000 would take 3 * 72 MB
