@@ -116,11 +116,17 @@ _FIELD_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), 
 
 def _check_types(where: str, cls, data: dict) -> None:
     """An int field takes an int, a float field an int or a float, a str field
-    a str; a bool is none of these."""
+    a str, a tuple field a list of what its default's elements take; a bool
+    is none of these."""
     for f in fields(cls):
+        value = data.get(f.name)
+        if isinstance(f.default, tuple) and f.default and f.name in data:
+            accepted, kind = _FIELD_TYPES[type(f.default[0])]
+            if type(value) not in (list, tuple) or any(type(v) not in accepted for v in value):
+                raise ConfigError(f"{where}'{f.name}' must be a list, each element {kind}, got {value!r}")
         accepted, kind = _FIELD_TYPES.get(type(f.default), (None, None))
-        if accepted and f.name in data and type(data[f.name]) not in accepted:
-            raise ConfigError(f"{where}'{f.name}' must be {kind}, got {data[f.name]!r}")
+        if accepted and f.name in data and type(value) not in accepted:
+            raise ConfigError(f"{where}'{f.name}' must be {kind}, got {value!r}")
 
 
 def _build_section(name: str, cls, data: dict):

@@ -53,7 +53,7 @@ from .collision import (
 from .errors import NumericalError
 from .gp import PreferenceGP, log_densities
 from .grids import Trajectory, require_same_grid
-from .samples import SampleSet
+from .samples import CrowdSamples, SampleSet
 
 __all__ = [
     "SolverConfig",
@@ -374,8 +374,9 @@ def interaction_scores(
     """Mean weighted penalty of each agent's samples against the robot's intent.
 
     One penalty row of the intent against every set's samples at once, by the
-    direct arithmetic of :func:`~distnav.collision.pairwise_penalty`; each
-    set's score reads its own slice of that row.
+    direct arithmetic of :func:`~distnav.collision.pairwise_penalty`, read off
+    the block of :class:`~distnav.samples.CrowdSamples` (or the sets stacked);
+    each set's score reads its own slice of that row.
     """
     if not sets:
         return {}
@@ -383,8 +384,8 @@ def interaction_scores(
         require_same_grid(robot_intent.grid, s.grid, "robot intent and sample set")
         if s.dim != robot_intent.dim:
             raise ValueError(f"sample set dim {s.dim} != robot intent dim {robot_intent.dim}")
-    stacked = np.concatenate([s.trajectories.transpose(1, 2, 0) for s in sets], axis=2)
-    row = penalty_row(robot_intent, stacked, kernel)
+    block = sets.block if isinstance(sets, CrowdSamples) else np.concatenate([s.trajectories for s in sets])
+    row = penalty_row(robot_intent, block.transpose(1, 2, 0), kernel)
     parts = np.split(row, np.cumsum([s.m for s in sets[:-1]], dtype=int))
     return {s.agent: float(part @ s.weights) / s.m for s, part in zip(sets, parts)}
 

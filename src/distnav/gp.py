@@ -14,23 +14,25 @@ computed once, and the Cholesky factors that sampling and log-densities need
 are computed on first use and kept there too. Each agent then pays only for
 its own mean.
 
-Sampling multiplies the lower factor by standard normal draws one column at
-a time, summing over the factor's columns in order; for planar samples this
-is bit for bit the same sum as ``einsum("ts,msd->mtd", low, z)``.
+Sampling draws each agent's normals from its own seed and multiplies the draws
+of a schedule by its lower factor together, one factor column at a time in
+order; every agent's samples land in one read-only block that their sample
+sets view. A sample does not depend on who shares its product; for planar
+samples it is bit for bit ``einsum("ts,msd->mtd", low, z)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import GridMismatchError, NumericalError
 from .grids import TimeGrid, Trajectory, require_same_grid
-from .samples import SampleSet
+from .samples import CrowdSamples, SampleSet
 
 __all__ = [
     "Observation",
@@ -47,6 +49,9 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 # One initial jitter attempt plus this many x10 escalations before giving up.
 _MAX_JITTER_ESCALATIONS = 3
+# columns of one sampling product: a schedule's draws go through its factor in
+# runs this wide, whose operands stay within a core's cache
+_PRODUCT_COLUMNS = 1024
 
 
 @dataclass(frozen=True)
@@ -187,24 +192,23 @@ def _se_kernel(ta: np.ndarray, tb: np.ndarray, kp: KernelParams) -> np.ndarray:
     return kp.signal_var * np.exp(-0.5 * (d / kp.length_scale) ** 2)
 
 
-def _cholesky_psd(mat: np.ndarray, base_jitter: float) -> np.ndarray:
-    """Lower Cholesky factor with x10 jitter escalation; exact zero matrix -> 0."""
+def _cholesky_psd(mat, base_jitter: float, from_zero=True, what="Cholesky failed") -> np.ndarray:
+    """Lower Cholesky factor of mat + jit * I, jit escalating x10 from base_jitter
+    (from 0 first when ``from_zero``); exact zero matrix -> 0."""
     if not mat.any():
         return np.zeros_like(mat)
     n = mat.shape[0]
     eye = np.eye(n)
     if base_jitter <= 0:
         base_jitter = 1e-12 * max(np.trace(mat) / n, 1.0)
-    jit = 0.0
-    for _ in range(_MAX_JITTER_ESCALATIONS + 2):
+    jit = 0.0 if from_zero else base_jitter
+    for _ in range(_MAX_JITTER_ESCALATIONS + 1 + from_zero):
         try:
             return cholesky(mat + jit * eye, lower=True)
         except np.linalg.LinAlgError:
             jit = base_jitter if jit == 0.0 else 10.0 * jit
     cond = float(np.linalg.cond(mat + jit * eye))
-    raise NumericalError(
-        f"Cholesky failed after jitter escalation to {jit:g} (cond ~ {cond:.3g})"
-    )
+    raise NumericalError(f"{what} after jitter escalation to {jit:g} (cond ~ {cond:.3g})")
 
 
 def augment_with_goal(
@@ -269,20 +273,7 @@ def _fit_posterior(
 ) -> _Posterior:
     """The posterior covariance of one observation schedule, checked."""
     gram = _se_kernel(t_obs, t_obs, kp) + np.diag(noise)
-    n = t_obs.size
-    jit = kp.jitter
-    for attempt in range(_MAX_JITTER_ESCALATIONS + 1):
-        try:
-            low = cholesky(gram + jit * np.eye(n), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            jit *= 10.0
-    else:
-        cond = float(np.linalg.cond(gram + jit * np.eye(n)))
-        raise NumericalError(
-            f"singular Gram matrix after jitter escalation to {jit:g} (cond ~ {cond:.3g})"
-        )
-
+    low = _cholesky_psd(gram, kp.jitter, from_zero=False, what="singular Gram matrix")
     t_grid = grid.times()
     k_star = _se_kernel(t_obs, t_grid, kp)  # (n, steps)
     v = solve_triangular(low, k_star, lower=True)  # (n, steps)
@@ -291,37 +282,60 @@ def _fit_posterior(
     return _Posterior(_checked_cov(cov, grid.steps), kp.jitter, low, k_star)
 
 
-def _lower_product(low: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``low @ z[k]`` for every draw of z (m, steps, dim), as a (steps, dim, m) array.
+def _lower_product(low: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """``low @ zt[:, :, k]`` for every draw of zt (steps, dim, m), as a (steps, dim, m) array.
 
     ``low`` is lower-triangular. One column of it at a time, in column order,
     is multiplied by the draws at that step and added into the rows it reaches.
     """
-    steps = z.shape[1]
-    zt = np.ascontiguousarray(z.transpose(1, 2, 0))  # (steps, dim, m)
     out = np.zeros_like(zt)
     term = np.empty_like(zt)
-    for s in range(steps):
+    for s in range(zt.shape[0]):
         np.multiply(low[s:, s, None, None], zt[s], out=term[s:])
         out[s:] += term[s:]
     return out
 
 
 def sample_trajectories(
-    gp: PreferenceGP, m: int, seed, agent: Hashable = None
-) -> SampleSet:
-    """Draw m trajectories from the GP; all weights start at 1.
+    gps: Sequence[PreferenceGP], m: int, seeds: Sequence, agents: Sequence | None = None
+) -> CrowdSamples:
+    """Draw m trajectories from each GP; all weights start at 1.
 
-    Deterministic for a fixed seed: same seed, bit-identical samples.
+    GP k is sampled from ``default_rng(seeds[k])`` as agent ``agents[k]``
+    (None without ``agents``): same seed, bit-identical samples, whichever
+    other GPs are sampled in the same call. GPs that share a posterior
+    covariance share their products, up to ``_PRODUCT_COLUMNS`` columns each.
+    The GPs of a call have one number of steps and one dimension: their
+    samples fill one read-only block, GP k's rows k * m to (k + 1) * m.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    low = gp._posterior().sample_factor()
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((m, gp.grid.steps, gp.dim))
-    traj = _lower_product(low, z)
-    traj += gp.mean[:, :, None]
-    return SampleSet(agent, gp.grid, traj.transpose(2, 0, 1), np.ones(m))
+    agents = [None] * len(gps) if agents is None else agents
+    if not len(gps) == len(seeds) == len(agents):
+        raise ValueError("sample_trajectories needs one seed and one agent per GP")
+    shapes = {(gp.grid.steps, gp.dim) for gp in gps} or {(0, 1)}
+    if len(shapes) > 1:
+        raise ValueError(f"sample_trajectories needs GPs of one (steps, dim), got {sorted(shapes)}")
+    ((steps, dim),) = shapes
+    schedules: dict = {}
+    for k, gp in enumerate(gps):
+        schedules.setdefault(gp._posterior(), []).append(k)
+    per = max(1, _PRODUCT_COLUMNS // m)  # agents per product
+    runs = [(post, ks[i:i + per]) for post, ks in schedules.items() for i in range(0, len(ks), per)]
+    block = np.empty((len(gps) * m, steps, dim))
+    for post, members in runs:
+        zt = np.empty((steps, dim, len(members) * m))  # the draws, one column per sample
+        for g, k in enumerate(members):
+            z = np.random.default_rng(seeds[k]).standard_normal((m, steps, dim))
+            zt[:, :, g * m:(g + 1) * m] = z.transpose(1, 2, 0)
+        traj = _lower_product(post.sample_factor(), zt)
+        for g, k in enumerate(members):
+            np.add(traj[:, :, g * m:(g + 1) * m].transpose(2, 0, 1), gps[k].mean, out=block[k * m:(k + 1) * m])
+    if not np.isfinite(block).all():
+        raise ValueError("trajectories contain non-finite values")
+    block.setflags(write=False)
+    return CrowdSamples([SampleSet._of_block(agents[k], gp.grid, block[k * m:(k + 1) * m])
+                         for k, gp in enumerate(gps)], block)
 
 
 def log_density(gp: PreferenceGP, f: Trajectory) -> float:

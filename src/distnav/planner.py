@@ -4,9 +4,10 @@ Every frame: fit a preference GP per agent from recent observations (the
 robot's goal enters as an artificial observation; pedestrians get a
 constant-velocity waypoint so the squared-exponential posterior does not sag
 back to the prior mean over the horizon; agents observed on the same schedule
-share one posterior covariance), sample each GP, keep only agents
-whose interaction score against the robot's intent is critical, run the
-sequential variational solve, and read off the best sample per agent.
+share one posterior covariance), sample each GP, keep only agents whose
+interaction score against the robot's intent is critical, run the sequential
+variational solve, and read off the best sample of the robot and of each
+critical pedestrian: the others keep unit weights and get no prediction.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class PlannerConfig:
 @dataclass
 class ReplanResult:
     robot_plan: Trajectory
-    predictions: dict  # ped_id -> Trajectory
+    predictions: dict  # critical ped_id -> Trajectory
     report: SolveReport | None  # None when no critical pedestrians
     critical: list
     scores: dict
@@ -120,7 +121,8 @@ def replan(
     seed: int = 0,
     frame: int = 0,
 ) -> ReplanResult:
-    """Plan the robot's horizon jointly with predictions for every pedestrian."""
+    """Plan the robot's horizon jointly with predictions for the critical
+    pedestrians; ``predictions`` holds no other pedestrian."""
     robot = world.robot()
     now = world.time
     grid = cfg.grid_at(now)
@@ -129,20 +131,16 @@ def replan(
     robot_obs = _robot_observations(robot, history.get(robot.id, ()), cfg, now)
     robot_gp = fit_preference(robot_obs, grid, cfg.kernel, posteriors)
     gps = {robot.id: robot_gp}
-    sets = {
-        robot.id: sample_trajectories(
-            robot_gp, cfg.samples_per_agent, _sample_seed(seed, frame, robot.id), agent=robot.id
-        )
-    }
     for ped in world.pedestrians():
         ped_obs = _pedestrian_observations(ped, history.get(ped.id, ()), cfg, now)
         gps[ped.id] = fit_preference(ped_obs, grid, cfg.kernel, posteriors)
-        sets[ped.id] = sample_trajectories(
-            gps[ped.id], cfg.samples_per_agent, _sample_seed(seed, frame, ped.id), agent=ped.id
-        )
 
-    ped_sets = [sets[p.id] for p in world.pedestrians()]
-    scores = interaction_scores(robot_gp.mean_trajectory(), ped_sets, cfg.collision) if ped_sets else {}
+    ids, m = list(gps), cfg.samples_per_agent  # the robot first
+    seeds = [_sample_seed(seed, frame, a) for a in ids]
+    robot_set = sample_trajectories([robot_gp], m, seeds[:1], ids[:1])[0]
+    ped_sets = sample_trajectories(list(gps.values())[1:], m, seeds[1:], ids[1:])
+    sets = dict(zip(ids, [robot_set, *ped_sets]))
+    scores = interaction_scores(robot_gp.mean_trajectory(), ped_sets, cfg.collision)
     critical = select_critical(scores, cfg.solver.critical_threshold, robot=robot.id)
 
     report = None
@@ -152,11 +150,10 @@ def replan(
         solve_sets = [sets[a] for a in ordered]
         report = solve(solve_sets, cfg.collision, cfg.solver)
 
-    best = select_optimal(list(sets.values()), gps)
-    predictions = {p.id: best[p.id] for p in world.pedestrians()}
+    best = select_optimal([sets[a] for a in critical], gps)
     return ReplanResult(
         robot_plan=best[robot.id],
-        predictions=predictions,
+        predictions={a: best[a] for a in critical[1:]},
         report=report,
         critical=critical,
         scores=scores,

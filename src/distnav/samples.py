@@ -2,7 +2,7 @@
 
 A SampleSet holds a fixed batch of trajectories and one mutable weight per
 trajectory. Solvers only ever touch the weights; the trajectories are frozen
-at creation.
+at creation. CrowdSamples holds the sets of one sampling call.
 """
 
 from __future__ import annotations
@@ -46,6 +46,13 @@ class SampleSet:
             raise ValueError("weights must be finite and non-negative")
         self.weights = weights
 
+    @classmethod
+    def _of_block(cls, agent: Hashable, grid: TimeGrid, traj: np.ndarray) -> "SampleSet":
+        """An unweighted set taking ``traj`` as it is: read-only, C-contiguous, finite."""
+        s = cls.__new__(cls)
+        s.agent, s.grid, s.trajectories, s.weights = agent, grid, traj, np.ones(len(traj))
+        return s
+
     @property
     def m(self) -> int:
         return self.trajectories.shape[0]
@@ -63,3 +70,17 @@ class SampleSet:
         if total <= 0:
             raise ValueError("all sample weights are zero")
         return self.weights / total
+
+
+class CrowdSamples(tuple):
+    """The sets of one sampling call, in the order their agents were given;
+    ``block`` is the read-only (len * m, steps, dim) array they view in turn."""
+
+    def __new__(cls, sets, block: np.ndarray):
+        self = super().__new__(cls, sets)
+        self.block = block
+        return self
+
+    @property
+    def m(self) -> int:
+        return len(self.block)

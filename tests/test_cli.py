@@ -159,6 +159,13 @@ class TestEvolve1d:
         cfg.write_text("evolve1d:\n  sigmas: [0.5]\n")
         assert run_cli("evolve1d", "--config", cfg, "--out", tmp_path / "x") == 2
 
+    def test_mistyped_list_element_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("evolve1d:\n  means: [x, 0, 1]\n")
+        assert run_cli("evolve1d", "--config", cfg, "--out", tmp_path / "x") == 2
+        assert "'means' must be a list, each element a number, got ['x', 0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestReplay:
     def test_dry_run_lists_partials_and_writes_nothing(self, dataset, tmp_path, capsys):

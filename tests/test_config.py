@@ -109,15 +109,43 @@ class TestLoadConfig:
     def test_float_fields_take_ints(self):
         assert load_config(None, {"collision.sigma": 1}).collision.sigma == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "evolve1d:\n  means: [x, 0, 1]\n",
+            "evolve1d:\n  means: [true, 0, 1]\n",
+            "evolve1d:\n  sigmas: abc\n",
+            "evolve1d:\n  sigmas: 0.5\n",
+        ],
+    )
+    def test_list_fields_refuse_other_element_types(self, tmp_path, text):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="must be a list, each element a number"):
+            load_config(path)
+
+    def test_list_fields_take_ints(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("evolve1d:\n  means: [-1, 0, 1.5]\n")
+        assert load_config(path).evolve1d.means == (-1, 0, 1.5)
+
     def test_dotted_override_into_a_scalar_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             load_config(None, {"seed": 3, "seed.x": 1})
 
 
+_ACCEPTED = {int: (int,), float: (int, float), str: (str,)}
+
+
 def _typed_fields(cls):
     """(name, accepted value types) of every int, float and str field."""
-    accepted = {int: (int,), float: (int, float), str: (str,)}
-    return [(f.name, accepted[type(f.default)]) for f in fields(cls) if type(f.default) in accepted]
+    return [(f.name, _ACCEPTED[type(f.default)]) for f in fields(cls) if type(f.default) in _ACCEPTED]
+
+
+def _list_fields(cls):
+    """(name, accepted element types) of every tuple field."""
+    return [(f.name, _ACCEPTED[type(f.default[0])]) for f in fields(cls)
+            if isinstance(f.default, tuple) and f.default]
 
 
 _FIELD_NAMES = sorted({f.name for cls in _SECTION_TYPES.values() for f in fields(cls)})
@@ -129,6 +157,9 @@ _values = st.one_of(
     st.floats(),
     st.text(max_size=3),
     st.lists(st.one_of(st.integers(-2, 5), st.floats(-2, 2)), max_size=3),
+    # as long as the default evolve1d lists, so that a bad element is the only fault
+    st.lists(st.one_of(st.floats(0.1, 2), st.booleans(), st.text(max_size=2), st.none()),
+             min_size=3, max_size=3),
 )
 _sections = st.one_of(
     st.dictionaries(st.one_of(st.sampled_from(_FIELD_NAMES + ["bogus"]), st.integers(0, 2)), _values, max_size=4),
@@ -142,6 +173,9 @@ _own_fields = st.sampled_from(
     sorted(f"{name}.{f.name}" for name, cls in _SECTION_TYPES.items() for f in fields(cls))
     + list(_SCALAR_KEYS)
 )
+_list_keys = st.sampled_from(
+    sorted(f"{name}.{f}" for name, cls in _SECTION_TYPES.items() for f, _ in _list_fields(cls))
+)
 
 
 class TestLoadConfigProperty:
@@ -153,7 +187,7 @@ class TestLoadConfigProperty:
             max_size=4,
         ),
         overrides=st.dictionaries(
-            st.one_of(st.sampled_from(_TOP_KEYS), _dotted, _own_fields), _values, max_size=4
+            st.one_of(st.sampled_from(_TOP_KEYS), _dotted, _own_fields, _list_keys), _values, max_size=4
         ),
     )
     def test_config_or_config_error(self, tmp_path_factory, data, overrides):
@@ -168,6 +202,9 @@ class TestLoadConfigProperty:
         for name, cls in _SECTION_TYPES.items():
             for field_name, accepted in _typed_fields(cls):
                 assert type(getattr(getattr(cfg, name), field_name)) in accepted
+            for field_name, accepted in _list_fields(cls):
+                value = getattr(getattr(cfg, name), field_name)
+                assert type(value) is tuple and all(type(v) in accepted for v in value)
 
 
 class TestPlannerAssembly:

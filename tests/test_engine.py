@@ -258,10 +258,7 @@ class TestSolve:
         mean_b = np.stack([np.linspace(6, 0, 16), np.full(16, -0.1)], axis=1)
         gp_a = PreferenceGP(grid, mean_a, cov, jitter=1e-10)
         gp_b = PreferenceGP(grid, mean_b, cov, jitter=1e-10)
-        sets = [
-            sample_trajectories(gp_a, 5000, seed=21, agent="a"),
-            sample_trajectories(gp_b, 5000, seed=22, agent="b"),
-        ]
+        sets = list(sample_trajectories([gp_a, gp_b], 5000, [21, 22], ["a", "b"]))
         kernel = CollisionKernel(weight=10.0, sigma=0.35)
         report = solve(sets, kernel, SolverConfig(epsilon=0.0, max_sweeps=25))
         assert report.final_objective < 0.05 * report.initial_objective

@@ -123,7 +123,7 @@ class TestSampleTrajectories:
         grid = make_grid(steps=5)
         mean = np.arange(10.0).reshape(5, 2)
         gp = PreferenceGP(grid, mean, np.zeros((5, 5)))
-        ss = sample_trajectories(gp, 1, seed=0)
+        ss = sample_trajectories([gp], 1, [0])[0]
         assert np.array_equal(ss.trajectories[0], mean)
 
     def test_empirical_mean_within_three_standard_errors(self):
@@ -132,7 +132,7 @@ class TestSampleTrajectories:
         obs = [Observation(0.0, (0.0, 0.0), 0.01), Observation(2.8, (3.0, 1.0), 0.01)]
         gp = fit_preference(obs, grid, kp)
         m = 20000
-        ss = sample_trajectories(gp, m, seed=42)
+        ss = sample_trajectories([gp], m, [42])[0]
         se = np.sqrt(np.diag(gp.cov) / m)
         err = np.abs(ss.trajectories.mean(axis=0) - gp.mean)
         assert np.all(err <= 3 * se[:, None] + 1e-12)
@@ -142,7 +142,7 @@ class TestSampleTrajectories:
         kp = KernelParams(length_scale=1.0, signal_var=2.0, jitter=1e-8)
         obs = [Observation(0.0, (0.0, 0.0), 0.05)]
         gp = fit_preference(obs, grid, kp)
-        ss = sample_trajectories(gp, 20000, seed=7)
+        ss = sample_trajectories([gp], 20000, [7])[0]
         emp = ss.trajectories.var(axis=0).mean(axis=1)  # average the two axes
         ref = np.diag(gp.cov)
         assert np.all(np.abs(emp - ref) <= 0.10 * ref)
@@ -150,8 +150,8 @@ class TestSampleTrajectories:
     def test_seed_determinism(self):
         grid = make_grid(steps=4)
         gp = PreferenceGP(grid, np.zeros((4, 2)), np.eye(4) * 0.5)
-        a = sample_trajectories(gp, 50, seed=123)
-        b = sample_trajectories(gp, 50, seed=123)
+        a = sample_trajectories([gp], 50, [123])[0]
+        b = sample_trajectories([gp], 50, [123])[0]
         assert np.array_equal(a.trajectories, b.trajectories)
         assert np.array_equal(a.weights, np.ones(50))
 
@@ -159,7 +159,7 @@ class TestSampleTrajectories:
         grid = make_grid(steps=2)
         gp = PreferenceGP(grid, np.zeros((2, 2)), np.eye(2))
         with pytest.raises(ValueError):
-            sample_trajectories(gp, 0, seed=1)
+            sample_trajectories([gp], 0, [1])
 
 
 class TestLogDensity:
@@ -325,7 +325,7 @@ class TestSamplingProduct:
         a = rng.normal(size=(steps, steps))
         gp = PreferenceGP(make_grid(steps=steps), rng.normal(size=(steps, 2)),
                           a @ a.T / steps + 1e-3 * np.eye(steps), jitter=1e-9)
-        got = sample_trajectories(gp, m, seed=seed)
+        got = sample_trajectories([gp], m, [seed])[0]
         z = np.random.default_rng(seed).standard_normal((m, steps, 2))
         low = _cholesky_psd(gp.cov, gp.jitter)
         ref = gp.mean[None, :, :] + np.einsum("ts,msd->mtd", low, z)
@@ -342,12 +342,163 @@ class TestSamplingProduct:
         rng = np.random.default_rng(seed)
         low = np.tril(rng.normal(size=(steps, steps)))
         z = rng.standard_normal((m, steps, dim))
-        got = _lower_product(low, z).transpose(2, 0, 1)
+        got = _lower_product(low, np.ascontiguousarray(z.transpose(1, 2, 0))).transpose(2, 0, 1)
         ref = np.einsum("ts,msd->mtd", low, z)
         bound = 4 * steps * np.finfo(float).eps * np.einsum("ts,msd->mtd", np.abs(low), np.abs(z))
         assert np.all(np.abs(got - ref) <= bound)
         if dim == 2:
             assert got.tobytes() == ref.tobytes()
+
+
+class TestBatchSampling:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        m=st.integers(1, 50),
+        steps=st.integers(2, 25),
+        dim=st.sampled_from([1, 2]),
+    )
+    def test_each_agent_gets_its_one_gp_samples_bit_for_bit(self, seed, sizes, m, steps, dim):
+        grid = make_grid(steps=steps)
+        kp = KernelParams(length_scale=2.0, signal_var=1.0)
+        rng = np.random.default_rng(seed)
+        shared, gps = {}, []
+        for g, size in enumerate(sizes):  # schedule g: g + 1 observations
+            times = np.sort(rng.uniform(-3.0, 0.0, size=g + 1))
+            for _ in range(size):
+                gps.append(fit_preference(
+                    [Observation(t, tuple(rng.normal(size=dim)), 0.01) for t in times], grid, kp, shared))
+        gps = [gps[k] for k in rng.permutation(len(gps))]  # the schedules interleaved
+        seeds = [seed + k for k in range(len(gps))]
+        agents = [f"agent{k}" for k in range(len(gps))]
+
+        with mock.patch.object(distnav.gp, "_lower_product", wraps=distnav.gp._lower_product) as product:
+            crowd = sample_trajectories(gps, m, seeds, agents)
+        per = max(1, distnav.gp._PRODUCT_COLUMNS // m)
+        assert product.call_count == sum(-(-size // per) for size in sizes)  # one per schedule run
+        assert len(crowd) == len(gps) and crowd.m == m * len(gps)
+        assert crowd.block.shape == (len(gps) * m, steps, dim) and not crowd.block.flags.writeable
+        for k, s in enumerate(crowd):
+            assert s.trajectories.base is crowd.block
+            assert np.array_equal(s.trajectories, crowd.block[k * m:(k + 1) * m])
+        for gp, k, s in zip(gps, seeds, crowd):
+            alone = sample_trajectories([gp], m, [k], [s.agent])[0]
+            assert s.trajectories.tobytes() == alone.trajectories.tobytes()
+            assert s.trajectories.shape == (m, steps, dim)
+            assert s.trajectories.flags.c_contiguous and not s.trajectories.flags.writeable
+            assert s.grid == gp.grid and np.array_equal(s.weights, np.ones(m))
+            if dim == 2:
+                z = np.random.default_rng(k).standard_normal((m, steps, 2))
+                low = _cholesky_psd(gp.cov, gp.jitter)
+                ref = gp.mean[None, :, :] + np.einsum("ts,msd->mtd", low, z)
+                assert s.trajectories.tobytes() == ref.tobytes()
+        assert [s.agent for s in crowd] == agents
+
+    def test_needs_one_seed_and_one_agent_per_gp(self):
+        gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
+        with pytest.raises(ValueError, match="one seed and one agent per GP"):
+            sample_trajectories([gp, gp], 4, [1])
+        with pytest.raises(ValueError, match="one seed and one agent per GP"):
+            sample_trajectories([gp], 4, [1], ["a", "b"])
+
+    def test_no_gps_no_sets(self):
+        crowd = sample_trajectories([], 5, [])
+        assert len(crowd) == 0 and crowd.m == 0
+
+    def test_gps_of_one_call_share_steps_and_dim(self):
+        planar = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
+        for other in (PreferenceGP(make_grid(steps=3), np.zeros((3, 1)), np.eye(3)),
+                      PreferenceGP(make_grid(steps=4), np.zeros((4, 2)), np.eye(4))):
+            with pytest.raises(ValueError, match="one \\(steps, dim\\)"):
+                sample_trajectories([planar, other], 4, [1, 2])
+
+    def test_a_schedule_wider_than_one_product_takes_several(self, monkeypatch):
+        monkeypatch.setattr(distnav.gp, "_PRODUCT_COLUMNS", 10)
+        gp = PreferenceGP(make_grid(steps=4), np.zeros((4, 2)), np.eye(4) * 0.5)
+        with mock.patch.object(distnav.gp, "_lower_product", wraps=distnav.gp._lower_product) as product:
+            crowd = sample_trajectories([gp] * 7, 3, list(range(7)))
+        assert product.call_count == 3  # three agents, three agents, one agent
+        for k, s in enumerate(crowd):
+            assert s.trajectories.tobytes() == sample_trajectories([gp], 3, [k])[0].trajectories.tobytes()
+
+    def test_a_non_finite_mean_is_refused(self):
+        gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
+        gp.mean[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_trajectories([gp], 4, [1])
+
+
+def _failing_cholesky(fails):
+    """A stand-in for ``cholesky`` that fails its first ``fails`` calls, and
+    the list of every matrix it was given."""
+    seen = []
+    real = distnav.gp.cholesky
+
+    def chol(mat, lower):
+        seen.append(mat.copy())
+        if len(seen) <= fails:
+            raise np.linalg.LinAlgError("forced")
+        return real(mat, lower=lower)
+
+    return chol, seen
+
+
+def _escalation(first, base, tries):
+    """The jitters an escalation tries, by its own arithmetic."""
+    jits = [first]
+    for _ in range(tries - 1):
+        jits.append(base if jits[-1] == 0.0 else 10.0 * jits[-1])
+    return jits
+
+
+class TestJitterEscalation:
+    OBS = [Observation(0.0, (0.0, 0.0), 0.01), Observation(1.2, (1.0, 0.5), 0.01)]
+
+    def gram(self, kp):
+        t = np.array([o.t for o in self.OBS])
+        return distnav.gp._se_kernel(t, t, kp) + np.diag([o.noise_var for o in self.OBS])
+
+    def test_fit_escalates_from_the_kernel_jitter(self):
+        kp = KernelParams(jitter=1e-6)
+        chol, seen = _failing_cholesky(2)
+        with mock.patch.object(distnav.gp, "cholesky", chol):
+            fit_preference(self.OBS, make_grid(steps=4), kp)
+        jits = _escalation(kp.jitter, kp.jitter, 3)
+        assert len(seen) == 3
+        for mat, jit in zip(seen, jits):
+            assert np.array_equal(mat, self.gram(kp) + jit * np.eye(2))
+
+    def test_fit_gives_up_after_four_tries(self):
+        kp = KernelParams(jitter=1e-6)
+        chol, seen = _failing_cholesky(100)
+        with mock.patch.object(distnav.gp, "cholesky", chol):
+            with pytest.raises(NumericalError) as exc:
+                fit_preference(self.OBS, make_grid(steps=4), kp)
+        assert len(seen) == 4
+        last = 10.0 * _escalation(kp.jitter, kp.jitter, 4)[-1]
+        assert str(exc.value).startswith(f"singular Gram matrix after jitter escalation to {last:g} (cond ~ ")
+
+    def test_sample_factor_escalates_from_zero(self):
+        cov = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), cov, jitter=1e-9)
+        chol, seen = _failing_cholesky(2)
+        with mock.patch.object(distnav.gp, "cholesky", chol):
+            sample_trajectories([gp], 4, [0])
+        jits = _escalation(0.0, gp.jitter, 3)
+        assert len(seen) == 3
+        for mat, jit in zip(seen, jits):
+            assert np.array_equal(mat, gp.cov + jit * np.eye(3))
+
+    def test_sample_factor_gives_up_after_five_tries(self):
+        gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3), jitter=1e-9)
+        chol, seen = _failing_cholesky(100)
+        with mock.patch.object(distnav.gp, "cholesky", chol):
+            with pytest.raises(NumericalError) as exc:
+                sample_trajectories([gp], 4, [0])
+        assert len(seen) == 5
+        last = 10.0 * _escalation(0.0, gp.jitter, 5)[-1]
+        assert str(exc.value).startswith(f"Cholesky failed after jitter escalation to {last:g} (cond ~ ")
 
 
 class TestMoments1d:

@@ -1,0 +1,55 @@
+"""tools/runlog_digest.py: which lines ``--expect`` gates, checked without making the runs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "runlog_digest.py"
+LINES = {"total": "a" * 64, "human": "b" * 64, "oracle": "c" * 64}
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    """The tool as a module, its runs replaced by three fixed hashes.
+
+    Importing it pins BLAS threads in the environment, puts ``src/`` and
+    ``bench/`` on the path and imports the benchmark's modules; all three are
+    undone afterwards.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("runlog_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "digests", lambda: dict(LINES))
+    yield module
+    for name in set(sys.modules) - before:
+        if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == TOOL.parents[1] / "bench":
+            del sys.modules[name]
+
+
+class TestExpect:
+    def test_a_wrong_oracle_hash_exits_1_and_names_that_line(self, tool, capsys):
+        assert tool.main(["--expect", LINES["total"], LINES["human"], "d" * 64]) == 1
+        err = capsys.readouterr().err
+        assert f"oracle {LINES['oracle']} differs from the expected {'d' * 64}" in err
+        assert "total" not in err and "human" not in err
+
+    def test_every_differing_line_is_named(self, tool, capsys):
+        assert tool.main(["--expect", "x", "y"]) == 1
+        err = capsys.readouterr().err
+        assert "total" in err and "human" in err and "oracle" not in err
+
+    @pytest.mark.parametrize("given", [0, 1, 2, 3])
+    def test_matching_hashes_exit_0(self, tool, given):
+        expect = list(LINES.values())[:given]
+        assert tool.main(["--expect", *expect] if expect else []) == 0
+
+    def test_more_than_three_hashes_refused(self, tool):
+        with pytest.raises(SystemExit) as exc:
+            tool.main(["--expect", *LINES.values(), "d" * 64])
+        assert exc.value.code == 2

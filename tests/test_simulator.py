@@ -57,7 +57,7 @@ class TestReplan:
 
         grid = cfg.grid_at(0.0)
         gp = fit_preference(_robot_observations(robot, history[-1], cfg, 0.0), grid, cfg.kernel)
-        ss = sample_trajectories(gp, cfg.samples_per_agent, _sample_seed(3, 0, -1), agent=-1)
+        ss = sample_trajectories([gp], cfg.samples_per_agent, [_sample_seed(3, 0, -1)], [-1])[0]
         expected = select_optimal([ss], {-1: gp})[-1]
         assert np.array_equal(res.robot_plan.states, expected.states)
 
@@ -90,6 +90,28 @@ class TestReplan:
         for pid, pred in res.predictions.items():
             sep = np.linalg.norm(plan - pred.states, axis=1).min()
             assert sep >= 2 * cfg.collision.sigma, f"ped {pid} separation {sep}"
+
+    def test_selects_only_the_robot_and_the_critical_pedestrians(self, monkeypatch):
+        import distnav.engine as engine
+
+        cfg = FAST_PLANNER
+        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (10.0, 0.0), ROBOT)
+        peds = [
+            AgentState(1, (8.0, 0.3), (-1.3, 0.0), (0.0, 0.3), REPLAY),
+            AgentState(2, (8.0, -0.3), (-1.3, 0.0), (0.0, -0.3), REPLAY),
+            AgentState(3, (30.0, 30.0), (0.0, 1.0), (30.0, 40.0), REPLAY),
+            AgentState(4, (-20.0, 15.0), (-1.0, 0.0), (-30.0, 15.0), REPLAY),
+        ]
+        world = WorldState(2.0, [robot, *peds])
+        history = {a.id: constant_velocity_history(a, a.vel, 2.0, cfg) for a in [robot, *peds]}
+        calls = []
+        real = engine.log_densities
+        monkeypatch.setattr(engine, "log_densities", lambda gp, traj: calls.append(gp) or real(gp, traj))
+        res = replan(world, history, cfg, seed=11, frame=5)
+        assert res.critical == [-1, 1, 2]
+        assert len(calls) == len(res.critical)
+        assert res.predictions.keys() == set(res.critical[1:])
+        assert set(res.scores) == {1, 2, 3, 4}
 
     def test_same_seed_same_plan(self):
         cfg = FAST_PLANNER

@@ -1,6 +1,6 @@
 """Fingerprint the run logs of three fixed closed-loop runs.
 
-    python3 tools/runlog_digest.py [--expect TOTAL]
+    python3 tools/runlog_digest.py [--expect TOTAL [HUMAN [ORACLE]]]
 
 Runs, under ``--no-timing`` and into a temporary directory:
 
@@ -16,10 +16,12 @@ from a ``--human-baseline`` replay of the same plaza file (seed 7, 4 partial
 runs, m=100), and of the sample weights after the benchmark's
 ``oracle1d_large_m`` solve of seed 7 (the inputs of its timed rounds); no run
 log covers either. A change meant to leave the program's outputs alone must
-leave all three unchanged. With ``--expect TOTAL`` the
-command still prints every line, then exits 1 when the total differs from
-TOTAL. Uses the checkout's own ``src/`` and ``bench/`` and pins BLAS to one
-thread, as the benchmark does.
+leave all three unchanged. With ``--expect TOTAL [HUMAN [ORACLE]]`` the
+command still prints every line, then exits 1 when any line given differs:
+the total from TOTAL, the human-baseline line from HUMAN, the oracle line
+from ORACLE; each line that differs is named on stderr. Uses the checkout's
+own ``src/`` and ``bench/`` and pins BLAS to one thread, as the benchmark
+does.
 """
 
 import os
@@ -42,6 +44,10 @@ import distnav.cli  # noqa: E402
 import workloads  # noqa: E402
 
 
+# the lines --expect can gate, in the order it takes their hashes
+GATED = ("total", "human", "oracle")
+
+
 def _distnav(*argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = distnav.cli.main([str(a) for a in argv])
@@ -59,10 +65,8 @@ def oracle_weights_digest() -> str:
     return digest.hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--expect", metavar="TOTAL", help="exit 1 unless the total is TOTAL")
-    args = parser.parse_args(argv)
+def digests() -> dict:
+    """Make the three runs and print every line; returns the three gated hashes."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         inputs = tmp / "inputs"
@@ -89,14 +93,26 @@ def main(argv=None) -> int:
         human = tmp / "human"
         _distnav("replay", "--dataset", plaza.plaza, "--limit", 4, "--m", 100, "--seed", 7,
                  "--out", human, "--jobs", 1, "--no-timing", "--human-baseline")
-        print(f"{hashlib.sha256((human / 'human_report.json').read_bytes()).hexdigest()}  "
-              "human_report.json (replay --human-baseline)")
-    print(f"{oracle_weights_digest()}  oracle1d_large_m seed 7 weights")
-    if args.expect is not None and total.hexdigest() != args.expect:
-        print(f"runlog_digest: total {total.hexdigest()} differs from the expected {args.expect}",
-              file=sys.stderr)
-        return 1
-    return 0
+        human_digest = hashlib.sha256((human / "human_report.json").read_bytes()).hexdigest()
+        print(f"{human_digest}  human_report.json (replay --human-baseline)")
+    oracle = oracle_weights_digest()
+    print(f"{oracle}  oracle1d_large_m seed 7 weights")
+    return {"total": total.hexdigest(), "human": human_digest, "oracle": oracle}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", nargs="+", metavar="HASH",
+                        help="TOTAL [HUMAN [ORACLE]]: exit 1 unless each line given matches")
+    args = parser.parse_args(argv)
+    expect = args.expect or []
+    if len(expect) > len(GATED):
+        parser.error("--expect takes at most three hashes: TOTAL [HUMAN [ORACLE]]")
+    got = digests()
+    differ = [(name, want) for name, want in zip(GATED, expect) if got[name] != want]
+    for name, want in differ:
+        print(f"runlog_digest: {name} {got[name]} differs from the expected {want}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
