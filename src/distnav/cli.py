@@ -2,7 +2,8 @@
 
 ``replay`` and ``simulate`` share one batch runner. An episode that raises is
 reported on stderr and in its ``run_NNNN.summary.json`` (``"outcome":
-"error"``, no CSV); the other episodes are still written and aggregated.
+"error"``, no CSV); the other episodes are still written and aggregated,
+and the batch report lists each failed run's error under ``errors``.
 
 Exit codes: 0 success; 1 numerical failure at runtime, or an episode failed
 (the rest were written); 2 configuration or input error.
@@ -181,7 +182,8 @@ def _attempt(worker, payload):
 
 def _run_batch(out: Path, jobs: int, worker, payloads, thresholds, no_timing: bool):
     """Run ``worker(*payload)`` per payload; write and classify each completed run.
-    Returns the completed logs and their classifications in payload order."""
+    Returns the completed logs and their classifications in payload order, and
+    the error of each failed run by run name."""
     run = partial(_attempt, worker)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -189,10 +191,11 @@ def _run_batch(out: Path, jobs: int, worker, payloads, thresholds, no_timing: bo
     else:
         results = [run(p) for p in payloads]
 
-    logs, classifications = [], []
+    logs, classifications, errors = [], [], {}
     for k, result in enumerate(results):
         csv_path, summary_path = out / f"run_{k:04d}.csv", out / f"run_{k:04d}.summary.json"
         if isinstance(result, dict):
+            errors[f"run_{k:04d}"] = result["error"]
             print(f"run_{k:04d}: {result['error']}", file=sys.stderr)
             csv_path.unlink(missing_ok=True)  # a stale CSV would pair with this summary
             summary_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
@@ -200,7 +203,15 @@ def _run_batch(out: Path, jobs: int, worker, payloads, thresholds, no_timing: bo
         write_runlog(result, csv_path, summary_path, not no_timing)
         logs.append(result)
         classifications.append(_classification(result, thresholds, no_timing))
-    return logs, classifications
+    return logs, classifications, errors
+
+
+def _write_report(path: Path, report: dict, errors: dict) -> None:
+    """Write a batch report as sorted JSON, with an ``errors`` key (run name ->
+    error) only when a run failed, so error-free reports keep their bytes."""
+    if errors:
+        report = {**report, "errors": errors}
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_replay(args) -> int:
@@ -223,14 +234,14 @@ def cmd_replay(args) -> int:
     out = _out_dir(cfg)
     planner_cfg = cfg.planner_config()
     payloads = [(ds, p, planner_cfg, cfg.replay, cfg.seed + k) for k, p in enumerate(partials)]
-    logs, classifications = _run_batch(
+    logs, classifications, errors = _run_batch(
         out, args.jobs, run_replay, payloads, cfg.thresholds, args.no_timing
     )
     if not logs:
         return 1  # every episode failed; each summary holds its error
 
     report = aggregate(classifications)
-    (out / "metrics_report.json").write_text(report.to_json())
+    _write_report(out / "metrics_report.json", report.to_dict(), errors)
     table = report.to_table("distnav")
 
     if args.human_baseline:
@@ -258,7 +269,7 @@ def cmd_simulate(args) -> int:
     scenario = cfg.scenario_config()
     planner_cfg = cfg.planner_config()
     payloads = [(scenario, planner_cfg, cfg.seed + k) for k in range(args.runs)]
-    logs, classifications = _run_batch(
+    logs, classifications, errors = _run_batch(
         out, args.jobs, run_interactive, payloads, cfg.thresholds, args.no_timing
     )
     if not logs:
@@ -277,7 +288,7 @@ def cmd_simulate(args) -> int:
         ),
         "metrics": report.to_dict(),
     }
-    (out / "simulation_report.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_report(out / "simulation_report.json", summary, errors)
     print(report.to_table("distnav"), end="")
     print(
         f"{summary['arrived']}/{len(logs)} arrived, {summary['collisions']} collision runs, "

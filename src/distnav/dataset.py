@@ -11,6 +11,7 @@ replays everyone else verbatim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,12 +73,19 @@ class TrajectoryDataset:
 
 def load_dataset(path, frame_period: float | None = None) -> TrajectoryDataset:
     """Parse a dataset file; malformed records or negative pedestrian ids raise
-    ConfigError with the line number."""
+    ConfigError with the line number, and so do a file that cannot be read
+    and a frame period that is not a positive number of seconds."""
     path = Path(path)
     if frame_period is None:
         frame_period = _sidecar_frame_period(path)
+    if not (0 < frame_period < math.inf):
+        raise ConfigError(f"{path}: frame period must be positive and finite, got {frame_period}")
+    try:
+        fh = path.open()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
     rows = []
-    with path.open() as fh:
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -116,10 +124,19 @@ def load_dataset(path, frame_period: float | None = None) -> TrajectoryDataset:
 
 def _sidecar_frame_period(path: Path) -> float:
     sidecar = path.with_suffix(path.suffix + ".meta.yaml")
-    if sidecar.exists():
+    if not sidecar.exists():
+        return DEFAULT_FRAME_PERIOD
+    try:
         meta = yaml.safe_load(sidecar.read_text()) or {}
-        return float(meta.get("frame_period_s", DEFAULT_FRAME_PERIOD))
-    return DEFAULT_FRAME_PERIOD
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {sidecar}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{sidecar}: top level must be a mapping")
+    value = meta.get("frame_period_s", DEFAULT_FRAME_PERIOD)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{sidecar}: frame_period_s must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)

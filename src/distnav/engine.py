@@ -33,6 +33,20 @@ from there. When every set is 1D and single-step and the largest pair has
 more than _DENSE_CACHE_ENTRIES entries, :func:`solve` applies each pair as a
 :class:`~distnav.collision.GaussTransform` and a column stacks those
 operators: the sweeps only need ``@`` and ``.T``.
+
+Entries of v below the floor F = _WEIGHT_FLOOR are zeroed, in the seed pass
+and after each update. Weights fall that far within a few sweeps, and a
+penalty times such a weight is a subnormal product, on which x86 BLAS takes a
+slow path. Only the operand changes: the weights keep their exact values.
+With peak the kernel's largest penalty, a dropped term is at most peak * F,
+so gamma_hat moves by at most M * peak * F. A gamma_hat of magnitude at least
+2^53 * M * peak * F absorbs that in its rounding; below it, low and gamma are
+both so small that |low - gamma| < 2^-54 and exp(shift) is exactly 1 either
+way. So the weights are bit-identical with and without the floor, and J and
+sum KL can differ only where they are below about 1e-230. (The absorption
+argument is made on the sum; a BLAS sum forms partial sums, and a dropped term
+could move one across a rounding boundary. tests/test_engine.py checks the
+weights and traces bit for bit on a solve driven far into underflow.)
 """
 
 from __future__ import annotations
@@ -73,6 +87,8 @@ FIXED_POINT_KL = 1e-12
 # Solves whose largest pair has more matrix entries than this (200 MB of
 # float64) take the Gauss transform when their sets allow it.
 _DENSE_CACHE_ENTRIES = 25_000_000
+# Entries of the product operand w / m below this are zeroed (module docstring).
+_WEIGHT_FLOOR = 1e-250
 
 
 @dataclass(frozen=True)
@@ -183,10 +199,11 @@ class PenaltyCache:
 
 
 def _seed(sets: Sequence[SampleSet], cache: PenaltyCache) -> tuple[np.ndarray, np.ndarray]:
-    """v, every agent's w / m concatenated, and ``later`` for it: in the rows
-    of each agent, the terms of every agent after it, added in ascending
-    order as a sweep adds them."""
+    """v, every agent's w / m concatenated with entries below the floor
+    zeroed, and ``later`` for it: in the rows of each agent, the terms of
+    every agent after it, added in ascending order as a sweep adds them."""
     v = np.concatenate([s.weights / s.m for s in sets])
+    v[v < _WEIGHT_FLOOR] = 0.0
     later = np.zeros(v.size)
     for j in range(1, cache.n):
         e, f = cache.edges[j], cache.edges[j + 1]
@@ -207,23 +224,13 @@ def _current_gamma(i: int, sets: Sequence[SampleSet], cache: PenaltyCache) -> np
     return _gamma(i, cache, *_seed(sets, cache))[0]
 
 
-def gamma_hat(
-    i: int,
-    y: int,
-    sets: Sequence[SampleSet],
-    cache: PenaltyCache,
-    updated: frozenset | set = frozenset(),
-) -> float:
+def gamma_hat(i: int, y: int, sets: Sequence[SampleSet], cache: PenaltyCache) -> float:
     """Monte Carlo collision exposure of sample y of agent i.
 
-    Agents listed in ``updated`` must already carry their new weights; all
-    others contribute pre-sweep weights. Since weights are updated in place,
-    the estimate reads everyone's current weights, through the sweep's own
-    column products and seed pass: the value is bit-identical to what a
-    sweep applies.
+    Reads everyone's current weights (agents updated earlier in a sweep
+    already carry their new ones) through the sweep's own column products
+    and seed pass: the value is bit-identical to what a sweep applies.
     """
-    if i in updated:
-        raise ValueError(f"agent {i} cannot condition on its own update")
     return float(_current_gamma(i, sets, cache)[y])
 
 
@@ -289,6 +296,7 @@ def _sweep(sets, cache, v, later) -> tuple[float, int, float]:
         later[e:f] = 0.0
         kl, z = _reweight(k, sets, gamma)
         vk = np.divide(sets[k].weights, sets[k].m, out=v[e:f])
+        vk[vk < _WEIGHT_FLOOR] = 0.0
         jc += float(vk @ earlier)
         later[:e] += cache.column(k) @ vk
         kl_sum += kl
@@ -296,16 +304,9 @@ def _sweep(sets, cache, v, later) -> tuple[float, int, float]:
     return kl_sum, zeros, jc
 
 
-def sweep(
-    sets: Sequence[SampleSet],
-    kernel: CollisionKernel,
-    cache: PenaltyCache,
-) -> tuple[float, float]:
-    """Update every agent once, in index order; returns (KL sum, objective after).
-
-    The objective is read off the sweep's own products, so ``kernel`` is not
-    used; it is kept so that callers name the problem they sweep.
-    """
+def sweep(sets: Sequence[SampleSet], cache: PenaltyCache) -> tuple[float, float]:
+    """Update every agent once, in index order; returns (KL sum, objective
+    after), the objective read off the sweep's own products."""
     kl_sum, _, jc = _sweep(sets, cache, *_seed(sets, cache))
     return kl_sum, jc
 

@@ -3,6 +3,8 @@ import json
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distnav.cli import main
 
@@ -130,6 +132,29 @@ class TestExitCodes:
         report = json.loads((out / "simulation_report.json").read_text())
         assert report["runs"] == 2
         assert report["metrics"]["runs"] == 2
+        assert report["errors"] == {"run_0001": "NumericalError: synthetic failure"}
+
+    def test_replay_report_lists_error_runs_only_when_there_are_some(
+        self, dataset, tmp_path, fast_config, monkeypatch
+    ):
+        import distnav.cli as cli
+
+        real = cli.run_replay
+
+        def flaky(ds, partial, planner_cfg, replay_cfg, seed):
+            if seed == 1:
+                raise ValueError("synthetic failure")
+            return real(ds, partial, planner_cfg, replay_cfg, seed)
+
+        args = ("replay", "--dataset", dataset, "--config", fast_config, "--limit", 2, "--seed", 0, "--no-timing")
+        assert run_cli(*args, "--out", tmp_path / "clean") == 0
+        clean = json.loads((tmp_path / "clean" / "metrics_report.json").read_text())
+        assert "errors" not in clean
+        monkeypatch.setattr(cli, "run_replay", flaky)
+        assert run_cli(*args, "--out", tmp_path / "failed") == 1
+        report = json.loads((tmp_path / "failed" / "metrics_report.json").read_text())
+        assert report.pop("errors") == {"run_0001": "ValueError: synthetic failure"}
+        assert report["runs"] == 1
 
 
 class TestEvolve1d:
@@ -330,3 +355,74 @@ class TestMetricsCommand:
 
     def test_missing_directory_exits_2(self, tmp_path):
         assert run_cli("metrics", "--logs", tmp_path / "nothere") == 2
+
+
+# Command-line text of a float: anything argparse's float() parses.
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["-0.0", "1e-300", "nan", "-inf"]),
+)
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """A dataset and the run logs of one replay of it, shared by every example."""
+    root = tmp_path_factory.mktemp("flags")
+    path = root / "ds.txt"
+    path.write_text("".join(f"{k} 1 {k * 0.52:.6f} 0.0\n{k} 2 {k * 0.52:.6f} 5.0\n" for k in range(58)))
+    (root / "fast.yaml").write_text("samples_per_agent: 20\n")
+    logs = root / "logs"
+    assert run_cli("replay", "--dataset", path, "--config", root / "fast.yaml", "--limit", 1, "--out", logs) == 0
+    return path, logs
+
+
+def exit_code(*args):
+    """main()'s exit code, also when argparse rejects a value (SystemExit)."""
+    try:
+        return run_cli(*args)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNumericFlags:
+    """No value of a numeric flag ends in a traceback: each is accepted (exit
+    0) or rejected as an input error (exit 2). ``replay --dry-run`` and
+    ``metrics`` run no episode."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        m=st.integers(-3, 2**70),
+        period=FLOATS,
+        limit=st.integers(-3, 5),
+        jobs=st.integers(-3, 4),
+    )
+    def test_replay_dry_run(self, flag_inputs, seed, m, period, limit, jobs):
+        dataset, logs = flag_inputs
+        code = exit_code(
+            "replay", "--dataset", dataset, "--dry-run", "--out", logs.parent / "unused",
+            "--seed", seed, "--m", m, "--frame-period", period, "--limit", limit, "--jobs", jobs,
+        )
+        assert code in (0, 2)
+
+    @pytest.mark.parametrize("period", ["0", "-0.4", "nan", "inf"])
+    def test_bad_frame_period_exits_2(self, flag_inputs, capsys, period):
+        dataset, _ = flag_inputs
+        assert run_cli("replay", "--dataset", dataset, "--dry-run", "--frame-period", period) == 2
+        assert "frame period must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["nothere.txt", "."])
+    def test_unreadable_dataset_path_exits_2(self, flag_inputs, where):
+        dataset, _ = flag_inputs
+        assert run_cli("replay", "--dataset", dataset.parent / where, "--dry-run") == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(collision=FLOATS, discomfort=FLOATS, freezing=FLOATS)
+    def test_metrics(self, flag_inputs, collision, discomfort, freezing):
+        _, logs = flag_inputs
+        code = exit_code(
+            "metrics", "--logs", logs, "--collision-dist", collision,
+            "--discomfort-dist", discomfort, "--freezing-ratio", freezing,
+        )
+        assert code in (0, 2)

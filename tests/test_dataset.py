@@ -78,6 +78,36 @@ class TestLoadDataset:
         assert load_dataset(path, frame_period=1.0).frame_period == 1.0
 
 
+    def test_missing_file_and_directory_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"nope\.txt: No such file"):
+            load_dataset(tmp_path / "nope.txt")
+        with pytest.raises(ConfigError, match="Is a directory"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("period", [0.0, -0.4, math.nan, math.inf])
+    def test_bad_explicit_frame_period_rejected(self, tmp_path, period):
+        path = write_dataset(tmp_path, ["0 1 0.0 0.0"])
+        with pytest.raises(ConfigError, match="frame period must be positive and finite"):
+            load_dataset(path, frame_period=period)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("frame_period_s: 0\n", "frame period must be positive"),
+            ("frame_period_s: -0.4\n", "frame period must be positive"),
+            ("frame_period_s: .nan\n", "frame period must be positive"),
+            ("frame_period_s: fast\n", "frame_period_s must be a number, got 'fast'"),
+            ("- 0.4\n", "top level must be a mapping"),
+            ("frame_period_s: [\n", "cannot parse"),
+        ],
+    )
+    def test_bad_sidecar_rejected(self, tmp_path, text, message):
+        path = write_dataset(tmp_path, ["0 1 0.0 0.0"])
+        (tmp_path / "ds.txt.meta.yaml").write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_dataset(path)
+
+
 class TestFrameIndex:
     @settings(max_examples=60, deadline=None)
     @given(

@@ -63,11 +63,11 @@ class TestGammaHat:
         cache = PenaltyCache(sets, UNIT_PEAK)
         assert gamma_hat(0, 0, sets, cache) == pytest.approx(0.5, abs=1e-12)
 
-    def test_conditioning_on_own_update_rejected(self):
+    def test_reads_the_weights_of_agents_already_updated(self):
         sets = hand_case_sets()
         cache = PenaltyCache(sets, UNIT_PEAK)
-        with pytest.raises(ValueError):
-            gamma_hat(0, 0, sets, cache, updated={0})
+        update_agent(0, sets, cache)
+        assert gamma_hat(1, 0, sets, cache) == pytest.approx(sets[0].weights[0] / 2, abs=1e-12)
 
 
 class TestUpdateAgent:
@@ -177,7 +177,7 @@ class TestSweep:
         ]
         kernel = CollisionKernel(10.0, 0.35)
         cache = PenaltyCache(sets, kernel)
-        kl_sum, jc = sweep(sets, kernel, cache)
+        kl_sum, jc = sweep(sets, cache)
         assert kl_sum < 1e-12
         assert jc < 1e-20
         for s in sets:
@@ -187,7 +187,7 @@ class TestSweep:
         sets = hand_case_sets()
         cache = PenaltyCache(sets, UNIT_PEAK)
         assert joint_expected_penalty(sets, UNIT_PEAK) == pytest.approx(0.25, abs=1e-12)
-        _, jc = sweep(sets, UNIT_PEAK, cache)
+        _, jc = sweep(sets, cache)
         assert jc == pytest.approx(0.25 * 0.7551 * 0.8135, abs=1e-3)
 
     def test_decrease_bounded_by_kl_sum(self):
@@ -196,7 +196,7 @@ class TestSweep:
             sets, kernel = random_instance(rng)
             cache = PenaltyCache(sets, kernel)
             before = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
-            kl_sum, after = sweep(sets, kernel, cache)
+            kl_sum, after = sweep(sets, cache)
             assert before - after >= kl_sum - 1e-9
 
 
@@ -438,7 +438,7 @@ class TestSufficientDecreaseProperty:
             cache = PenaltyCache(sets, kernel)
             jc = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
             for _ in range(3):
-                kl_sum, jc_next = sweep(sets, kernel, cache)
+                kl_sum, jc_next = sweep(sets, cache)
                 assert jc_next <= jc - kl_sum + 1e-9
                 if kl_sum > 1e-12:
                     assert jc_next < jc
@@ -581,7 +581,7 @@ class TestSweepProperties:
         applied = []
 
         def checked(i, current, gamma):
-            hat = [gamma_hat(i, y, current, cache, updated=set(range(i))) for y in range(current[i].m)]
+            hat = [gamma_hat(i, y, current, cache) for y in range(current[i].m)]
             applied.append(np.array(hat).tobytes() == gamma.tobytes())
             return real(i, current, gamma)
 
@@ -607,6 +607,61 @@ class TestSweepProperties:
         assert got == want
         for a, b in zip(ordered, permuted):
             assert np.array_equal(a.weights, b.weights)
+
+
+class TestWeightFloor:
+    """A heavy kernel drives weights below 1e-300 within ten sweeps; the
+    product operand drops them, the weights keep them."""
+
+    KERNEL = CollisionKernel(weight=200.0, sigma=0.5)
+    CONFIG = SolverConfig(epsilon=0.0, max_sweeps=10)
+
+    def deep_solve(self, seed):
+        sets = crowd_sets(seed, [20, 25, 30], 3, 2)
+        return sets, solve(sets, self.KERNEL, self.CONFIG)
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_solve_is_bit_identical_to_the_solve_without_floor(self, seed, monkeypatch):
+        sets, report = self.deep_solve(seed)
+        monkeypatch.setattr(engine, "_WEIGHT_FLOOR", 0.0)
+        bare_sets, bare = self.deep_solve(seed)
+        weights = np.concatenate([s.weights for s in sets])
+        assert np.any((weights > 0.0) & (weights < 1e-300))
+        assert weights.tobytes() == np.concatenate([s.weights for s in bare_sets]).tobytes()
+        assert report == bare  # objective and KL traces, J_0, sweeps, zero counts
+
+    def test_operand_holds_no_entry_below_the_floor(self):
+        def floored(sets):
+            exact = np.concatenate([s.weights / s.m for s in sets])
+            return np.where(exact < engine._WEIGHT_FLOOR, 0.0, exact)
+
+        def checked_seed(sets, cache):
+            v, later = real_seed(sets, cache)
+            seeded.append(np.array_equal(v, floored(sets)))
+            return v, later
+
+        def checked_sweep(sets, cache, v, later):
+            result = real_sweep(sets, cache, v, later)
+            swept.append(np.array_equal(v, floored(sets)))
+            return result
+
+        seeded, swept = [], []
+        real_seed, real_sweep = engine._seed, engine._sweep
+        with mock.patch.object(engine, "_seed", side_effect=checked_seed), \
+                mock.patch.object(engine, "_sweep", side_effect=checked_sweep):
+            self.deep_solve(0)
+        assert seeded == [True]
+        assert swept == [True] * 10
+
+    def test_weights_below_the_floor_keep_their_values(self):
+        sets, _ = self.deep_solve(0)
+        before = [s.weights.copy() for s in sets]
+        tiny = sum(np.count_nonzero((w > 0.0) & (w / w.size < engine._WEIGHT_FLOOR)) for w in before)
+        v, _ = engine._seed(sets, PenaltyCache(sets, self.KERNEL))
+        assert tiny > 0
+        assert np.count_nonzero(v == 0.0) == tiny + sum(np.count_nonzero(w == 0.0) for w in before)
+        for s, w in zip(sets, before):
+            assert s.weights.tobytes() == w.tobytes()
 
 
 def line_sets(seed, sizes):
