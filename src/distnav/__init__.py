@@ -23,7 +23,6 @@ from .engine import (
     select_optimal,
     solve,
     sweep,
-    update_agent,
 )
 from .config import ExperimentConfig, load_config
 from .dataset import PartialRun, TrajectoryDataset, extract_partials, load_dataset

@@ -154,7 +154,7 @@ def cmd_evolve1d(args) -> int:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
             draws = mu + s * rng.standard_normal(m)
             sets.append(SampleSet(k, grid, draws[:, None, None], np.ones(m)))
-        solve(sets, cfg.collision, SolverConfig(epsilon=0.0, max_sweeps=max(ev.sweeps, 1)))
+        solve(sets, cfg.collision, SolverConfig(epsilon=0.0, max_sweeps=max(ev.sweeps, 1), rtol=0.0))
         summary = {}
         for k, (gd, ss) in enumerate(zip(densities, sets)):
             summary[f"agent_{k}"] = ks_distance(gd, ss.trajectories[:, 0, 0], ss.weights)
@@ -206,12 +206,17 @@ def _run_batch(out: Path, jobs: int, worker, payloads, thresholds, no_timing: bo
     return logs, classifications, errors
 
 
-def _write_report(path: Path, report: dict, errors: dict) -> None:
-    """Write a batch report as sorted JSON, with an ``errors`` key (run name ->
-    error) only when a run failed, so error-free reports keep their bytes."""
+def _write_report(path: Path | None, report: dict, errors: dict) -> None:
+    """Write a batch report as sorted JSON, to stdout when ``path`` is None,
+    with an ``errors`` key (run name -> error) only when a run failed, so
+    error-free reports keep their bytes."""
     if errors:
         report = {**report, "errors": errors}
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        print(text, end="")
+    else:
+        path.write_text(text)
 
 
 def cmd_replay(args) -> int:
@@ -312,21 +317,25 @@ def cmd_metrics(args) -> int:
     logs_dir = Path(args.logs)
     if not logs_dir.is_dir():
         raise ConfigError(f"not a directory: {logs_dir}")
-    csvs = sorted(p for p in logs_dir.glob("run_*.csv"))
-    runs = []
-    for csv_path in csvs:
-        summary_path = csv_path.parent / (csv_path.stem + ".summary.json")
-        runs.append(read_runlog(csv_path, summary_path))
+    csvs = sorted(logs_dir.glob("run_*.csv"))
+    runs = [read_runlog(p, p.with_name(f"{p.stem}.summary.json")) for p in csvs]
+    errors = {}  # a failed run leaves only its summary, as _run_batch writes it
+    for summary_path in sorted(logs_dir.glob("run_*.summary.json")):
+        name = summary_path.name.removesuffix(".summary.json")
+        if (logs_dir / f"{name}.csv").exists():
+            continue
+        try:
+            summary = json.loads(summary_path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read run summary {summary_path}: {exc}") from None
+        if isinstance(summary, dict) and summary.get("outcome") == "error":
+            errors[name] = summary["error"]
     if not runs:
         raise ConfigError(f"no run logs found in {logs_dir}")
     classifications = [classify_run(r, r.human_length, thresholds) for r in runs]
-    report = aggregate(classifications)
-    text = report.to_json()
+    _write_report(args.out, aggregate(classifications).to_dict(), errors)
     if args.out:
-        Path(args.out).write_text(text)
         print(f"report written to {args.out}")
-    else:
-        print(text, end="")
     return 0
 
 

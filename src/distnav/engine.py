@@ -47,6 +47,15 @@ sum KL can differ only where they are below about 1e-230. (The absorption
 argument is made on the sum; a BLAS sum forms partial sums, and a dropped term
 could move one across a rounding boundary. tests/test_engine.py checks the
 weights and traces bit for bit on a solve driven far into underflow.)
+
+:func:`solve` stops once a sweep's KL sum is at most ``rtol`` times the
+objective J it leaves. The KL sum measures how far the sweep moved the
+weights, and the sufficient-decrease certificate J_k - J_{k+1} >= sum KL
+says the sweep lowered J by at least that much. A sweep whose weights moved
+by a KL of at most rtol * J is near a fixed point of the update, relative to
+the objective still at stake, and the solve reports ``converged``. Far-apart
+agents give sum KL = J = 0 and stop on the first sweep; ``rtol = 0`` stops
+only on a sweep that moved nothing and otherwise runs ``max_sweeps``.
 """
 
 from __future__ import annotations
@@ -74,7 +83,6 @@ __all__ = [
     "SolveReport",
     "PenaltyCache",
     "gamma_hat",
-    "update_agent",
     "sweep",
     "solve",
     "interaction_scores",
@@ -82,8 +90,6 @@ __all__ = [
     "select_optimal",
 ]
 
-# A sweep whose total KL falls below this is treated as a fixed point.
-FIXED_POINT_KL = 1e-12
 # Solves whose largest pair has more matrix entries than this (200 MB of
 # float64) take the Gauss transform when their sets allow it.
 _DENSE_CACHE_ENTRIES = 25_000_000
@@ -97,12 +103,15 @@ class SolverConfig:
 
     epsilon: float = 1e-3
     max_sweeps: int = 30
+    rtol: float = 1e-3  # stop once a sweep's KL sum is at most rtol times its objective
     critical_threshold: float = 0.01
     agent_order: tuple | None = None  # indices into the solve's set list
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.rtol) and self.rtol >= 0):
+            raise ValueError(f"rtol must be finite and >= 0, got {self.rtol}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
 
@@ -272,18 +281,6 @@ def _update_agent(
     return _reweight(i, sets, _current_gamma(i, sets, cache))
 
 
-def update_agent(
-    i: int,
-    sets: Sequence[SampleSet],
-    cache: PenaltyCache,
-    updated: set | frozenset = frozenset(),
-) -> float:
-    """Apply the closed-form reweighting to agent i; returns the KL divergence
-    of its sample distribution from before the update."""
-    kl, _ = _update_agent(i, sets, cache, set(updated))
-    return kl
-
-
 def _sweep(sets, cache, v, later) -> tuple[float, int, float]:
     """Update every agent once in index order; returns (KL sum, samples driven
     to zero weight, objective after the sweep). ``v`` is kept current, and
@@ -316,8 +313,15 @@ def solve(
     kernel: CollisionKernel,
     config: SolverConfig = SolverConfig(),
 ) -> SolveReport:
-    """Run sweeps until the objective drops below epsilon, a fixed point is
-    reached, or max_sweeps expires. Mutates the sets' weights in place.
+    """Run sweeps until the objective drops below epsilon, a sweep's KL sum
+    is at most ``rtol`` times its objective, or max_sweeps expires. Mutates
+    the sets' weights in place.
+
+    The second rule: a sweep lowers the objective by at least its KL sum
+    (J_k - J_{k+1} >= sum KL), and a sweep whose KL sum is at most
+    rtol * J moved the weights by a negligible amount relative to the
+    objective left, so it ends the solve (``terminated_by == "converged"``).
+    ``rtol = 0`` ends it only on a sweep that moved nothing.
 
     The sets are first put in ``config.agent_order``. The initial objective
     comes from the seed pass, each later one from its sweep's products.
@@ -360,8 +364,8 @@ def solve(
         if jc < config.epsilon:
             report.terminated_by = "objective_threshold"
             return report
-        if kl_sum < FIXED_POINT_KL:
-            report.terminated_by = "fixed_point"
+        if kl_sum <= config.rtol * jc:
+            report.terminated_by = "converged"
             return report
     report.terminated_by = "max_sweeps"
     return report

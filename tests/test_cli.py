@@ -96,6 +96,25 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("-0.001", "rtol must be finite and >= 0, got -0.001"),
+            (".nan", "rtol must be finite and >= 0, got nan"),
+            (".inf", "rtol must be finite and >= 0, got inf"),
+            ("-.inf", "rtol must be finite and >= 0, got -inf"),
+            ("x", "'rtol' must be a number, got 'x'"),
+            ("'1e-3'", "'rtol' must be a number, got '1e-3'"),
+        ],
+    )
+    def test_bad_solver_rtol_exits_2(self, tmp_path, monkeypatch, capsys, value, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"solver:\n  rtol: {value}\n")
+        assert run_cli("simulate", "--config", cfg, "--runs", 1) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_episode_keeps_the_rest_of_the_batch(
         self, tmp_path, fast_config, monkeypatch, capsys, jobs
@@ -334,6 +353,28 @@ class TestMetricsCommand:
         assert run_cli("metrics", "--logs", out) == 0
         recomputed = capsys.readouterr().out
         assert recomputed == (out / "metrics_report.json").read_text()
+
+    def test_reads_the_errors_of_failed_runs(self, dataset, tmp_path, fast_config, monkeypatch, capsys):
+        import distnav.cli as cli
+
+        real = cli.run_replay
+
+        def flaky(ds, partial, planner_cfg, replay_cfg, seed):
+            if seed == 1:
+                raise ValueError("synthetic failure")
+            return real(ds, partial, planner_cfg, replay_cfg, seed)
+
+        monkeypatch.setattr(cli, "run_replay", flaky)
+        out = tmp_path / "runs"
+        args = ("--config", fast_config, "--limit", 2, "--seed", 0, "--no-timing", "--out", out)
+        assert run_cli("replay", "--dataset", dataset, *args) == 1
+        inline = (out / "metrics_report.json").read_text()
+        assert '"errors"' in inline
+        capsys.readouterr()
+        assert run_cli("metrics", "--logs", out) == 0
+        assert capsys.readouterr().out == inline
+        assert run_cli("metrics", "--logs", out, "--out", tmp_path / "report.json") == 0
+        assert (tmp_path / "report.json").read_text() == inline
 
     def test_threshold_override_is_monotone(self, dataset, tmp_path, fast_config, capsys):
         out = tmp_path / "runs"

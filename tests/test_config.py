@@ -228,6 +228,15 @@ class TestPlannerAssembly:
 
 
 class TestDefaultDump:
+    def test_solver_schema(self):
+        assert default_config_dict()["solver"] == {
+            "epsilon": 1e-3,
+            "max_sweeps": 30,
+            "rtol": 1e-3,
+            "critical_threshold": 0.01,
+        }
+        assert "  rtol: 0.001\n" in dump_default_config()
+
     def test_dump_parses_and_round_trips(self):
         text = dump_default_config()
         data = yaml.safe_load(text)

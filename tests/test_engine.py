@@ -14,13 +14,13 @@ from distnav.collision import CollisionKernel, joint_expected_penalty
 from distnav.engine import (
     PenaltyCache,
     SolverConfig,
+    _update_agent,
     gamma_hat,
     interaction_scores,
     select_critical,
     select_optimal,
     solve,
     sweep,
-    update_agent,
 )
 from distnav.errors import NumericalError
 from distnav.gp import KernelParams, PreferenceGP, sample_trajectories
@@ -66,7 +66,7 @@ class TestGammaHat:
     def test_reads_the_weights_of_agents_already_updated(self):
         sets = hand_case_sets()
         cache = PenaltyCache(sets, UNIT_PEAK)
-        update_agent(0, sets, cache)
+        _update_agent(0, sets, cache, set())
         assert gamma_hat(1, 0, sets, cache) == pytest.approx(sets[0].weights[0] / 2, abs=1e-12)
 
 
@@ -77,16 +77,16 @@ class TestUpdateAgent:
         a = SampleSet("a", grid, rng.normal(size=(5, 3, 2)), np.ones(5))
         b = SampleSet("b", grid, 1000.0 + rng.normal(size=(5, 3, 2)), np.ones(5))
         cache = PenaltyCache([a, b], CollisionKernel(10.0, 0.35))
-        kl = update_agent(0, [a, b], cache)
+        kl, _ = _update_agent(0, [a, b], cache, set())
         assert kl == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(a.weights, 1.0)
 
     def test_hand_case_weights(self):
         sets = hand_case_sets()
         cache = PenaltyCache(sets, UNIT_PEAK)
-        update_agent(0, sets, cache)
+        _update_agent(0, sets, cache, set())
         assert np.allclose(sets[0].weights, [0.7551, 1.2449], atol=1e-4)
-        update_agent(1, sets, cache, updated={0})
+        _update_agent(1, sets, cache, {0})
         assert np.allclose(sets[1].weights, [0.8135, 1.1865], atol=1e-4)
 
     def test_normalization_after_update(self):
@@ -94,7 +94,7 @@ class TestUpdateAgent:
         for _ in range(20):
             sets, kernel = random_instance(rng)
             cache = PenaltyCache(sets, kernel)
-            update_agent(0, sets, cache)
+            _update_agent(0, sets, cache, set())
             assert abs(sets[0].weights.mean() - 1.0) < 1e-9
 
     def test_huge_penalty_update_is_exact(self):
@@ -105,11 +105,11 @@ class TestUpdateAgent:
         b = SampleSet("b", GRID1, states.copy(), np.ones(2))
         cache = PenaltyCache([a, b], kernel)
         assert gamma_hat(0, 0, [a, b], cache) > 1e7
-        assert update_agent(0, [a, b], cache) == 0.0
+        assert _update_agent(0, [a, b], cache, set()) == (0.0, 0)
         assert np.allclose(a.weights, 1.0, rtol=1e-15, atol=0.0)
         # one sample 6e7 above the other: exactly zero weight, KL exactly log 2
         a = SampleSet("a", GRID1, np.array([[[0.0, 0.0]], [[100.0, 0.0]]]), np.ones(2))
-        kl, zeroed = engine._update_agent(0, [a, b], PenaltyCache([a, b], kernel), set())
+        kl, zeroed = _update_agent(0, [a, b], PenaltyCache([a, b], kernel), set())
         assert a.weights.tolist() == [0.0, 2.0]
         assert kl == math.log(2.0)
         assert zeroed == 1
@@ -209,16 +209,19 @@ class TestSolve:
         assert report.terminated_by == "objective_threshold"
         assert report.initial_objective == pytest.approx(0.25, abs=1e-12)
 
-    def test_fixed_point_termination_when_no_interaction(self):
-        rng = np.random.default_rng(6)
+    def test_far_agents_converge_on_the_first_sweep(self):
+        # no penalty anywhere: sum KL = J = 0, which the relative rule takes even at rtol 0
         grid = TimeGrid(0.0, 0.4, 2)
-        sets = [
-            SampleSet(k, grid, 1e4 * k + rng.normal(size=(5, 2, 2)), np.ones(5))
-            for k in range(2)
-        ]
-        report = solve(sets, CollisionKernel(10.0, 0.35), SolverConfig(epsilon=0.0))
-        assert report.terminated_by == "fixed_point"
-        assert report.sweeps == 1
+        for rtol in (0.0, 1e-3):
+            rng = np.random.default_rng(6)
+            sets = [
+                SampleSet(k, grid, 1e4 * k + rng.normal(size=(5, 2, 2)), np.ones(5))
+                for k in range(2)
+            ]
+            report = solve(sets, CollisionKernel(10.0, 0.35), SolverConfig(epsilon=0.0, rtol=rtol))
+            assert report.terminated_by == "converged"
+            assert report.sweeps == 1
+            assert report.kl_trace == report.objective_trace == [0.0]
 
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(7)
@@ -289,8 +292,8 @@ class TestSolve:
         b = SampleSet("B", grid, np.zeros((2, 1, 1)), np.ones(2))
         psi = np.array([[1.0, 0.0], [0.0, 0.0]])
         cache = PenaltyCache.from_matrices(2, {(0, 1): psi})
-        update_agent(0, [a, b], cache)
-        update_agent(1, [a, b], cache, updated={0})
+        _update_agent(0, [a, b], cache, set())
+        _update_agent(1, [a, b], cache, {0})
         assert np.allclose(a.weights, [0.7551, 1.2449], atol=1e-4)
         assert np.allclose(b.weights, [0.8135, 1.1865], atol=1e-4)
 
@@ -614,7 +617,7 @@ class TestWeightFloor:
     product operand drops them, the weights keep them."""
 
     KERNEL = CollisionKernel(weight=200.0, sigma=0.5)
-    CONFIG = SolverConfig(epsilon=0.0, max_sweeps=10)
+    CONFIG = SolverConfig(epsilon=0.0, max_sweeps=10, rtol=0.0)  # all ten sweeps, however small their KL
 
     def deep_solve(self, seed):
         sets = crowd_sets(seed, [20, 25, 30], 3, 2)
@@ -662,6 +665,60 @@ class TestWeightFloor:
         assert np.count_nonzero(v == 0.0) == tiny + sum(np.count_nonzero(w == 0.0) for w in before)
         for s, w in zip(sets, before):
             assert s.weights.tobytes() == w.tobytes()
+
+
+def normalised(sets):
+    """The sets with each agent's weights scaled to mean 1, as the objective's
+    sufficient decrease assumes."""
+    for s in sets:
+        s.weights = s.weights * (s.m / s.weights.sum())
+    return sets
+
+
+class TestRelativeStop:
+    """A solve stops after the first sweep whose KL sum is at most rtol times
+    the objective it leaves."""
+
+    KERNEL = CollisionKernel(weight=50.0, sigma=0.5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])  # stops after 17, 20 and 4 sweeps
+    def test_stopped_solve_is_the_solve_of_that_many_sweeps(self, seed):
+        sets = normalised(crowd_sets(seed, [20, 25, 30], 3, 2))
+        stopped, fixed = copied(sets), copied(sets)
+        report = solve(stopped, self.KERNEL, SolverConfig(epsilon=0.0, rtol=1e-3))
+        assert report.terminated_by == "converged"
+        assert 1 < report.sweeps < 30
+        want = solve(fixed, self.KERNEL, SolverConfig(epsilon=0.0, max_sweeps=report.sweeps, rtol=0.0))
+        assert want.terminated_by == "max_sweeps"
+        assert report.objective_trace == want.objective_trace
+        assert report.kl_trace == want.kl_trace
+        assert report.initial_objective == want.initial_objective
+        assert report.zero_weights == want.zero_weights
+        for a, b in zip(stopped, fixed):
+            assert a.weights.tobytes() == b.weights.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 25), min_size=2, max_size=4),
+        steps=st.integers(1, 6),
+        dim=st.sampled_from([1, 2]),
+        weight=st.floats(0.5, 20.0),
+        rtol=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 0.1]),
+    )
+    def test_stops_at_the_first_sweep_under_rtol(self, seed, sizes, steps, dim, weight, rtol):
+        sets = normalised(crowd_sets(seed, sizes, steps, dim))
+        config = SolverConfig(epsilon=0.0, max_sweeps=30, rtol=rtol)
+        report = solve(sets, CollisionKernel(weight=weight, sigma=0.5), config)
+        below = [kl <= rtol * jc for kl, jc in zip(report.kl_trace, report.objective_trace)]
+        if report.terminated_by == "converged":
+            assert below == [False] * (report.sweeps - 1) + [True]
+        else:
+            assert report.terminated_by == "max_sweeps"
+            assert report.sweeps == 30 and not any(below)
+        trace = [report.initial_objective] + report.objective_trace
+        for (a, b), kl in zip(zip(trace, trace[1:]), report.kl_trace):
+            assert b <= a - kl + 1e-9
 
 
 def line_sets(seed, sizes):
