@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -186,6 +185,8 @@ def _run_batch(out: Path, jobs: int, worker, payloads, thresholds, no_timing: bo
     the error of each failed run by run name."""
     run = partial(_attempt, worker)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for --jobs > 1
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run, payloads))
     else:

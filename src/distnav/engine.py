@@ -108,10 +108,10 @@ class SolverConfig:
     agent_order: tuple | None = None  # indices into the solve's set list
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if not (math.isfinite(self.rtol) and self.rtol >= 0):
-            raise ValueError(f"rtol must be finite and >= 0, got {self.rtol}")
+        for name in ("epsilon", "rtol", "critical_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
 

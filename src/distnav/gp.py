@@ -19,16 +19,29 @@ of a schedule by its lower factor together, one factor column at a time in
 order; every agent's samples land in one read-only block that their sample
 sets view. A sample does not depend on who shares its product; for planar
 samples it is bit for bit ``einsum("ts,msd->mtd", low, z)``.
+
+The three LAPACK routines the GP needs (``dpotrf``, ``dpotrs``, ``dtrtrs``)
+come from scipy's own f2py extension ``scipy/linalg/_flapack``, loaded from
+its file. Importing any ``scipy.linalg`` module would first run that
+package's ``__init__``, which loads ``numpy.f2py``, ``numpy.testing`` and
+more and takes about half of a fresh ``import distnav.cli``. Each wrapper
+makes the LAPACK call that scipy's function makes for float64 input, with the
+same finiteness checks and errors, so the factors and solves are bit for bit
+scipy's: ``_cholesky`` is ``cholesky(a, lower=True)``, ``_cho_solve`` is
+``cho_solve((c, True), b)`` and ``_solve_lower`` is
+``solve_triangular(a, b, lower=True)``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import GridMismatchError, NumericalError
 from .grids import TimeGrid, Trajectory, require_same_grid
@@ -52,6 +65,61 @@ _MAX_JITTER_ESCALATIONS = 3
 # columns of one sampling product: a schedule's draws go through its factor in
 # runs this wide, whose operands stay within a core's cache
 _PRODUCT_COLUMNS = 1024
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, loaded from its file so that the
+    ``scipy.linalg`` package's ``__init__`` does not run."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("distnav needs scipy")
+    folder = Path(scipy.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.exists():
+            loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", str(path))
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"no LAPACK extension _flapack in {folder}")
+
+
+_flapack = _load_flapack()
+
+
+def _cholesky(a) -> np.ndarray:
+    """scipy's ``cholesky(a, lower=True)``: the potrf call of its ``_cholesky``."""
+    c, info = _flapack.dpotrf(np.atleast_2d(np.asarray_chkfinite(a)), lower=True, clean=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return c
+
+
+def _cho_solve(c, b) -> np.ndarray:
+    """scipy's ``cho_solve((c, True), b)``: the potrs call of its ``_cho_solve``."""
+    b, c = np.asarray_chkfinite(b), np.asarray_chkfinite(c)
+    x, info = _flapack.dpotrs(c, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _solve_lower(a, b) -> np.ndarray:
+    """scipy's ``solve_triangular(a, b, lower=True)``: the trtrs call of its
+    ``_solve_triangular``, which solves the transposed upper system when ``a``
+    is not F-contiguous."""
+    a, b = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
+    if a.flags.f_contiguous:
+        x, info = _flapack.dtrtrs(a, b, lower=True, trans=0)
+    else:
+        x, info = _flapack.dtrtrs(a.T, b, lower=False, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 @dataclass(frozen=True)
@@ -204,7 +272,7 @@ def _cholesky_psd(mat, base_jitter: float, from_zero=True, what="Cholesky failed
     jit = 0.0 if from_zero else base_jitter
     for _ in range(_MAX_JITTER_ESCALATIONS + 1 + from_zero):
         try:
-            return cholesky(mat + jit * eye, lower=True)
+            return _cholesky(mat + jit * eye)
         except np.linalg.LinAlgError:
             jit = base_jitter if jit == 0.0 else 10.0 * jit
     cond = float(np.linalg.cond(mat + jit * eye))
@@ -263,7 +331,7 @@ def fit_preference(
     post = shared.get(key)
     if post is None:
         post = shared[key] = _fit_posterior(t_obs, noise, grid, kp)
-    alpha = cho_solve((post.gram_low, True), y)  # (n, dim)
+    alpha = _cho_solve(post.gram_low, y)  # (n, dim)
     mean = post.k_star.T @ alpha  # (steps, dim)
     return PreferenceGP(grid, mean, post.cov, jitter=kp.jitter, _post=post)
 
@@ -276,7 +344,7 @@ def _fit_posterior(
     low = _cholesky_psd(gram, kp.jitter, from_zero=False, what="singular Gram matrix")
     t_grid = grid.times()
     k_star = _se_kernel(t_obs, t_grid, kp)  # (n, steps)
-    v = solve_triangular(low, k_star, lower=True)  # (n, steps)
+    v = _solve_lower(low, k_star)  # (n, steps)
     cov = _se_kernel(t_grid, t_grid, kp) - v.T @ v
     cov = 0.5 * (cov + cov.T) + kp.jitter * np.eye(grid.steps)
     return _Posterior(_checked_cov(cov, grid.steps), kp.jitter, low, k_star)
@@ -346,7 +414,7 @@ def log_density(gp: PreferenceGP, f: Trajectory) -> float:
     steps = gp.grid.steps
     low, log_det_half = gp._posterior().density_factor()
     resid = f.states - gp.mean  # (steps, dim)
-    z = solve_triangular(low, resid, lower=True)
+    z = _solve_lower(low, resid)
     total = 0.0
     for axis in range(gp.dim):
         total += -0.5 * float(z[:, axis] @ z[:, axis]) - log_det_half - 0.5 * steps * _LOG_2PI
@@ -365,7 +433,7 @@ def log_densities(gp: PreferenceGP, trajectories: np.ndarray) -> np.ndarray:
         )
     low, log_det_half = gp._posterior().density_factor()
     resid = (traj - gp.mean[None]).transpose(1, 0, 2).reshape(steps, m * dim)
-    z = solve_triangular(low, resid, lower=True).reshape(steps, m, dim)
+    z = _solve_lower(low, resid).reshape(steps, m, dim)
     quad = np.einsum("tmd,tmd->m", z, z)
     return -0.5 * quad - dim * (log_det_half + 0.5 * steps * _LOG_2PI)
 

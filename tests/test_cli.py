@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distnav
 from distnav.cli import main
 
 
@@ -37,6 +42,17 @@ def assert_same_files(a, b):
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_start_up_leaves_out_what_the_planner_does_not_use():
+    # scipy.linalg's __init__ (and the numpy.f2py it loads) and the process
+    # pool were once half of a fresh start-up
+    unwanted = ["scipy.linalg", "numpy.f2py", "concurrent.futures.process"]
+    code = f"import sys, distnav.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    src = str(Path(distnav.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestPrintConfig:
@@ -113,6 +129,17 @@ class TestExitCodes:
         cfg.write_text(f"solver:\n  rtol: {value}\n")
         assert run_cli("simulate", "--config", cfg, "--runs", 1) == 2
         assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
+
+    @pytest.mark.parametrize("field", ["epsilon", "critical_threshold"])
+    @pytest.mark.parametrize("value, shown", [(".nan", "nan"), (".inf", "inf"), ("-0.001", "-0.001")])
+    def test_bad_solver_threshold_exits_2(self, tmp_path, monkeypatch, capsys, field, value, shown):
+        # a nan threshold never fires: no objective ends a solve, no pedestrian is critical
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"solver:\n  {field}: {value}\n")
+        assert run_cli("simulate", "--config", cfg, "--runs", 1) == 2
+        assert f"{field} must be finite and >= 0, got {shown}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
 
     @pytest.mark.parametrize("jobs", [1, 2])

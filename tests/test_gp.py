@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 import distnav.gp
 from distnav.errors import GridMismatchError, NumericalError
@@ -14,6 +14,8 @@ from distnav.gp import (
     Observation,
     PreferenceGP,
     augment_with_goal,
+    _cho_solve,
+    _cholesky,
     _cholesky_psd,
     _lower_product,
     fit_preference,
@@ -21,6 +23,7 @@ from distnav.gp import (
     log_density,
     moments_1d,
     sample_trajectories,
+    _solve_lower,
 )
 from distnav.grids import TimeGrid, Trajectory
 
@@ -265,7 +268,7 @@ class TestSharedPosterior:
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-18)
         group = schedule_group(4, 3, ["zero_noise_duplicates"] * 3, 2)
         shared = {}
-        with mock.patch.object(distnav.gp, "cholesky", wraps=distnav.gp.cholesky) as chol:
+        with mock.patch.object(distnav.gp, "_cholesky", wraps=distnav.gp._cholesky) as chol:
             fit_preference(group[0], grid, kp, shared)
             assert chol.call_count > 1  # the first jitter is lost to rounding
             first = chol.call_count
@@ -278,7 +281,7 @@ class TestSharedPosterior:
         grid = make_grid()
         group = schedule_group(9, 9, ["same"] * 5, dim)
         shared = {}
-        with mock.patch.object(distnav.gp, "cholesky", wraps=distnav.gp.cholesky) as chol:
+        with mock.patch.object(distnav.gp, "_cholesky", wraps=distnav.gp._cholesky) as chol:
             gps = [fit_preference(obs, grid, KernelParams(), shared) for obs in group]
         assert chol.call_count == 1
         assert len(shared) == 1
@@ -430,16 +433,16 @@ class TestBatchSampling:
 
 
 def _failing_cholesky(fails):
-    """A stand-in for ``cholesky`` that fails its first ``fails`` calls, and
+    """A stand-in for ``_cholesky`` that fails its first ``fails`` calls, and
     the list of every matrix it was given."""
     seen = []
-    real = distnav.gp.cholesky
+    real = distnav.gp._cholesky
 
-    def chol(mat, lower):
+    def chol(mat):
         seen.append(mat.copy())
         if len(seen) <= fails:
             raise np.linalg.LinAlgError("forced")
-        return real(mat, lower=lower)
+        return real(mat)
 
     return chol, seen
 
@@ -462,7 +465,7 @@ class TestJitterEscalation:
     def test_fit_escalates_from_the_kernel_jitter(self):
         kp = KernelParams(jitter=1e-6)
         chol, seen = _failing_cholesky(2)
-        with mock.patch.object(distnav.gp, "cholesky", chol):
+        with mock.patch.object(distnav.gp, "_cholesky", chol):
             fit_preference(self.OBS, make_grid(steps=4), kp)
         jits = _escalation(kp.jitter, kp.jitter, 3)
         assert len(seen) == 3
@@ -472,7 +475,7 @@ class TestJitterEscalation:
     def test_fit_gives_up_after_four_tries(self):
         kp = KernelParams(jitter=1e-6)
         chol, seen = _failing_cholesky(100)
-        with mock.patch.object(distnav.gp, "cholesky", chol):
+        with mock.patch.object(distnav.gp, "_cholesky", chol):
             with pytest.raises(NumericalError) as exc:
                 fit_preference(self.OBS, make_grid(steps=4), kp)
         assert len(seen) == 4
@@ -483,7 +486,7 @@ class TestJitterEscalation:
         cov = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
         gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), cov, jitter=1e-9)
         chol, seen = _failing_cholesky(2)
-        with mock.patch.object(distnav.gp, "cholesky", chol):
+        with mock.patch.object(distnav.gp, "_cholesky", chol):
             sample_trajectories([gp], 4, [0])
         jits = _escalation(0.0, gp.jitter, 3)
         assert len(seen) == 3
@@ -493,12 +496,74 @@ class TestJitterEscalation:
     def test_sample_factor_gives_up_after_five_tries(self):
         gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3), jitter=1e-9)
         chol, seen = _failing_cholesky(100)
-        with mock.patch.object(distnav.gp, "cholesky", chol):
+        with mock.patch.object(distnav.gp, "_cholesky", chol):
             with pytest.raises(NumericalError) as exc:
                 sample_trajectories([gp], 4, [0])
         assert len(seen) == 5
         last = 10.0 * _escalation(0.0, gp.jitter, 5)[-1]
         assert str(exc.value).startswith(f"Cholesky failed after jitter escalation to {last:g} (cond ~ ")
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+class TestLapackWrappers:
+    """The LAPACK wrappers against the scipy functions they mirror."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 25),
+        order=st.sampled_from("CF"),
+        rhs=st.sampled_from([(), (1,), (3,)]),
+        ridge=st.floats(-10, 1),
+    )
+    def test_each_wrapper_is_scipys_bit_for_bit(self, seed, n, order, rhs, ridge):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        spd = np.asarray(a @ a.T + 10.0**ridge * np.eye(n), order=order)
+        b = rng.standard_normal((n, *rhs))
+        low = _cholesky(spd)
+        assert _same(low, cholesky(spd, lower=True))
+        factor = np.asarray(low, order=order)
+        assert factor.flags.f_contiguous == (order == "F" or n == 1)
+        assert _same(_cho_solve(factor, b), cho_solve((factor, True), b))
+        assert _same(_solve_lower(factor, b), solve_triangular(factor, b, lower=True))
+
+    def test_not_positive_definite_raises_linalgerror_as_scipy(self):
+        mat = np.array([[1.0, 2.0], [2.0, 1.0]])
+        ours = _raised(lambda: _cholesky(mat))
+        assert ours is _raised(lambda: cholesky(mat, lower=True)) is np.linalg.LinAlgError
+        singular, b = np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2)
+        ours = _raised(lambda: _solve_lower(singular, b))
+        assert ours is _raised(lambda: solve_triangular(singular, b, lower=True)) is np.linalg.LinAlgError
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_non_finite_input_raises_valueerror_as_scipy(self, bad, where):
+        mat = np.array([[2.0, 0.0], [1.0, 3.0]])
+        b = np.ones((2, 1))
+        if where == "matrix":
+            mat[1, 0] = bad
+        else:
+            b[0, 0] = bad
+        calls = [
+            (lambda: _cho_solve(mat, b), lambda: cho_solve((mat, True), b)),
+            (lambda: _solve_lower(mat, b), lambda: solve_triangular(mat, b, lower=True)),
+        ]
+        if where == "matrix":
+            calls.append((lambda: _cholesky(mat), lambda: cholesky(mat, lower=True)))
+        for ours, scipys in calls:
+            assert _raised(ours) is _raised(scipys) is ValueError
 
 
 class TestMoments1d:
