@@ -33,7 +33,6 @@ from .gp import (
     PreferenceGP,
     augment_with_goal,
     fit_preference,
-    log_density,
     moments_1d,
     sample_trajectories,
 )

@@ -55,11 +55,15 @@ cost more in operands (d + 2 floats per column and step) than it saves.
 For 1D single-step sets the penalty matrix is a Gaussian kernel matrix, and
 :class:`GaussTransform` applies it to a weight vector in O(m) time and memory
 with no matrix at all (a 1D fast Gauss transform), to within
-1e-13 * peak * sum|w| of the dense product.
+1e-13 * peak * sum|w| of the dense product. It takes its rows as
+:func:`penalty_matrix` does, a set or a list of sets stacked, so a solve's
+pair cache holds one transform per column (every earlier agent against one
+agent), and a sweep of n agents takes 2(n - 1) transform products.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -75,7 +79,6 @@ __all__ = [
     "penalty_matrix",
     "penalty_row",
     "GaussTransform",
-    "gauss_transforms",
     "expected_penalty",
     "joint_expected_penalty",
 ]
@@ -297,21 +300,24 @@ class _Expansion:
 
 
 class _Boxes:
-    """One 1D sample set sorted once into the expansion's boxes.
+    """A 1D sample set, or a list of them stacked one after another, sorted
+    once into the expansion's boxes.
 
     Only boxes that hold samples are kept. ``powers[y, n]`` is t^n / sqrt(n!)
     for the y-th sample in sorted order, t its offset from its box centre in
-    units of h: it forms the set's moments as a source and evaluates its
+    units of h: it forms the samples' moments as a source and evaluates their
     Taylor coefficients as a target.
     """
 
-    def __init__(self, s: SampleSet, exp: _Expansion):
-        if s.grid.steps != 1 or s.dim != 1:
-            raise ValueError(f"the Gauss transform needs 1D single-step sets, got "
-                             f"{s.grid.steps} steps of dim {s.dim}")
-        x = s.trajectories[:, 0, 0]
+    def __init__(self, a: SampleSet | Sequence[SampleSet], exp: _Expansion):
+        sets = [a] if isinstance(a, SampleSet) else list(a)
+        for s in sets:
+            if s.grid.steps != 1 or s.dim != 1:
+                raise ValueError(f"the Gauss transform needs 1D single-step sets, got "
+                                 f"{s.grid.steps} steps of dim {s.dim}")
+        x = np.concatenate([s.trajectories[:, 0, 0] for s in sets])
         self.m = x.size
-        self.index = np.argsort(x, kind="stable")  # the set's index of each sorted sample
+        self.index = np.argsort(x, kind="stable")  # the stacked index of each sorted sample
         x = x[self.index]
         keys = np.floor(x / exp.width)  # exact: the width is a power of two
         if not np.abs(keys).max() < 2.0**52:
@@ -325,21 +331,26 @@ class _Boxes:
 
 
 class GaussTransform:
-    """The penalty matrix of two 1D single-step sample sets as an operator.
+    """The penalty matrix of 1D single-step sample sets as an operator.
 
-    ``op @ w`` equals ``penalty_matrix(a, b, kernel) @ w`` to within
-    1e-13 * kernel.peak(1) * sum|w| (see :meth:`_Expansion.of`) and ``op.T``
-    applies the transpose, with no matrix: a product forms each source box's
-    Hermite moments of the weights, translates them into Taylor coefficients
-    of every target box within the cutoff (one fixed matrix per box offset),
-    and evaluates those at the targets. A product takes O(m p) time for the
-    m samples and O(boxes K p^2) for the translations, where boxes counts only
+    ``GaussTransform(a, b, kernel)`` stands for ``penalty_matrix(a, b,
+    kernel)``, ``a`` a set or a list of sets stacked as rows: ``op @ w``
+    equals the dense product to within 1e-13 * kernel.peak(1) * sum|w| (see
+    :meth:`_Expansion.of`) and ``op.T``, built on first use, applies the
+    transpose, with no matrix. A product forms each source box's Hermite
+    moments of the weights, translates them into Taylor coefficients of every
+    target box within the cutoff (one fixed matrix per box offset), and
+    evaluates those at the targets. A product takes O(m p) time for the m
+    samples and O(boxes K p^2) for the translations, where boxes counts only
     boxes that hold samples and K is the cutoff in boxes; memory is
-    O(m p + boxes K), whatever the sets' spread. Build the operators of a list
-    of sets with :func:`gauss_transforms`.
+    O(m p + boxes K), whatever the sets' spread.
     """
 
-    def __init__(self, targets: _Boxes, sources: _Boxes, exp: _Expansion, transpose=None):
+    def __init__(self, a: SampleSet | Sequence[SampleSet], b: SampleSet, kernel: CollisionKernel):
+        exp = _Expansion.of(kernel)
+        self._link(_Boxes(a, exp), _Boxes(b, exp), exp)
+
+    def _link(self, targets: _Boxes, sources: _Boxes, exp: _Expansion) -> None:
         self._targets, self._sources, self._exp = targets, sources, exp
         self.shape = (targets.m, sources.m)
         # near[c, K + delta]: the source box delta boxes below target box c, or
@@ -348,7 +359,14 @@ class GaussTransform:
         pos = np.searchsorted(sources.ids, want)
         hit = sources.ids[np.minimum(pos, sources.ids.size - 1)] == want
         self._near = np.where(hit, pos, sources.ids.size)
-        self.T = transpose if transpose is not None else GaussTransform(sources, targets, exp, self)
+
+    @functools.cached_property
+    def T(self) -> "GaussTransform":
+        """The transpose, sharing the boxes; it holds no link back, so a
+        dropped transform is freed without the cyclic garbage collector."""
+        op = GaussTransform.__new__(GaussTransform)
+        op._link(self._sources, self._targets, self._exp)
+        return op
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         src, tgt, p = self._sources, self._targets, self._exp.order
@@ -362,18 +380,6 @@ class GaussTransform:
         out = np.empty(tgt.m)
         out[tgt.index] = np.einsum("yn,yn->y", tgt.powers, local[tgt.box_of])
         return out
-
-
-def gauss_transforms(sets: Sequence[SampleSet], kernel: CollisionKernel) -> dict:
-    """:class:`GaussTransform` of every pair (i, j), i < j, of 1D single-step
-    sets; each set is sorted and boxed once."""
-    exp = _Expansion.of(kernel)
-    boxes = [_Boxes(s, exp) for s in sets]
-    return {
-        (i, j): GaussTransform(boxes[i], boxes[j], exp)
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-    }
 
 
 def expected_penalty(

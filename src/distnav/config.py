@@ -8,6 +8,7 @@ so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -91,23 +92,10 @@ _SECTION_TYPES = {
     "evolve1d": Evolve1dConfig,
 }
 _SCALAR_KEYS = ("seed", "samples_per_agent", "out")
-# planner-local fields; the rest of PlannerConfig comes from shared sections
-_PLANNER_KEYS = (
-    "horizon_steps",
-    "dt",
-    "robot_speed",
-    "max_speed",
-    "history_window",
-    "obs_noise_var",
-    "current_obs_noise_var",
-    "goal_noise_var",
-    "ped_waypoint_noise_var",
-)
 # composite fields fed from other sections, not settable directly
 _EXCLUDED_FIELDS = {
     "planner": {"samples_per_agent", "kernel", "collision", "solver"},
     "scenario": {"sfm"},
-    "solver": {"agent_order"},
 }
 
 
@@ -129,21 +117,35 @@ def _check_types(where: str, cls, data: dict) -> None:
             raise ConfigError(f"{where}'{f.name}' must be {kind}, got {value!r}")
 
 
+def _check_finite(where: str, data: dict) -> None:
+    """Every float given, alone or in a list, is finite: no field means
+    anything by nan or inf."""
+    for key, value in data.items():
+        values = value if isinstance(value, (list, tuple)) else (value,)
+        if any(type(v) is float and not math.isfinite(v) for v in values):
+            raise ConfigError(f"{where}'{key}' must be finite, got {value!r}")
+
+
 def _build_section(name: str, cls, data: dict):
     allowed = {f.name for f in fields(cls)} - _EXCLUDED_FIELDS.get(name, set())
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in section '{name}': {sorted(map(str, unknown))}")
-    _check_types(f"section '{name}': ", cls, data)
+    where = f"section '{name}': "
+    _check_types(where, cls, data)
     coerced = {}
     for key, value in data.items():
         if isinstance(value, list):
             value = tuple(value)
         coerced[key] = value
     try:
-        return cls(**coerced)
+        section = cls(**coerced)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section '{name}': {exc}") from None
+    # after the section's own checks, so that a bound they state is what a
+    # non-finite value reports
+    _check_finite(where, data)
+    return section
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:

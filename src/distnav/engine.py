@@ -1,9 +1,9 @@
 """Sequential iterative variational solver over weighted trajectory samples.
 
-One sweep visits every agent in index order (:func:`solve` first puts its
-sets in ``agent_order``). Each agent reweights its samples by exp(-gamma_hat),
-where gamma_hat estimates the expected collision exposure of each sample
-against all other agents: agents earlier in the order contribute their fresh
+One sweep visits every agent in index order; callers order the sets they
+pass. Each agent reweights its samples by exp(-gamma_hat), where gamma_hat
+estimates the expected collision exposure of each sample against all other
+agents: agents earlier in the order contribute their fresh
 weights, later agents their pre-sweep weights. This is an exact coordinate
 update of the coupled objective restricted to the sample support, so every
 full sweep decreases the joint expected penalty by at least the sum of
@@ -30,9 +30,10 @@ roundings each and M - 1 additions in any order, so it is within
 gamma_{M+1} = (M+1)u / (1 - (M+1)u), u = 2^-53, of its exact value, relative;
 tests/test_engine.py bounds every update of a solve against a per-pair update
 from there. When every set is 1D and single-step and the largest pair has
-more than _DENSE_CACHE_ENTRIES entries, :func:`solve` applies each pair as a
-:class:`~distnav.collision.GaussTransform` and a column stacks those
-operators: the sweeps only need ``@`` and ``.T``.
+more than _DENSE_CACHE_ENTRIES entries, :class:`PenaltyCache` holds each
+column as one :class:`~distnav.collision.GaussTransform` of the same sets
+instead: the sweeps only need ``@`` and ``.T``, so a sweep of n agents takes
+2(n - 1) transform products and the seed pass n - 1.
 
 Entries of v below the floor F = _WEIGHT_FLOOR are zeroed, in the seed pass
 and after each update. Weights fall that far within a few sweeps, and a
@@ -68,7 +69,7 @@ import numpy as np
 
 from .collision import (
     CollisionKernel,
-    gauss_transforms,
+    GaussTransform,
     joint_expected_penalty,  # noqa: F401  (bench/layers.py traces it under this module)
     penalty_matrix,
     penalty_row,
@@ -99,13 +100,12 @@ _WEIGHT_FLOOR = 1e-250
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Termination and ordering knobs for :func:`solve`."""
+    """Termination knobs for :func:`solve`."""
 
     epsilon: float = 1e-3
     max_sweeps: int = 30
     rtol: float = 1e-3  # stop once a sweep's KL sum is at most rtol times its objective
     critical_threshold: float = 0.01
-    agent_order: tuple | None = None  # indices into the solve's set list
 
     def __post_init__(self):
         for name in ("epsilon", "rtol", "critical_threshold"):
@@ -132,43 +132,37 @@ class SolveReport:
         return self.objective_trace[-1] if self.objective_trace else self.initial_objective
 
 
-class _StackedColumn:
-    """Column j of a :meth:`PenaltyCache.from_matrices` cache: the pair
-    operators (i, j), i < j, stacked by rows, with ``@`` and ``.T @``."""
-
-    def __init__(self, parts: list, m: int, transposed: bool = False):
-        self._parts, self._m, self._transposed = parts, m, transposed
-        self._cuts = np.cumsum([part.shape[0] for part in parts[:-1]], dtype=int)
-
-    @property
-    def T(self) -> "_StackedColumn":
-        return _StackedColumn(self._parts, self._m, not self._transposed)
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        if self._transposed:
-            parts = zip(self._parts, np.split(v, self._cuts))
-            return sum((part.T @ x for part, x in parts), np.zeros(self._m))
-        return np.concatenate([np.zeros(0), *(part @ v for part in self._parts)])
-
-
 class PenaltyCache:
-    """Pairwise penalty matrices for a list of sample sets, built once and
-    read by columns.
+    """Pairwise penalties of a list of sample sets, built once and read by
+    columns.
 
-    Column j, the (e_j, m_j) block of every earlier agent against agent j, is
-    written by one penalty call that stacks the earlier agents' samples as
-    rows, into column j's stretch of one buffer that holds the whole cache.
-    Agent i owns rows ``edges[i]:edges[i + 1]`` of every later column: the
-    matrix of pair (i, j), a contiguous (m_i, m_j) view laid out as a call for
-    that pair alone lays it out, served transposed for the reverse order.
+    Column j is the (e_j, m_j) operator of every earlier agent, its samples
+    stacked as rows, against agent j; column 0 has no rows. Each is one call
+    of :func:`penalty_matrix`, written into column j's stretch of one buffer
+    that holds the whole cache. When the largest pair has more than
+    _DENSE_CACHE_ENTRIES entries and every set is 1D and single-step, each is
+    instead one :class:`~distnav.collision.GaussTransform` of the same sets,
+    in O(m) memory: the sweeps only need ``@`` and ``.T``. A larger solve of
+    any other shape still builds the dense float64 cache, however big; no
+    caller in this package makes one at its defaults (closed-loop replans
+    draw 100 samples per agent, and only ``--m`` above 5000 would).
+
+    In a dense cache agent i owns rows ``edges[i]:edges[i + 1]`` of every
+    later column: the matrix of pair (i, j), a contiguous (m_i, m_j) view
+    laid out as a call for that pair alone lays it out.
     """
 
     def __init__(self, sets: Sequence[SampleSet], kernel: CollisionKernel):
         sizes = [s.m for s in sets]
-        self._index(sizes)
+        self.n, self.edges = len(sizes), [0, *np.cumsum(sizes).tolist()]
+        if math.prod(sorted(sizes)[-2:]) > _DENSE_CACHE_ENTRIES and all(
+            s.grid.steps == 1 and s.dim == 1 for s in sets
+        ):
+            rest = (GaussTransform(sets[:j], sets[j], kernel) for j in range(1, self.n))
+            self._columns = [np.empty((0, sizes[0])), *rest]
+            return
         buffer = np.empty(sum(e * m for e, m in zip(self.edges, sizes)))
         self._columns = []
-        self._mats: dict[tuple[int, int], np.ndarray] = {}
         start = 0
         for j, m in enumerate(sizes):
             column = buffer[start : start + self.edges[j] * m].reshape(self.edges[j], m)
@@ -176,35 +170,20 @@ class PenaltyCache:
             self._columns.append(column)
             if j:
                 penalty_matrix(sets[:j], sets[j], kernel, out=column)
-                for i, mat in enumerate(np.split(column, self.edges[1:j])):
-                    self._mats[(i, j)] = mat
-
-    @classmethod
-    def from_matrices(cls, n: int, mats: Mapping[tuple, np.ndarray]) -> "PenaltyCache":
-        """Build from explicit pair operators keyed by (i, j) with i < j: arrays
-        (tests, oracles) or anything else with ``@``, ``.T`` and ``shape``."""
-        cache = cls.__new__(cls)
-        cache._mats = dict(mats)
-        sizes = [mats[(0, 1)].shape[0]] + [mats[(0, j)].shape[1] for j in range(1, n)]
-        cache._index(sizes)
-        cache._columns = [_StackedColumn([mats[(i, j)] for i in range(j)], m) for j, m in enumerate(sizes)]
-        return cache
-
-    def _index(self, sizes: list[int]) -> None:
-        self.n, self.edges = len(sizes), [0, *np.cumsum(sizes).tolist()]
 
     def column(self, j: int):
         """(e_j, m_j) matrix, or operator, of every earlier agent against agent j."""
         return self._columns[j]
 
     def get(self, i: int, j: int) -> np.ndarray:
-        """(m_i, m_j) matrix, or operator, of penalties between sets i and j."""
-        if i < j:
-            return self._mats[(i, j)]
-        return self._mats[(j, i)].T
+        """(m_i, m_j) matrix of penalties between sets i and j, from a dense cache."""
+        if i > j:
+            return self.get(j, i).T
+        return self._columns[j][self.edges[i] : self.edges[i + 1]]
 
     def pair_matrices(self) -> dict[tuple, np.ndarray]:
-        return dict(self._mats)
+        """The matrix of every pair (i, j), i < j, of a dense cache."""
+        return {(i, j): self.get(i, j) for j in range(self.n) for i in range(j)}
 
 
 def _seed(sets: Sequence[SampleSet], cache: PenaltyCache) -> tuple[np.ndarray, np.ndarray]:
@@ -323,31 +302,13 @@ def solve(
     objective left, so it ends the solve (``terminated_by == "converged"``).
     ``rtol = 0`` ends it only on a sweep that moved nothing.
 
-    The sets are first put in ``config.agent_order``. The initial objective
-    comes from the seed pass, each later one from its sweep's products.
-
-    Pairs are dense float64 matrices unless the largest has more than
-    _DENSE_CACHE_ENTRIES entries and every set is 1D and single-step: those
-    solves (the 1D oracle comparisons) apply each pair as a Gauss transform,
-    in O(m) memory. A larger solve of any other shape still builds the dense
-    float64 cache, however big; no caller in this package makes one at its
-    defaults (closed-loop replans draw 100 samples per agent, and only
-    ``--m`` above 5000 would)."""
+    The initial objective comes from the seed pass, each later one from its
+    sweep's products; :class:`PenaltyCache` decides how the pairs are held."""
     if len(sets) < 2:
         raise ValueError("solve needs at least 2 sample sets")
     for s in sets[1:]:
         require_same_grid(sets[0].grid, s.grid, "sample sets")
-    order = list(range(len(sets)) if config.agent_order is None else config.agent_order)
-    if sorted(order) != list(range(len(sets))):
-        raise ValueError(f"agent_order must be a permutation of 0..{len(sets) - 1}, got {order}")
-    sets = [sets[i] for i in order]
-    biggest = max(
-        sets[i].m * sets[j].m for i in range(len(sets)) for j in range(i + 1, len(sets))
-    )
-    if biggest > _DENSE_CACHE_ENTRIES and all(s.grid.steps == 1 and s.dim == 1 for s in sets):
-        cache = PenaltyCache.from_matrices(len(sets), gauss_transforms(sets, kernel))
-    else:
-        cache = PenaltyCache(sets, kernel)
+    cache = PenaltyCache(sets, kernel)
 
     v, later = _seed(sets, cache)
     report = SolveReport(sweeps=0, initial_objective=float(v @ later))

@@ -39,12 +39,12 @@ import importlib.util
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GridMismatchError, NumericalError
-from .grids import TimeGrid, Trajectory, require_same_grid
+from .grids import TimeGrid, Trajectory
 from .samples import CrowdSamples, SampleSet
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "augment_with_goal",
     "fit_preference",
     "sample_trajectories",
-    "log_density",
     "moments_1d",
 ]
 
@@ -283,10 +282,9 @@ def augment_with_goal(
     obs: Sequence[Observation],
     goal,
     goal_time: float,
-    waypoints: Iterable[tuple] = (),
     artificial_noise_var: float = 0.01,
 ) -> list[Observation]:
-    """Append the goal (and waypoints) as artificial observations, sorted by time.
+    """Append the goal as an artificial observation, sorted by time.
 
     ``goal_time`` must lie strictly after the latest real observation.
     """
@@ -297,10 +295,8 @@ def augment_with_goal(
             raise ValueError(
                 f"goal_time {goal_time} must be after the last observation at {last}"
             )
-    extra = [Observation(goal_time, tuple(np.atleast_1d(goal)), artificial_noise_var)]
-    for t, pos in waypoints:
-        extra.append(Observation(float(t), tuple(np.atleast_1d(pos)), artificial_noise_var))
-    return sorted(obs + extra, key=lambda o: o.t)
+    goal_obs = Observation(goal_time, tuple(np.atleast_1d(goal)), artificial_noise_var)
+    return sorted([*obs, goal_obs], key=lambda o: o.t)
 
 
 def fit_preference(
@@ -406,23 +402,9 @@ def sample_trajectories(
                          for k, gp in enumerate(gps)], block)
 
 
-def log_density(gp: PreferenceGP, f: Trajectory) -> float:
-    """Log-density of a trajectory under the GP (axes independent, shared cov)."""
-    require_same_grid(gp.grid, f.grid, "trajectory and GP")
-    if f.dim != gp.dim:
-        raise GridMismatchError(f"trajectory dim {f.dim} != GP dim {gp.dim}")
-    steps = gp.grid.steps
-    low, log_det_half = gp._posterior().density_factor()
-    resid = f.states - gp.mean  # (steps, dim)
-    z = _solve_lower(low, resid)
-    total = 0.0
-    for axis in range(gp.dim):
-        total += -0.5 * float(z[:, axis] @ z[:, axis]) - log_det_half - 0.5 * steps * _LOG_2PI
-    return total
-
-
 def log_densities(gp: PreferenceGP, trajectories: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`log_density` for a (m, steps, dim) trajectory batch."""
+    """Log-density of each trajectory of a (m, steps, dim) batch under the GP
+    (axes independent, shared covariance)."""
     traj = np.asarray(trajectories, dtype=float)
     if traj.ndim == 2:
         traj = traj[:, :, None]

@@ -30,15 +30,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.steps)
 
-    @property
-    def horizon(self) -> float:
-        """Time span covered by the grid, t0 to the last grid point."""
-        return self.dt * (self.steps - 1)
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.horizon
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -56,6 +56,13 @@ class PlannerConfig:
             raise ValueError("horizon_steps must be >= 2")
         if not (self.dt > 0 and self.robot_speed > 0 and self.max_speed > 0):
             raise ValueError("dt and speeds must be positive")
+        if self.history_window < 1:
+            raise ValueError(f"history_window must be >= 1, got {self.history_window}")
+        for name in ("obs_noise_var", "current_obs_noise_var", "goal_noise_var",
+                     "ped_waypoint_noise_var"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def grid_at(self, t0: float) -> TimeGrid:
         return TimeGrid(t0, self.dt, self.horizon_steps)

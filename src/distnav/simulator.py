@@ -60,6 +60,8 @@ class ScenarioConfig:
             raise ValueError("invalid scenario configuration")
         if self.sfm_substeps < 1 or self.time_cap_s <= 0:
             raise ValueError("invalid scenario configuration")
+        if not self.goal_tolerance > 0:
+            raise ValueError(f"goal_tolerance must be > 0, got {self.goal_tolerance}")
 
 
 def _advance_along_plan(robot: AgentState, plan, dt: float, max_speed: float) -> None:

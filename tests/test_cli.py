@@ -142,6 +142,34 @@ class TestExitCodes:
         assert f"{field} must be finite and >= 0, got {shown}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
 
+    @pytest.mark.parametrize(
+        "section, field, value, message",
+        [
+            ("planner", "history_window", "0", "history_window must be >= 1, got 0"),
+            ("planner", "history_window", "-2", "history_window must be >= 1, got -2"),
+            ("planner", "obs_noise_var", "-0.1", "obs_noise_var must be >= 0, got -0.1"),
+            ("planner", "obs_noise_var", ".nan", "obs_noise_var must be >= 0, got nan"),
+            ("planner", "goal_noise_var", "-0.1", "goal_noise_var must be >= 0, got -0.1"),
+            ("planner", "goal_noise_var", ".nan", "goal_noise_var must be >= 0, got nan"),
+            ("scenario", "time_cap_s", ".inf", "'time_cap_s' must be finite, got inf"),
+            ("scenario", "arena_radius", ".nan", "'arena_radius' must be finite, got nan"),
+            ("scenario", "goal_tolerance", "-1", "goal_tolerance must be > 0, got -1"),
+            ("gp", "length_scale", ".inf", "'length_scale' must be finite, got inf"),
+            ("collision", "sigma", ".inf", "'sigma' must be finite, got inf"),
+        ],
+    )
+    def test_out_of_range_config_value_exits_2(
+        self, tmp_path, monkeypatch, capsys, section, field, value, message
+    ):
+        # each once ran: a whole history, an empty one, every episode failing,
+        # a run that never arrives, or an infinite kernel taken as valid
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"{section}:\n  {field}: {value}\n")
+        assert run_cli("simulate", "--config", cfg, "--runs", 1) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_episode_keeps_the_rest_of_the_batch(
         self, tmp_path, fast_config, monkeypatch, capsys, jobs

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from distnav import collision
 from distnav.collision import (
     CollisionKernel,
+    GaussTransform,
     expected_penalty,
-    gauss_transforms,
     joint_expected_penalty,
     pairwise_penalty,
     penalty_matrix,
@@ -369,9 +371,10 @@ class TestGaussTransform:
         centre=st.floats(-1e4, 1e4),  # in units of sigma
         shared=st.floats(0.0, 1.0),
         kept=st.floats(0.0, 1.0),
+        cut=st.floats(0.0, 1.0),
     )
     def test_products_match_the_dense_matrix(
-        self, seed, ma, mb, sigma, log_spread, centre, shared, kept
+        self, seed, ma, mb, sigma, log_spread, centre, shared, kept, cut
     ):
         rng = np.random.default_rng(seed)
         spread = sigma * 10.0**log_spread
@@ -384,7 +387,10 @@ class TestGaussTransform:
         a = SampleSet(0, grid, xa[:, None, None], np.ones(ma))
         b = SampleSet(1, grid, xb[:, None, None], np.ones(mb))
         kernel = CollisionKernel(weight=float(rng.uniform(0.1, 20.0)), sigma=sigma)
-        op = gauss_transforms([a, b], kernel)[(0, 1)]
+        k = int(cut * ma)  # rows a list of two sets, stacked, when both are non-empty
+        rows = [SampleSet(2, grid, xa[:k, None, None], np.ones(k)),
+                SampleSet(3, grid, xa[k:, None, None], np.ones(ma - k))] if 0 < k < ma else a
+        op = GaussTransform(rows, b, kernel)
         mat = einsum_penalty(a.trajectories, b.trajectories, kernel)
         wa = rng.uniform(0.0, 2.0, ma) * (rng.random(ma) < kept)
         wb = rng.uniform(0.0, 2.0, mb) * (rng.random(mb) < kept)
@@ -397,10 +403,26 @@ class TestGaussTransform:
         rng = np.random.default_rng(0)
         a, b = drawn_sets(1, [3, 4], 2, 1, 1.0)
         with pytest.raises(ValueError, match="1D single-step"):
-            gauss_transforms([a, b], KERNEL)
+            GaussTransform(a, b, KERNEL)
         a, b = (sample_set(k, rng, 3) for k in range(2))
         with pytest.raises(ValueError, match="1D single-step"):
-            gauss_transforms([a, b], KERNEL)
+            GaussTransform([a], b, KERNEL)
+
+    def test_a_dropped_transform_and_its_transpose_are_freed(self):
+        # a large-m solve drops its transforms once it returns; a reference
+        # cycle between an operator and its transpose kept them until gc ran
+        a, b = drawn_sets(2, [50, 60], 1, 1, 1.0)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            op = GaussTransform(a, b, KERNEL)
+            refs = [weakref.ref(op), weakref.ref(op.T)]
+            assert op.T is op.T  # built once, then kept
+            del op
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestInteractionScoresProperties:

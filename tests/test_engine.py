@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import gaussian_kde
 
 from distnav import collision, engine
-from distnav.collision import CollisionKernel, joint_expected_penalty
+from distnav.collision import CollisionKernel, joint_expected_penalty, penalty_matrix
 from distnav.engine import (
     PenaltyCache,
     SolverConfig,
@@ -286,17 +286,6 @@ class TestSolve:
             assert np.all(np.isfinite(s.weights))
             assert s.weights.mean() == pytest.approx(1.0, rel=1e-15)
 
-    def test_explicit_matrix_cache_reproduces_hand_case(self):
-        grid = GRID_1D
-        a = SampleSet("A", grid, np.zeros((2, 1, 1)), np.ones(2))
-        b = SampleSet("B", grid, np.zeros((2, 1, 1)), np.ones(2))
-        psi = np.array([[1.0, 0.0], [0.0, 0.0]])
-        cache = PenaltyCache.from_matrices(2, {(0, 1): psi})
-        _update_agent(0, [a, b], cache, set())
-        _update_agent(1, [a, b], cache, {0})
-        assert np.allclose(a.weights, [0.7551, 1.2449], atol=1e-4)
-        assert np.allclose(b.weights, [0.8135, 1.1865], atol=1e-4)
-
     def test_determinism_bit_identical(self):
         def run():
             sets = gaussian_sets_1d([-1.0, 0.0, 1.0], sigma=0.5, m=400, seed=3)
@@ -313,14 +302,8 @@ class TestSolve:
             sets, kernel = random_instance(rng)
             n = len(sets)
             for _ in range(3):
-                order = tuple(rng.permutation(n).tolist())
-                copies = [
-                    SampleSet(s.agent, s.grid, s.trajectories, s.weights.copy())
-                    for s in sets
-                ]
-                report = solve(
-                    copies, kernel, SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order)
-                )
+                copies = copied([sets[i] for i in rng.permutation(n)])
+                report = solve(copies, kernel, SolverConfig(epsilon=0.0, max_sweeps=4))
                 trace = [report.initial_objective] + report.objective_trace
                 for (a, b), kl in zip(zip(trace, trace[1:]), report.kl_trace):
                     assert b <= a - kl + 1e-9
@@ -475,14 +458,14 @@ def gam(k):
     return k * U / (1 - k * U)
 
 
-def per_pair_gamma(i, sets, mats):
-    """gamma_hat of agent i from the pair matrices ``mats`` (i < j, served
+def per_pair_gamma(i, sets, kernel):
+    """gamma_hat of agent i from dense per-pair penalty matrices (i < j,
     transposed for j > i): (M_ij @ w_j) / m_j per partner, added in index order."""
     gamma = np.zeros(sets[i].m)
     for j in range(len(sets)):
         if j != i:
-            mat = mats[(i, j)] if i < j else mats[(j, i)].T
-            gamma += mat @ sets[j].weights / sets[j].m
+            mat = penalty_matrix(sets[min(i, j)], sets[max(i, j)], kernel)
+            gamma += (mat if i < j else mat.T) @ sets[j].weights / sets[j].m
     return gamma
 
 
@@ -499,9 +482,8 @@ class TestSweepProperties:
         kernel = CollisionKernel(weight=5.0, sigma=0.5)
         for order in itertools.permutations(range(len(sets))):
             for sweeps in (1, 2, 3):
-                run = copied(sets)
-                config = SolverConfig(epsilon=0.0, max_sweeps=sweeps, agent_order=order)
-                report = solve(run, kernel, config)
+                run = copied([sets[i] for i in order])
+                report = solve(run, kernel, SolverConfig(epsilon=0.0, max_sweeps=sweeps))
                 direct = joint_expected_penalty(run, kernel)
                 # abs_tol only matters where the objective itself nears underflow
                 assert math.isclose(report.objective_trace[-1], direct, rel_tol=1e-12, abs_tol=1e-300)
@@ -546,7 +528,7 @@ class TestSweepProperties:
         real = engine._reweight
 
         def checked(i, current, gamma):
-            want = per_pair_gamma(i, current, PenaltyCache(current, kernel).pair_matrices())
+            want = per_pair_gamma(i, current, kernel)
             n, m = len(current), current[i].m
             gap = 2 * gam(sum(sizes) - m + 1) / (1 - gam(sum(sizes) - m + 1)) * want
             if transform:
@@ -564,9 +546,9 @@ class TestSweepProperties:
             return result
 
         for order in itertools.permutations(range(len(sets))):
-            config = SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order)
+            config = SolverConfig(epsilon=0.0, max_sweeps=4)
             with mock.patch.object(engine, "_reweight", side_effect=checked) as updates:
-                report = run_solve(copied(sets), kernel, config)
+                report = run_solve(copied([sets[i] for i in order]), kernel, config)
             assert updates.call_count == report.sweeps * len(sets) > 0
 
     @settings(max_examples=25, deadline=None)
@@ -591,25 +573,6 @@ class TestSweepProperties:
         with mock.patch.object(engine, "_reweight", side_effect=checked):
             report = solve(sets, kernel, SolverConfig(epsilon=0.0, max_sweeps=3))
         assert applied == [True] * report.sweeps * len(sets)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        sizes=st.lists(st.integers(1, 25), min_size=2, max_size=5),
-        steps=st.integers(1, 6),
-        dim=st.sampled_from([1, 2]),
-        data=st.data(),
-    )
-    def test_agent_order_solves_the_permuted_sets(self, seed, sizes, steps, dim, data):
-        sets = crowd_sets(seed, sizes, steps, dim)
-        order = tuple(data.draw(st.permutations(range(len(sets)))))
-        kernel = CollisionKernel(weight=5.0, sigma=0.5)
-        ordered, permuted = copied(sets), copied(sets)
-        got = solve(ordered, kernel, SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order))
-        want = solve([permuted[i] for i in order], kernel, SolverConfig(epsilon=0.0, max_sweeps=4))
-        assert got == want
-        for a, b in zip(ordered, permuted):
-            assert np.array_equal(a.weights, b.weights)
 
 
 class TestWeightFloor:
@@ -735,11 +698,11 @@ def line_sets(seed, sizes):
 
 def transform_solve(sets, kernel, config):
     """solve() with the dense-cache threshold at 0, so 1D single-step sets take
-    the Gauss transform; checks that they did."""
+    the Gauss transform; checks that every column after the first did."""
     with mock.patch.object(engine, "_DENSE_CACHE_ENTRIES", 0), \
-            mock.patch.object(engine, "gauss_transforms", wraps=engine.gauss_transforms) as built:
+            mock.patch.object(engine, "GaussTransform", wraps=engine.GaussTransform) as built:
         report = solve(sets, kernel, config)
-    assert built.call_count == 1
+    assert built.call_count == len(sets) - 1
     return report
 
 
@@ -755,8 +718,8 @@ class TestGaussTransformSolves:
         sets = line_sets(seed, sizes)
         kernel = CollisionKernel(weight=weight, sigma=sigma)
         for order in itertools.permutations(range(len(sets))):
-            run = copied(sets)
-            report = transform_solve(run, kernel, SolverConfig(epsilon=0.0, max_sweeps=4, agent_order=order))
+            run = copied([sets[i] for i in order])
+            report = transform_solve(run, kernel, SolverConfig(epsilon=0.0, max_sweeps=4))
             prev = report.initial_objective
             for jc, kl in zip(report.objective_trace, report.kl_trace):
                 assert prev - jc >= kl - 1e-9 * max(1.0, abs(prev))
@@ -776,14 +739,14 @@ class TestGaussTransformSolves:
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
 
-    def test_ten_sweeps_of_three_agents_take_63_products(self):
-        # 3 for the seed pass, then 2 per partner of each agent per sweep
+    def test_ten_sweeps_of_three_agents_take_42_products(self):
+        # one per column after the first in the seed pass, then two per such column per sweep
         sets = gaussian_sets_1d([-1.0, 0.0, 1.0], sigma=0.5, m=500, seed=4)
         op = collision.GaussTransform
         with mock.patch.object(op, "__matmul__", autospec=True, side_effect=op.__matmul__) as calls:
             report = transform_solve(sets, CollisionKernel(10.0, 0.3), SolverConfig(epsilon=0.0, max_sweeps=10))
         assert report.sweeps == 10
-        assert calls.call_count == 63
+        assert calls.call_count == 42
 
     def test_memory_stays_far_below_the_dense_cache(self):
         # dense float64 pairs of 3 agents at m=3000 would take 3 * 72 MB

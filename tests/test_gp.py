@@ -20,7 +20,6 @@ from distnav.gp import (
     _lower_product,
     fit_preference,
     log_densities,
-    log_density,
     moments_1d,
     sample_trajectories,
     _solve_lower,
@@ -41,24 +40,15 @@ class TestAugmentWithGoal:
         assert out[-1].pos == (5.0, 0.0)
         assert [o.t for o in out] == sorted(o.t for o in out)
 
-    def test_empty_waypoints_adds_one(self):
-        obs = [Observation(0.0, (0.0, 0.0), 0.01)]
-        out = augment_with_goal(obs, (1.0, 1.0), 2.0, waypoints=[])
-        assert len(out) == len(obs) + 1
-
     def test_goal_before_last_observation_raises(self):
         obs = [Observation(0.4, (0.0, 0.0), 0.01)]
         with pytest.raises(ValueError):
             augment_with_goal(obs, (1.0, 0.0), 0.2)
 
-    def test_waypoints_carry_artificial_noise(self):
+    def test_goal_carries_artificial_noise(self):
         obs = [Observation(0.0, (0.0, 0.0), 0.01)]
-        out = augment_with_goal(
-            obs, (4.0, 0.0), 8.0, waypoints=[(4.0, (2.0, 0.0))], artificial_noise_var=0.25
-        )
-        added = [o for o in out if o.t > 0]
-        assert all(o.noise_var == 0.25 for o in added)
-        assert len(out) == 3
+        out = augment_with_goal(obs, (4.0, 0.0), 8.0, artificial_noise_var=0.25)
+        assert [o.noise_var for o in out] == [0.01, 0.25]
 
 
 class TestFitPreference:
@@ -166,36 +156,40 @@ class TestSampleTrajectories:
 
 
 class TestLogDensity:
+    @staticmethod
+    def log_density(gp, traj):
+        return log_densities(gp, traj.states[None])[0]
+
     def test_maximized_at_mean(self):
         grid = make_grid(steps=5)
         rng = np.random.default_rng(5)
         a = rng.normal(size=(5, 5))
         gp = PreferenceGP(grid, rng.normal(size=(5, 2)), a @ a.T + 0.1 * np.eye(5))
-        at_mean = log_density(gp, Trajectory(grid, gp.mean))
+        at_mean = self.log_density(gp, Trajectory(grid, gp.mean))
         for _ in range(20):
             other = Trajectory(grid, gp.mean + rng.normal(size=(5, 2)))
-            assert log_density(gp, other) <= at_mean
+            assert self.log_density(gp, other) <= at_mean
 
     def test_symmetric_offsets_equal(self):
         grid = make_grid(steps=3)
         gp = PreferenceGP(grid, np.zeros((3, 2)), np.diag([1.0, 2.0, 0.5]))
         off = np.array([[0.3, -0.1], [0.2, 0.4], [-0.5, 0.1]])
-        hi = log_density(gp, Trajectory(grid, off))
-        lo = log_density(gp, Trajectory(grid, -off))
+        hi = self.log_density(gp, Trajectory(grid, off))
+        lo = self.log_density(gp, Trajectory(grid, -off))
         assert abs(hi - lo) < 1e-9
 
     def test_unit_covariance_one_meter_drop(self):
         grid = TimeGrid(0.0, 1.0, 1)
         gp = PreferenceGP(grid, np.zeros((1, 2)), np.eye(1))
-        at_mean = log_density(gp, Trajectory(grid, np.zeros((1, 2))))
-        offset = log_density(gp, Trajectory(grid, np.array([[1.0, 0.0]])))
+        at_mean = self.log_density(gp, Trajectory(grid, np.zeros((1, 2))))
+        offset = self.log_density(gp, Trajectory(grid, np.array([[1.0, 0.0]])))
         assert abs((at_mean - offset) - 0.5) < 1e-12
 
     def test_grid_mismatch_raises(self):
         gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
-        other = Trajectory(make_grid(t0=1.0, steps=3), np.zeros((3, 2)))
+        other = Trajectory(make_grid(steps=4), np.zeros((4, 2)))
         with pytest.raises(GridMismatchError):
-            log_density(gp, other)
+            self.log_density(gp, other)
 
 
 # how an agent's observation schedule relates to the group's first one
@@ -313,7 +307,6 @@ class TestSharedPosterior:
             ref = reference_log_densities(gp, traj)
             for _ in range(2):  # the second call reads the kept factor
                 assert log_densities(gp, traj).tobytes() == ref.tobytes()
-            assert log_density(gp, Trajectory(grid, traj[0])) == pytest.approx(ref[0], rel=1e-12)
 
 
 class TestSamplingProduct:
