@@ -17,12 +17,10 @@ from .engine import (
     PenaltyCache,
     SolveReport,
     SolverConfig,
-    gamma_hat,
     interaction_scores,
     select_critical,
     select_optimal,
     solve,
-    sweep,
 )
 from .config import ExperimentConfig, load_config
 from .dataset import PartialRun, TrajectoryDataset, extract_partials, load_dataset
@@ -31,7 +29,6 @@ from .gp import (
     KernelParams,
     Observation,
     PreferenceGP,
-    augment_with_goal,
     fit_preference,
     moments_1d,
     sample_trajectories,

@@ -21,7 +21,7 @@ agent's rows ``later`` holds the terms of the agents after it at pre-sweep
 weights, so gamma_hat of k is earlier_k + later[rows of k]; rows once read
 are cleared and refilled for the next sweep. A seed pass, later[:e_j] +=
 col(j) @ v_j for ascending j, fills it first, in the order a sweep refills
-it, so :func:`gamma_hat` equals bit for bit what a sweep applies. It also
+it, so ``_current_gamma`` equals bit for bit what a sweep applies. It also
 gives J_0 = v . later; after a sweep, J = sum_k v_k' . earlier_k counts each
 pair once, at its later member.
 
@@ -83,8 +83,6 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "PenaltyCache",
-    "gamma_hat",
-    "sweep",
     "solve",
     "interaction_scores",
     "select_critical",
@@ -126,10 +124,6 @@ class SolveReport:
     terminated_by: str = "max_sweeps"
     initial_objective: float = math.nan
     zero_weights: int = 0  # samples the updates drove to zero weight
-
-    @property
-    def final_objective(self) -> float:
-        return self.objective_trace[-1] if self.objective_trace else self.initial_objective
 
 
 class PenaltyCache:
@@ -175,15 +169,10 @@ class PenaltyCache:
         """(e_j, m_j) matrix, or operator, of every earlier agent against agent j."""
         return self._columns[j]
 
-    def get(self, i: int, j: int) -> np.ndarray:
-        """(m_i, m_j) matrix of penalties between sets i and j, from a dense cache."""
-        if i > j:
-            return self.get(j, i).T
-        return self._columns[j][self.edges[i] : self.edges[i + 1]]
-
     def pair_matrices(self) -> dict[tuple, np.ndarray]:
         """The matrix of every pair (i, j), i < j, of a dense cache."""
-        return {(i, j): self.get(i, j) for j in range(self.n) for i in range(j)}
+        edges = self.edges
+        return {(i, j): self._columns[j][edges[i] : edges[i + 1]] for j in range(self.n) for i in range(j)}
 
 
 def _seed(sets: Sequence[SampleSet], cache: PenaltyCache) -> tuple[np.ndarray, np.ndarray]:
@@ -210,16 +199,6 @@ def _gamma(i: int, cache: PenaltyCache, v: np.ndarray, later: np.ndarray) -> tup
 def _current_gamma(i: int, sets: Sequence[SampleSet], cache: PenaltyCache) -> np.ndarray:
     """gamma_hat of agent i under everyone's current weights, formed as a sweep forms it."""
     return _gamma(i, cache, *_seed(sets, cache))[0]
-
-
-def gamma_hat(i: int, y: int, sets: Sequence[SampleSet], cache: PenaltyCache) -> float:
-    """Monte Carlo collision exposure of sample y of agent i.
-
-    Reads everyone's current weights (agents updated earlier in a sweep
-    already carry their new ones) through the sweep's own column products
-    and seed pass: the value is bit-identical to what a sweep applies.
-    """
-    return float(_current_gamma(i, sets, cache)[y])
 
 
 def _reweight(i: int, sets: Sequence[SampleSet], gamma: np.ndarray) -> tuple[float, int]:
@@ -278,13 +257,6 @@ def _sweep(sets, cache, v, later) -> tuple[float, int, float]:
         kl_sum += kl
         zeros += z
     return kl_sum, zeros, jc
-
-
-def sweep(sets: Sequence[SampleSet], cache: PenaltyCache) -> tuple[float, float]:
-    """Update every agent once, in index order; returns (KL sum, objective
-    after), the objective read off the sweep's own products."""
-    kl_sum, _, jc = _sweep(sets, cache, *_seed(sets, cache))
-    return kl_sum, jc
 
 
 def solve(

@@ -2,9 +2,18 @@
 
 Each agent's preference over future trajectories is the posterior of a GP
 fitted to its observed positions (per axis, squared-exponential kernel,
-independent x/y). The navigation goal and any waypoints enter as artificial
-observations so the posterior mean passes through them. Sampling the GP
-yields the weighted-sample representation the solver operates on.
+independent x/y). A goal enters as one more, artificial, observation.
+Sampling the GP yields the weighted-sample representation the solver
+operates on.
+
+The GP's prior mean is a line, m(t) = pos + vel * (t - t0), that the caller
+passes per agent: the fit conditions on the residuals y - m(t_obs) and adds
+m back over the grid. A zero prior mean would pull every mean toward the
+world point (0, 0) wherever the observations thin out; the further the agent
+is from the origin, the harder. With a line through the agent's own
+observations, shifting the observations and the line by c shifts the mean
+and every sample by c (up to rounding), so a fit does not depend on where
+the world's origin lies. Without a line the prior mean is 0.
 
 The posterior covariance depends only on the observation times and noises,
 never on the positions, so agents observed on the same schedule share it.
@@ -52,7 +61,6 @@ __all__ = [
     "KernelParams",
     "PreferenceGP",
     "DensityMoments",
-    "augment_with_goal",
     "fit_preference",
     "sample_trajectories",
     "moments_1d",
@@ -278,31 +286,18 @@ def _cholesky_psd(mat, base_jitter: float, from_zero=True, what="Cholesky failed
     raise NumericalError(f"{what} after jitter escalation to {jit:g} (cond ~ {cond:.3g})")
 
 
-def augment_with_goal(
-    obs: Sequence[Observation],
-    goal,
-    goal_time: float,
-    artificial_noise_var: float = 0.01,
-) -> list[Observation]:
-    """Append the goal as an artificial observation, sorted by time.
-
-    ``goal_time`` must lie strictly after the latest real observation.
-    """
-    obs = list(obs)
-    if obs:
-        last = max(o.t for o in obs)
-        if goal_time <= last:
-            raise ValueError(
-                f"goal_time {goal_time} must be after the last observation at {last}"
-            )
-    goal_obs = Observation(goal_time, tuple(np.atleast_1d(goal)), artificial_noise_var)
-    return sorted([*obs, goal_obs], key=lambda o: o.t)
-
-
 def fit_preference(
-    obs: Sequence[Observation], grid: TimeGrid, kp: KernelParams, shared: dict | None = None
+    obs: Sequence[Observation],
+    grid: TimeGrid,
+    kp: KernelParams,
+    shared: dict | None = None,
+    prior: tuple | None = None,
 ) -> PreferenceGP:
     """GP posterior over the grid times, per axis, from the given observations.
+
+    ``prior = (t0, pos, vel)`` is the prior mean line m(t) = pos + vel * (t - t0),
+    ``pos`` and ``vel`` with one component per axis: the fit conditions on
+    y - m(t_obs) and adds m(grid.times()) back. Without it m = 0.
 
     ``shared`` maps each observation schedule (times, noises, dimension, grid
     and kernel) to its posterior; a fit on a schedule already in it solves
@@ -320,6 +315,11 @@ def fit_preference(
     dim = dims.pop()
     y = np.array([o.pos for o in obs], dtype=float)  # (n, dim)
     noise = np.array([o.noise_var for o in obs], dtype=float)
+    if prior is not None:
+        t0, pos, vel = float(prior[0]), np.asarray(prior[1], dtype=float), np.asarray(prior[2], dtype=float)
+        if pos.shape != (dim,) or vel.shape != (dim,):
+            raise ValueError(f"prior pos and vel need {dim} components, got {pos.shape} and {vel.shape}")
+        y -= pos + (t_obs - t0)[:, None] * vel
 
     if shared is None:
         shared = {}
@@ -329,6 +329,8 @@ def fit_preference(
         post = shared[key] = _fit_posterior(t_obs, noise, grid, kp)
     alpha = _cho_solve(post.gram_low, y)  # (n, dim)
     mean = post.k_star.T @ alpha  # (steps, dim)
+    if prior is not None:
+        mean += pos + (grid.times() - t0)[:, None] * vel
     return PreferenceGP(grid, mean, post.cov, jitter=kp.jitter, _post=post)
 
 

@@ -1,13 +1,23 @@
-"""Shared builders for solver and oracle tests."""
+"""Shared builders for solver, oracle and GP tests."""
 
 import numpy as np
 
 from distnav.collision import CollisionKernel
+from distnav.gp import _cho_solve, _fit_posterior
 from distnav.grids import TimeGrid, Trajectory
 from distnav.oracle import GridDensity
 from distnav.samples import SampleSet
 
 GRID_1D = TimeGrid(0.0, 1.0, 1)
+U = 2.0**-53  # unit roundoff of float64
+
+
+def mean_operator_norm(times, noise, grid, kp) -> float:
+    """||A||_inf of a schedule's posterior-mean map A = K*^T (K + N)^-1: a
+    change of at most e in every residual moves the mean by at most
+    ||A||_inf * e on each axis."""
+    post = _fit_posterior(np.asarray(times, dtype=float), np.asarray(noise, dtype=float), grid, kp)
+    return float(np.abs(_cho_solve(post.gram_low, post.k_star)).sum(axis=0).max())
 
 
 def gaussian_sets_1d(means, sigma, m, seed):

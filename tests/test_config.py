@@ -47,10 +47,12 @@ class TestLoadConfig:
             load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
+        # a misspelt key, and a key whose field is gone: its configs are refused
         path = tmp_path / "c.yaml"
-        path.write_text("collision:\n  sgma: 0.5\n")
-        with pytest.raises(ConfigError, match="sgma"):
-            load_config(path)
+        for section, key in [("collision", "sgma"), ("planner", "ped_waypoint_noise_var")]:
+            path.write_text(f"{section}:\n  {key}: 0.5\n")
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
 
     def test_invalid_value_rejected(self, tmp_path):
         path = tmp_path / "c.yaml"

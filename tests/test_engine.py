@@ -14,20 +14,21 @@ from distnav.collision import CollisionKernel, joint_expected_penalty, penalty_m
 from distnav.engine import (
     PenaltyCache,
     SolverConfig,
+    _current_gamma,
+    _seed,
+    _sweep,
     _update_agent,
-    gamma_hat,
     interaction_scores,
     select_critical,
     select_optimal,
     solve,
-    sweep,
 )
 from distnav.errors import NumericalError
 from distnav.gp import KernelParams, PreferenceGP, sample_trajectories
 from distnav.grids import TimeGrid
 from distnav.samples import SampleSet
 
-from helpers import GRID_1D, gaussian_sets_1d, random_instance, straight_line_trajectory
+from helpers import GRID_1D, U, gaussian_sets_1d, random_instance, straight_line_trajectory
 
 SIGMA = 0.35
 UNIT_PEAK = CollisionKernel(weight=2 * math.pi * SIGMA**2, sigma=SIGMA)  # peak = 1
@@ -49,25 +50,25 @@ class TestGammaHat:
         a = SampleSet("a", grid, rng.normal(size=(3, 5, 2)), np.ones(3))
         b = SampleSet("b", grid, rng.normal(size=(7, 5, 2)), np.ones(7))
         cache = PenaltyCache([a, b], kernel)
-        expected = cache.get(0, 1)[1].mean()
-        assert gamma_hat(0, 1, [a, b], cache) == pytest.approx(expected, rel=1e-12)
+        expected = cache.pair_matrices()[0, 1][1].mean()
+        assert _current_gamma(0, [a, b], cache)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_no_other_agents_is_zero(self):
         rng = np.random.default_rng(1)
         a = SampleSet("a", GRID1, rng.normal(size=(4, 1, 2)), np.ones(4))
         cache = PenaltyCache([a], CollisionKernel(10.0, 0.35))
-        assert gamma_hat(0, 2, [a], cache) == 0.0
+        assert _current_gamma(0, [a], cache)[2] == 0.0
 
     def test_hand_case_first_sample(self):
         sets = hand_case_sets()
         cache = PenaltyCache(sets, UNIT_PEAK)
-        assert gamma_hat(0, 0, sets, cache) == pytest.approx(0.5, abs=1e-12)
+        assert _current_gamma(0, sets, cache)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_reads_the_weights_of_agents_already_updated(self):
         sets = hand_case_sets()
         cache = PenaltyCache(sets, UNIT_PEAK)
         _update_agent(0, sets, cache, set())
-        assert gamma_hat(1, 0, sets, cache) == pytest.approx(sets[0].weights[0] / 2, abs=1e-12)
+        assert _current_gamma(1, sets, cache)[0] == pytest.approx(sets[0].weights[0] / 2, abs=1e-12)
 
 
 class TestUpdateAgent:
@@ -104,7 +105,7 @@ class TestUpdateAgent:
         a = SampleSet("a", GRID1, states, np.full(2, 1e-300))
         b = SampleSet("b", GRID1, states.copy(), np.ones(2))
         cache = PenaltyCache([a, b], kernel)
-        assert gamma_hat(0, 0, [a, b], cache) > 1e7
+        assert _current_gamma(0, [a, b], cache)[0] > 1e7
         assert _update_agent(0, [a, b], cache, set()) == (0.0, 0)
         assert np.allclose(a.weights, 1.0, rtol=1e-15, atol=0.0)
         # one sample 6e7 above the other: exactly zero weight, KL exactly log 2
@@ -177,7 +178,7 @@ class TestSweep:
         ]
         kernel = CollisionKernel(10.0, 0.35)
         cache = PenaltyCache(sets, kernel)
-        kl_sum, jc = sweep(sets, cache)
+        kl_sum, _, jc = _sweep(sets, cache, *_seed(sets, cache))
         assert kl_sum < 1e-12
         assert jc < 1e-20
         for s in sets:
@@ -187,7 +188,7 @@ class TestSweep:
         sets = hand_case_sets()
         cache = PenaltyCache(sets, UNIT_PEAK)
         assert joint_expected_penalty(sets, UNIT_PEAK) == pytest.approx(0.25, abs=1e-12)
-        _, jc = sweep(sets, cache)
+        _, _, jc = _sweep(sets, cache, *_seed(sets, cache))
         assert jc == pytest.approx(0.25 * 0.7551 * 0.8135, abs=1e-3)
 
     def test_decrease_bounded_by_kl_sum(self):
@@ -196,7 +197,7 @@ class TestSweep:
             sets, kernel = random_instance(rng)
             cache = PenaltyCache(sets, kernel)
             before = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
-            kl_sum, after = sweep(sets, cache)
+            kl_sum, _, after = _sweep(sets, cache, *_seed(sets, cache))
             assert before - after >= kl_sum - 1e-9
 
 
@@ -264,7 +265,7 @@ class TestSolve:
         sets = list(sample_trajectories([gp_a, gp_b], 5000, [21, 22], ["a", "b"]))
         kernel = CollisionKernel(weight=10.0, sigma=0.35)
         report = solve(sets, kernel, SolverConfig(epsilon=0.0, max_sweeps=25))
-        assert report.final_objective < 0.05 * report.initial_objective
+        assert report.objective_trace[-1] < 0.05 * report.initial_objective
 
     def test_single_set_rejected(self):
         rng = np.random.default_rng(8)
@@ -424,7 +425,7 @@ class TestSufficientDecreaseProperty:
             cache = PenaltyCache(sets, kernel)
             jc = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
             for _ in range(3):
-                kl_sum, jc_next = sweep(sets, cache)
+                kl_sum, _, jc_next = _sweep(sets, cache, *_seed(sets, cache))
                 assert jc_next <= jc - kl_sum + 1e-9
                 if kl_sum > 1e-12:
                     assert jc_next < jc
@@ -448,9 +449,6 @@ def crowd_sets(seed, sizes, steps, dim):
 
 def copied(sets):
     return [SampleSet(s.agent, s.grid, s.trajectories, s.weights.copy()) for s in sets]
-
-
-U = 2.0**-53
 
 
 def gam(k):
@@ -566,8 +564,7 @@ class TestSweepProperties:
         applied = []
 
         def checked(i, current, gamma):
-            hat = [gamma_hat(i, y, current, cache) for y in range(current[i].m)]
-            applied.append(np.array(hat).tobytes() == gamma.tobytes())
+            applied.append(_current_gamma(i, current, cache).tobytes() == gamma.tobytes())
             return real(i, current, gamma)
 
         with mock.patch.object(engine, "_reweight", side_effect=checked):

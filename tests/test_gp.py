@@ -13,7 +13,6 @@ from distnav.gp import (
     KernelParams,
     Observation,
     PreferenceGP,
-    augment_with_goal,
     _cho_solve,
     _cholesky,
     _cholesky_psd,
@@ -26,29 +25,11 @@ from distnav.gp import (
 )
 from distnav.grids import TimeGrid, Trajectory
 
+from helpers import U, mean_operator_norm
+
 
 def make_grid(t0=0.0, dt=0.4, steps=20):
     return TimeGrid(t0, dt, steps)
-
-
-class TestAugmentWithGoal:
-    def test_appends_goal_and_sorts(self):
-        obs = [Observation(0.0, (0.0, 0.0), 0.01), Observation(0.4, (0.5, 0.0), 0.01)]
-        out = augment_with_goal(obs, (5.0, 0.0), 8.0)
-        assert len(out) == 3
-        assert out[-1].t == 8.0
-        assert out[-1].pos == (5.0, 0.0)
-        assert [o.t for o in out] == sorted(o.t for o in out)
-
-    def test_goal_before_last_observation_raises(self):
-        obs = [Observation(0.4, (0.0, 0.0), 0.01)]
-        with pytest.raises(ValueError):
-            augment_with_goal(obs, (1.0, 0.0), 0.2)
-
-    def test_goal_carries_artificial_noise(self):
-        obs = [Observation(0.0, (0.0, 0.0), 0.01)]
-        out = augment_with_goal(obs, (4.0, 0.0), 8.0, artificial_noise_var=0.25)
-        assert [o.noise_var for o in out] == [0.01, 0.25]
 
 
 class TestFitPreference:
@@ -109,6 +90,87 @@ class TestFitPreference:
             ]
             gp = fit_preference(obs, grid, kp)
             assert np.all(np.diag(gp.cov) <= kp.signal_var + kp.jitter + 1e-9)
+
+
+class TestPriorLine:
+    """A 1.2 m/s walker observed 8 times, 0.4 s apart, as the planner sees a pedestrian."""
+
+    TIMES = np.arange(8) * 0.4  # the latest observation at 2.8 s is the line's t0
+    GRID = TimeGrid(2.8, 0.4, 20)
+    NOISE = 0.005
+
+    def walk(self, start, vel):
+        """The walker's positions, formed as the fit forms its line, so each
+        lies on the line bit for bit."""
+        return np.asarray(start) + (self.TIMES - 2.8)[:, None] * vel
+
+    def fit(self, walk, line):
+        obs = [Observation(t, tuple(p), self.NOISE) for t, p in zip(self.TIMES, walk)]
+        return fit_preference(obs, self.GRID, KernelParams(), prior=line)
+
+    def test_a_zero_line_is_the_zero_prior(self):
+        rng = np.random.default_rng(3)
+        obs = [Observation(t, tuple(rng.normal(size=2)), self.NOISE) for t in self.TIMES]
+        plain = fit_preference(obs, self.GRID, KernelParams())
+        lined = fit_preference(obs, self.GRID, KernelParams(), prior=(2.8, (0.0, 0.0), (0.0, 0.0)))
+        assert plain.mean.tobytes() == lined.mean.tobytes()
+
+    def test_a_walker_on_its_line_is_extrapolated_exactly(self):
+        start, vel = np.array([50.0, 50.0]), 1.2 * np.array([math.cos(0.3), math.sin(0.3)])
+        walk = self.walk(start, vel)
+        line = start + (self.GRID.times() - 2.8)[:, None] * vel
+        # zero residuals: the posterior adds nothing to the line
+        assert np.array_equal(self.fit(walk, (2.8, start, vel)).mean, line)
+        # without the line the mean sags toward the world origin, 0.89 m one step ahead
+        assert np.linalg.norm(self.fit(walk, None).mean[1] - line[1]) > 0.5
+
+    def test_line_needs_one_component_per_axis(self):
+        walk = self.walk((0.0, 0.0), np.array([1.2, 0.0]))
+        with pytest.raises(ValueError, match="2 components"):
+            self.fit(walk, (2.8, (0.0,), (1.2, 0.0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+        heading=st.floats(0, 2 * math.pi),
+        speed=st.floats(0, 2),
+        c=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mean_and_samples_shift_with_the_world(self, start, heading, speed, c, seed):
+        """Shifting every observation and the line's position by c shifts the
+        mean and each sample by c, within k u (1 + |c|).
+
+        Per axis, with a = ||A||_inf of the schedule, S the largest |coordinate|
+        of the walk and its line over the grid, Q the largest |sample - mean|,
+        and every rounding u relative (first order):
+        - each residual y - m(t) of the shifted fit differs from the unshifted
+          one (here 0) by at most u(3|c| + 4S): y + c and pos + c (made here),
+          pos' + vel (t - t0) in the fit, and the unshifted pos + vel (t - t0);
+        - the solve and product map that through A; their own rounding is
+          relative to these O(u) residuals, so it is second order;
+        - adding the line back takes pos' + vel (tau - t0) and the final sum,
+          on both sides: u(3|c| + 5S) with the pos + c above;
+        - a sample adds the same draw to either mean: u(|c| + 2(S + Q)) more.
+        Together u((3a + 4)|c| + (4a + 7)(S + Q)), under k u (1 + |c|) with
+        k = (4a + 7)(1 + S + Q). Here a = 12.9, S <= 116 and Q <= 15, so
+        k <= 7800. Without the line, the step-1 mean moves by 0.989 c: it is
+        off by 1.1e-2 |c|, 0.8 m at |c| = 70.
+        """
+        vel = speed * np.array([math.cos(heading), math.sin(heading)])
+        start, c = np.array(start), np.array(c)
+        walk = self.walk(start, vel)
+        gp = self.fit(walk, (2.8, start, vel))
+        moved = self.fit(walk + c, (2.8, start + c, vel))
+        samples, moved_samples = (sample_trajectories([g], 20, [seed])[0].trajectories for g in (gp, moved))
+
+        a = mean_operator_norm(self.TIMES, np.full(8, self.NOISE), self.GRID, KernelParams())
+        scale = max(np.abs(walk).max(), np.abs(gp.mean).max())
+        spread = np.abs(samples - gp.mean).max()
+        assert a < 13 and scale < 116 and spread < 15
+        bound = (4 * a + 7) * (1 + scale + spread) * U * (1 + np.abs(c).max())
+        assert np.abs(moved.mean - c - gp.mean).max() <= bound
+        assert np.abs(moved_samples - c - samples).max() <= bound
 
 
 class TestSampleTrajectories:

@@ -1,10 +1,14 @@
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from distnav.dataset import extract_partials, load_dataset
 from distnav.gp import Observation
 from distnav.metrics import classify_run
-from distnav.planner import PlannerConfig, replan
+from distnav.planner import PlannerConfig, _pedestrian_observations, _robot_observations, replan
 from distnav.runlog import ARRIVED
 from distnav.simulator import (
     ScenarioConfig,
@@ -14,7 +18,10 @@ from distnav.simulator import (
 )
 from distnav.world import REPLAY, ROBOT, AgentState, WorldState
 
+from helpers import U, mean_operator_norm
+
 FAST_PLANNER = PlannerConfig(samples_per_agent=60)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +47,31 @@ def constant_velocity_history(agent, vel, now, cfg, frames=5):
     return obs
 
 
+def hallway(c=(0.0, 0.0)):
+    """The robot heads along x at 1.3 m/s; two pedestrians side by side walk
+    at it. Every position and goal is shifted by c."""
+    cfg = PlannerConfig(samples_per_agent=150)
+    c = np.asarray(c, dtype=float)
+    robot = AgentState(-1, c + (0.0, 0.0), (1.3, 0.0), c + (10.0, 0.0), ROBOT)
+    p1 = AgentState(1, c + (8.0, 0.3), (-1.3, 0.0), c + (0.0, 0.3), REPLAY)
+    p2 = AgentState(2, c + (8.0, -0.3), (-1.3, 0.0), c + (0.0, -0.3), REPLAY)
+    history = {a.id: constant_velocity_history(a, a.vel, 2.0, cfg) for a in (robot, p1, p2)}
+    return WorldState(2.0, [robot, p1, p2]), history, cfg
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """The benchmark's workload module, imported from bench/ and dropped afterwards."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    before = set(sys.modules)
+    import workloads
+
+    yield workloads
+    for name in set(sys.modules) - before:
+        if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == BENCH:
+            del sys.modules[name]
+
+
 class TestReplan:
     def test_zero_pedestrians_selects_prior_best(self):
         cfg = FAST_PLANNER
@@ -53,10 +85,11 @@ class TestReplan:
         # reproduce the selection by hand: prior-density argmax of the same set
         from distnav.engine import select_optimal
         from distnav.gp import fit_preference, sample_trajectories
-        from distnav.planner import _robot_observations, _sample_seed
+        from distnav.planner import _sample_seed
 
         grid = cfg.grid_at(0.0)
-        gp = fit_preference(_robot_observations(robot, history[-1], cfg, 0.0), grid, cfg.kernel)
+        obs, prior = _robot_observations(robot, history[-1], cfg, 0.0)
+        gp = fit_preference(obs, grid, cfg.kernel, prior=prior)
         ss = sample_trajectories([gp], cfg.samples_per_agent, [_sample_seed(3, 0, -1)], [-1])[0]
         expected = select_optimal([ss], {-1: gp})[-1]
         assert np.array_equal(res.robot_plan.states, expected.states)
@@ -74,22 +107,60 @@ class TestReplan:
         assert np.linalg.norm(res.robot_plan.states[0] - robot.pos) < 0.05
 
     def test_hallway_keeps_predicted_separation(self):
-        cfg = PlannerConfig(samples_per_agent=150)
-        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (10.0, 0.0), ROBOT)
-        p1 = AgentState(1, (8.0, 0.3), (-1.3, 0.0), (0.0, 0.3), REPLAY)
-        p2 = AgentState(2, (8.0, -0.3), (-1.3, 0.0), (0.0, -0.3), REPLAY)
-        world = WorldState(2.0, [robot, p1, p2])
-        history = {
-            -1: constant_velocity_history(robot, (1.3, 0.0), 2.0, cfg),
-            1: constant_velocity_history(p1, (-1.3, 0.0), 2.0, cfg),
-            2: constant_velocity_history(p2, (-1.3, 0.0), 2.0, cfg),
-        }
+        world, history, cfg = hallway()
         res = replan(world, history, cfg, seed=11, frame=5)
         assert set(res.critical) == {-1, 1, 2}
         plan = res.robot_plan.states
         for pid, pred in res.predictions.items():
             sep = np.linalg.norm(plan - pred.states, axis=1).min()
             assert sep >= 2 * cfg.collision.sigma, f"ped {pid} separation {sep}"
+
+    @pytest.mark.parametrize("c", [(50.0, 50.0), (-1e3, 1e3)])
+    def test_plan_and_predictions_shift_with_the_world(self, c):
+        """The hallway shifted by c replans the same, shifted by c, within
+        k u (1 + |c|).
+
+        As in tests/test_gp.py's shift test, to first order a fit's mean moves
+        by at most a * n_r + n_m roundings of at most u(|c| + W) each: a is
+        ||A||_inf of its schedule, n_r counts the roundings in one residual
+        and n_m those of the line over the grid; a sample adds 2. W = 1 + S + Q
+        bounds the unshifted world's coordinates and the samples' spread.
+        - A pedestrian: its history and latest position (made here from
+          pos + c) and the fit's line terms give n_r = 9; its velocity
+          estimate (b - a) / dt carries 4 roundings / dt, times up to
+          H = 1.6 s in a residual and T = 7.6 s over the grid:
+          n_r = 9 + 4 H / dt = 25, n_m = 6 + 4 T / dt = 82, a = 14.9.
+        - The robot: its goal observation is goal + c projected onto the
+          horizon (goal - pos, its norm, the direction times the reach,
+          pos + step; the reach over the distance is 0.99 here), about 20
+          roundings; its line is flat, n_m = 3; a = 279.
+        So k = max(20 * 279 + 3, 25 * 14.9 + 82) + 2 < 5600 W, with S = 15 m
+        (the history, goals and plans stay within 10.1 m of the origin) and
+        Q = 15 m (7.5 posterior standard deviations). The count
+        leaves out the Cholesky solve's own rounding of the robot's
+        residuals, which are not zero against its flat line; the worst error
+        measured at these shifts is 36 u (1 + |c|).
+        """
+        world, history, cfg = hallway()
+        base = replan(world, history, cfg, seed=11, frame=5)
+        shifted = replan(*hallway(c), seed=11, frame=5)
+        assert shifted.critical == base.critical == [-1, 1, 2]
+
+        grid, now = cfg.grid_at(2.0), 2.0
+        robot_obs, _ = _robot_observations(world.robot(), history[-1], cfg, now)
+        ped_obs, _ = _pedestrian_observations(world.get(1), history[1], cfg, now)
+        norms = [
+            mean_operator_norm([o.t for o in obs], [o.noise_var for o in obs], grid, cfg.kernel)
+            for obs in (robot_obs, ped_obs)
+        ]
+        assert norms[0] < 279 and norms[1] < 14.9
+        trajectories = {-1: (base.robot_plan, shifted.robot_plan)}
+        trajectories.update((a, (base.predictions[a], shifted.predictions[a])) for a in base.predictions)
+        assert max(np.abs(t.states).max() for t, _ in trajectories.values()) < 15
+        bound = 5600 * (1 + 15 + 15) * U * (1 + max(map(abs, c)))
+        for agent, (before, after) in trajectories.items():
+            gap = np.abs(after.states - c - before.states).max()
+            assert gap <= bound, f"agent {agent} moved {gap} m off the shift"
 
     def test_selects_only_the_robot_and_the_critical_pedestrians(self, monkeypatch):
         import distnav.engine as engine
@@ -177,6 +248,30 @@ class TestRunReplay:
         b = run_replay(two_ped_dataset, partial, FAST_PLANNER, seed=4)
         assert np.array_equal(a.robot_positions(), b.robot_positions())
         assert a.outcome == b.outcome
+
+    def test_plaza_replay_does_not_depend_on_the_origin(self, bench_workloads, tmp_path):
+        # the benchmark's plaza file: 4 partial runs among about 60 pedestrians,
+        # replayed as written, centred on the origin and shifted past it
+        tracks = bench_workloads.plaza_tracks(7, bench_workloads.FULL)
+        runs = {}
+        for dx, dy in [(0.0, 0.0), (-30.0, -30.0), (-60.0, -60.0)]:
+            path = tmp_path / f"plaza_{dx:+.0f}.txt"
+            shifted = {p: {f: (x + dx, y + dy) for f, (x, y) in t.items()} for p, t in tracks.items()}
+            bench_workloads.write_plaza(shifted, path)
+            ds = load_dataset(path)
+            runs[dx] = []
+            for k, partial in enumerate(extract_partials(ds)[:4]):
+                log = run_replay(ds, partial, PlannerConfig(), seed=7 + k)
+                rc = classify_run(log, partial.human_length)
+                runs[dx].append((log.outcome, len(log.steps), rc.ratio, rc.min_sep))
+        base = runs.pop(0.0)
+        assert [r[0] for r in base] == [ARRIVED] * 4
+        for dx, shifted in runs.items():
+            for (outcome, steps, ratio, sep), got in zip(base, shifted):
+                assert got[:2] == (outcome, steps), f"offset {dx}"
+                # measured: within 6e-12, relative
+                assert math.isclose(got[2], ratio, rel_tol=1e-9), f"offset {dx}"
+                assert math.isclose(got[3], sep, rel_tol=1e-9), f"offset {dx}"
 
 
 class TestHumanBaseline:
