@@ -17,17 +17,22 @@ the world's origin lies. Without a line the prior mean is 0.
 
 The posterior covariance depends only on the observation times and noises,
 never on the positions, so agents observed on the same schedule share it.
-``fit_preference`` keeps one entry per schedule in a caller-held dict: the
-Gram Cholesky factor, the cross-covariance and the posterior covariance are
-computed once, and the Cholesky factors that sampling and log-densities need
-are computed on first use and kept there too. Each agent then pays only for
-its own mean.
+One ``fit_preference`` call fits a replan's agents: per schedule one Gram
+factor, one posterior covariance, one solve of its agents' residuals stacked
+as columns and one batched product by the cross-covariance, which makes for
+each agent the BLAS call its fit alone makes. The Cholesky factors that
+sampling and log-densities need are made on first use and kept with the
+posterior. Each agent's fit is bit for bit the one it gets alone (tested).
 
 Sampling draws each agent's normals from its own seed and multiplies the draws
-of a schedule by its lower factor together, one factor column at a time in
-order; every agent's samples land in one read-only block that their sample
-sets view. A sample does not depend on who shares its product; for planar
-samples it is bit for bit ``einsum("ts,msd->mtd", low, z)``.
+of a schedule by its lower factor in runs of up to ``_PRODUCT_COLUMNS``
+columns; every agent's samples land in one read-only block that their sample
+sets view. A run is one ``einsum("ts,sdm->tdm", low, zt)``. With ``low`` in
+Fortran order, einsum iterates the step sum outermost, so every entry adds
+its rounded products ``low[t, s] * zt[s, d, k]`` one at a time in ascending
+s, as a loop over the factor's columns would, whatever the width (tested): a
+sample does not depend on who shares its run, and is bit for bit
+``einsum("ts,msd->mtd", low, z)`` when planar.
 
 The three LAPACK routines the GP needs (``dpotrf``, ``dpotrs``, ``dtrtrs``)
 come from scipy's own f2py extension ``scipy/linalg/_flapack``, loaded from
@@ -286,52 +291,52 @@ def _cholesky_psd(mat, base_jitter: float, from_zero=True, what="Cholesky failed
     raise NumericalError(f"{what} after jitter escalation to {jit:g} (cond ~ {cond:.3g})")
 
 
-def fit_preference(
-    obs: Sequence[Observation],
-    grid: TimeGrid,
-    kp: KernelParams,
-    shared: dict | None = None,
-    prior: tuple | None = None,
-) -> PreferenceGP:
-    """GP posterior over the grid times, per axis, from the given observations.
+def fit_preference(observations: Sequence[Sequence[Observation]], grid: TimeGrid, kp: KernelParams,
+                   priors: Sequence | None = None) -> list[PreferenceGP]:
+    """GP posteriors over the grid times, per axis: one per agent's observation list.
 
-    ``prior = (t0, pos, vel)`` is the prior mean line m(t) = pos + vel * (t - t0),
-    ``pos`` and ``vel`` with one component per axis: the fit conditions on
-    y - m(t_obs) and adds m(grid.times()) back. Without it m = 0.
-
-    ``shared`` maps each observation schedule (times, noises, dimension, grid
-    and kernel) to its posterior; a fit on a schedule already in it solves
-    only for its own mean. Pass one dict to every fit of a replan. The result
-    is bit for bit the same with or without it.
+    ``priors[k] = (t0, pos, vel)``, when given and not None, is agent k's prior
+    mean line m(t) = pos + vel * (t - t0), ``pos`` and ``vel`` with one
+    component per axis: the fit conditions on y - m(t_obs) and adds
+    m(grid.times()) back. Without it m = 0. Agents on one schedule (times,
+    noises and dimension) share its posterior, solve and product; each agent's
+    fit is bit for bit the one it gets alone.
     """
-    if not obs:
-        raise ValueError("at least one observation is required")
-    t_obs = np.array([o.t for o in obs], dtype=float)
-    if not np.all(np.isfinite(t_obs)):
-        raise ValueError("observation times must be finite")
-    dims = {len(o.pos) for o in obs}
-    if len(dims) != 1:
-        raise ValueError("observations mix 1D and 2D positions")
-    dim = dims.pop()
-    y = np.array([o.pos for o in obs], dtype=float)  # (n, dim)
-    noise = np.array([o.noise_var for o in obs], dtype=float)
-    if prior is not None:
-        t0, pos, vel = float(prior[0]), np.asarray(prior[1], dtype=float), np.asarray(prior[2], dtype=float)
-        if pos.shape != (dim,) or vel.shape != (dim,):
-            raise ValueError(f"prior pos and vel need {dim} components, got {pos.shape} and {vel.shape}")
-        y -= pos + (t_obs - t0)[:, None] * vel
-
-    if shared is None:
-        shared = {}
-    key = (t_obs.tobytes(), noise.tobytes(), dim, grid, kp)
-    post = shared.get(key)
-    if post is None:
-        post = shared[key] = _fit_posterior(t_obs, noise, grid, kp)
-    alpha = _cho_solve(post.gram_low, y)  # (n, dim)
-    mean = post.k_star.T @ alpha  # (steps, dim)
-    if prior is not None:
-        mean += pos + (grid.times() - t0)[:, None] * vel
-    return PreferenceGP(grid, mean, post.cov, jitter=kp.jitter, _post=post)
+    priors = [None] * len(observations) if priors is None else priors
+    if len(priors) != len(observations):
+        raise ValueError("fit_preference needs one prior line or None per agent")
+    schedules: dict = {}  # (times, noises, dim) -> [(agent, times, noises, residuals, line)]
+    for k, (obs, line) in enumerate(zip(observations, priors)):
+        if not obs:
+            raise ValueError("at least one observation is required")
+        if len({len(o.pos) for o in obs}) != 1:
+            raise ValueError("observations mix 1D and 2D positions")
+        t_obs = np.array([o.t for o in obs], dtype=float)  # finite: Observation checks
+        noise = np.array([o.noise_var for o in obs], dtype=float)
+        y = np.array([o.pos for o in obs], dtype=float)  # (n, dim)
+        if line is not None:
+            t0, pos, vel = line = (float(line[0]), np.asarray(line[1], dtype=float),
+                                   np.asarray(line[2], dtype=float))
+            if pos.shape != (y.shape[1],) or vel.shape != (y.shape[1],):
+                raise ValueError(f"prior pos and vel need {y.shape[1]} components, "
+                                 f"got {pos.shape} and {vel.shape}")
+            y -= pos + (t_obs - t0)[:, None] * vel
+        key = (t_obs.tobytes(), noise.tobytes(), y.shape[1])
+        schedules.setdefault(key, []).append((k, t_obs, noise, y, line))
+    gps: list = [None] * len(observations)
+    times = grid.times()
+    for members in schedules.values():
+        _, t_obs, noise, y, _ = members[0]
+        post = _fit_posterior(t_obs, noise, grid, kp)
+        alpha = _cho_solve(post.gram_low, np.hstack([member[3] for member in members]))  # (n, agents * dim)
+        # one (steps, n) @ (n, dim) product per agent, the one its fit alone makes
+        means = post.k_star.T @ alpha.reshape(len(y), len(members), -1).transpose(1, 0, 2)
+        for (k, *_, line), mean in zip(members, means):
+            if line is not None:
+                t0, pos, vel = line
+                mean += pos + (times - t0)[:, None] * vel
+            gps[k] = PreferenceGP(grid, mean, post.cov, jitter=kp.jitter, _post=post)
+    return gps
 
 
 def _fit_posterior(
@@ -351,15 +356,10 @@ def _fit_posterior(
 def _lower_product(low: np.ndarray, zt: np.ndarray) -> np.ndarray:
     """``low @ zt[:, :, k]`` for every draw of zt (steps, dim, m), as a (steps, dim, m) array.
 
-    ``low`` is lower-triangular. One column of it at a time, in column order,
-    is multiplied by the draws at that step and added into the rows it reaches.
+    Each entry is its products summed one at a time in step order; see the
+    module docstring.
     """
-    out = np.zeros_like(zt)
-    term = np.empty_like(zt)
-    for s in range(zt.shape[0]):
-        np.multiply(low[s:, s, None, None], zt[s], out=term[s:])
-        out[s:] += term[s:]
-    return out
+    return np.einsum("ts,sdm->tdm", np.asfortranarray(low), zt)
 
 
 def sample_trajectories(

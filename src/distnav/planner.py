@@ -1,11 +1,12 @@
 """Receding-horizon replanning with the distribution-space engine.
 
-Every frame: fit a preference GP per agent from recent observations (agents
-observed on the same schedule share one posterior covariance), sample each
-GP, keep only agents whose interaction score against the robot's intent is
-critical, run the sequential variational solve, and read off the best sample
-of the robot and of each critical pedestrian: the others keep unit weights
-and get no prediction.
+Every frame: fit a preference GP per agent from recent observations, every
+agent in one call (agents observed on the same schedule share one posterior
+covariance, one solve and one product), sample each GP, keep only agents
+whose interaction score against the robot's intent is critical, run the
+sequential variational solve, and read off the best sample of the robot and
+of each critical pedestrian: the others keep unit weights and get no
+prediction.
 
 Each fit's prior mean is a line of the agent's own (see :mod:`distnav.gp`),
 so a replan of a world shifted by c is the same replan shifted by c. A
@@ -143,13 +144,11 @@ def replan(
     now = world.time
     grid = cfg.grid_at(now)
 
-    posteriors: dict = {}  # one GP posterior per observation schedule, shared by its agents
-    robot_obs, line = _robot_observations(robot, history.get(robot.id, ()), cfg, now)
-    robot_gp = fit_preference(robot_obs, grid, cfg.kernel, posteriors, line)
-    gps = {robot.id: robot_gp}
-    for ped in world.pedestrians():
-        ped_obs, line = _pedestrian_observations(ped, history.get(ped.id, ()), cfg, now)
-        gps[ped.id] = fit_preference(ped_obs, grid, cfg.kernel, posteriors, line)
+    peds = world.pedestrians()
+    obs, lines = zip(_robot_observations(robot, history.get(robot.id, ()), cfg, now),
+                     *(_pedestrian_observations(p, history.get(p.id, ()), cfg, now) for p in peds))
+    gps = dict(zip([robot.id, *(p.id for p in peds)], fit_preference(obs, grid, cfg.kernel, lines)))
+    robot_gp = gps[robot.id]
 
     ids, m = list(gps), cfg.samples_per_agent  # the robot first
     seeds = [_sample_seed(seed, frame, a) for a in ids]

@@ -37,7 +37,7 @@ class TestFitPreference:
         grid = make_grid()
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-10)
         obs = [Observation(grid.times()[3], (1.5, -2.0), 0.0)]
-        gp = fit_preference(obs, grid, kp)
+        gp = fit_preference([obs], grid, kp)[0]
         assert np.allclose(gp.mean[3], [1.5, -2.0], atol=1e-6)
 
     def test_two_point_posterior_matches_closed_form(self):
@@ -58,14 +58,14 @@ class TestFitPreference:
         expected = kq @ inv @ np.stack([y1, y2])
 
         obs = [Observation(t1, tuple(y1), noise), Observation(t2, tuple(y2), noise)]
-        gp = fit_preference(obs, grid, kp)
+        gp = fit_preference([obs], grid, kp)[0]
         assert np.allclose(gp.mean[1], expected, atol=1e-9)
         # with length_scale >> horizon this is linear interpolation to ~cm level
         assert np.linalg.norm(gp.mean[1] - (y1 + y2) / 2) < 0.05
 
     def test_zero_observations_raises(self):
         with pytest.raises(ValueError):
-            fit_preference([], make_grid(), KernelParams())
+            fit_preference([[]], make_grid(), KernelParams())
 
     def test_noiseless_observations_interpolated_at_grid_times(self):
         grid = make_grid(steps=10)
@@ -74,7 +74,7 @@ class TestFitPreference:
         idx = [0, 4, 9]
         pts = rng.normal(size=(3, 2))
         obs = [Observation(grid.times()[i], tuple(p), 0.0) for i, p in zip(idx, pts)]
-        gp = fit_preference(obs, grid, kp)
+        gp = fit_preference([obs], grid, kp)[0]
         for i, p in zip(idx, pts):
             assert np.linalg.norm(gp.mean[i] - p) < 1e-6
 
@@ -88,7 +88,7 @@ class TestFitPreference:
                 Observation(rng.uniform(-2, 10), tuple(rng.normal(size=2)), rng.uniform(0, 0.1))
                 for _ in range(n)
             ]
-            gp = fit_preference(obs, grid, kp)
+            gp = fit_preference([obs], grid, kp)[0]
             assert np.all(np.diag(gp.cov) <= kp.signal_var + kp.jitter + 1e-9)
 
 
@@ -106,13 +106,13 @@ class TestPriorLine:
 
     def fit(self, walk, line):
         obs = [Observation(t, tuple(p), self.NOISE) for t, p in zip(self.TIMES, walk)]
-        return fit_preference(obs, self.GRID, KernelParams(), prior=line)
+        return fit_preference([obs], self.GRID, KernelParams(), [line])[0]
 
     def test_a_zero_line_is_the_zero_prior(self):
         rng = np.random.default_rng(3)
         obs = [Observation(t, tuple(rng.normal(size=2)), self.NOISE) for t in self.TIMES]
-        plain = fit_preference(obs, self.GRID, KernelParams())
-        lined = fit_preference(obs, self.GRID, KernelParams(), prior=(2.8, (0.0, 0.0), (0.0, 0.0)))
+        plain = fit_preference([obs], self.GRID, KernelParams())[0]
+        lined = fit_preference([obs], self.GRID, KernelParams(), [(2.8, (0.0, 0.0), (0.0, 0.0))])[0]
         assert plain.mean.tobytes() == lined.mean.tobytes()
 
     def test_a_walker_on_its_line_is_extrapolated_exactly(self):
@@ -185,7 +185,7 @@ class TestSampleTrajectories:
         grid = make_grid(steps=8)
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-10)
         obs = [Observation(0.0, (0.0, 0.0), 0.01), Observation(2.8, (3.0, 1.0), 0.01)]
-        gp = fit_preference(obs, grid, kp)
+        gp = fit_preference([obs], grid, kp)[0]
         m = 20000
         ss = sample_trajectories([gp], m, [42])[0]
         se = np.sqrt(np.diag(gp.cov) / m)
@@ -196,7 +196,7 @@ class TestSampleTrajectories:
         grid = make_grid(steps=6)
         kp = KernelParams(length_scale=1.0, signal_var=2.0, jitter=1e-8)
         obs = [Observation(0.0, (0.0, 0.0), 0.05)]
-        gp = fit_preference(obs, grid, kp)
+        gp = fit_preference([obs], grid, kp)[0]
         ss = sample_trajectories([gp], 20000, [7])[0]
         emp = ss.trajectories.var(axis=0).mean(axis=1)  # average the two axes
         ref = np.diag(gp.cov)
@@ -278,9 +278,9 @@ def schedule_group(seed, n_obs, kinds, dim):
     return group
 
 
-def fit_or_error(obs, grid, kp, shared=None):
+def fit_or_error(group, grid, kp, priors=None):
     try:
-        return fit_preference(obs, grid, kp, shared)
+        return fit_preference(group, grid, kp, priors)
     except (NumericalError, ValueError) as exc:
         return type(exc)
 
@@ -302,19 +302,25 @@ class TestSharedPosterior:
         seed=st.integers(0, 2**32 - 1),
         n_obs=st.integers(1, 9),
         kinds=st.lists(st.sampled_from(SCHEDULES), min_size=1, max_size=6),
+        agents=st.integers(1, 70),  # 70 planar agents on one schedule: 140 columns in one solve
         dim=st.sampled_from([1, 2]),
         jitter=st.sampled_from([1e-8, 1e-18]),  # 1e-18 vanishes next to a unit Gram entry
     )
-    def test_shared_fit_equals_fresh_fit_bit_for_bit(self, seed, n_obs, kinds, dim, jitter):
+    def test_crowd_fit_equals_alone_fit_bit_for_bit(self, seed, n_obs, kinds, agents, dim, jitter):
         grid = make_grid(steps=12)
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=jitter)
-        shared = {}
-        for obs in schedule_group(seed, n_obs, kinds, dim):
-            fresh = fit_or_error(obs, grid, kp)
-            got = fit_or_error(obs, grid, kp, shared)
-            if isinstance(fresh, type):
-                assert got is fresh
-                continue
+        group = schedule_group(seed, n_obs, [kinds[k % len(kinds)] for k in range(agents)], dim)
+        rng = np.random.default_rng(seed)
+        line = lambda: (rng.uniform(-3.0, 8.0), rng.normal(size=dim), rng.normal(size=dim))
+        lines = [None if rng.random() < 0.3 else line() for _ in group]
+        alone = [fit_or_error([obs], grid, kp, [line]) for obs, line in zip(group, lines)]
+        crowd = fit_or_error(group, grid, kp, lines)
+        errors = [fit for fit in alone if isinstance(fit, type)]
+        if errors:
+            assert crowd is errors[0]  # the first failing agent's error
+            return
+        assert len(crowd) == len(group)
+        for got, (fresh,) in zip(crowd, alone):
             assert got.mean.tobytes() == fresh.mean.tobytes()
             assert got.cov.tobytes() == fresh.cov.tobytes()
             assert got.jitter == fresh.jitter
@@ -323,32 +329,35 @@ class TestSharedPosterior:
         grid = make_grid(steps=6)
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-18)
         group = schedule_group(4, 3, ["zero_noise_duplicates"] * 3, 2)
-        shared = {}
         with mock.patch.object(distnav.gp, "_cholesky", wraps=distnav.gp._cholesky) as chol:
-            fit_preference(group[0], grid, kp, shared)
-            assert chol.call_count > 1  # the first jitter is lost to rounding
-            first = chol.call_count
-            for obs in group[1:]:
-                fit_preference(obs, grid, kp, shared)
-            assert chol.call_count == first
+            fit_preference(group[:1], grid, kp)
+            alone = chol.call_count
+            assert alone > 1  # the first jitter is lost to rounding
+            fit_preference(group, grid, kp)
+        assert chol.call_count == 2 * alone
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_one_gram_cholesky_per_schedule(self, dim):
         grid = make_grid()
-        group = schedule_group(9, 9, ["same"] * 5, dim)
-        shared = {}
+        group = schedule_group(9, 9, ["same"] * 5 + ["other_noise"] * 3, dim)
         with mock.patch.object(distnav.gp, "_cholesky", wraps=distnav.gp._cholesky) as chol:
-            gps = [fit_preference(obs, grid, KernelParams(), shared) for obs in group]
-        assert chol.call_count == 1
-        assert len(shared) == 1
-        assert all(gp.cov is gps[0].cov for gp in gps)
+            gps = fit_preference(group, grid, KernelParams())
+        assert chol.call_count == 2
+        assert all(gp.cov is gps[0].cov for gp in gps[:5]) and gps[5].cov is not gps[0].cov
+        assert all(gp.cov is gps[5].cov for gp in gps[5:])
         assert len({gp.mean.tobytes() for gp in gps}) == len(gps)
 
     def test_shared_covariance_is_read_only(self):
         grid = make_grid(steps=4)
-        gp = fit_preference([Observation(0.0, (0.0, 0.0), 0.01)], grid, KernelParams())
+        gp = fit_preference([[Observation(0.0, (0.0, 0.0), 0.01)]], grid, KernelParams())[0]
         with pytest.raises(ValueError):
             gp.cov[0, 0] = 1.0
+
+    def test_needs_one_line_or_none_per_agent(self):
+        group = schedule_group(2, 3, ["same", "same"], 2)
+        with pytest.raises(ValueError, match="one prior line or None per agent"):
+            fit_preference(group, make_grid(), KernelParams(), [None])
+        assert fit_preference([], make_grid(), KernelParams()) == []
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -361,14 +370,23 @@ class TestSharedPosterior:
     def test_log_densities_equal_a_fresh_factorisation(self, seed, n_obs, steps, m, dim):
         grid = make_grid(steps=steps)
         kp = KernelParams(length_scale=2.0, signal_var=1.0)
-        shared = {}
-        gps = [fit_preference(obs, grid, kp, shared)
-               for obs in schedule_group(seed, n_obs, ["same", "same"], dim)]
+        gps = fit_preference(schedule_group(seed, n_obs, ["same", "same"], dim), grid, kp)
         traj = np.random.default_rng(seed).normal(scale=2.0, size=(m, steps, dim))
         for gp in gps:
             ref = reference_log_densities(gp, traj)
             for _ in range(2):  # the second call reads the kept factor
                 assert log_densities(gp, traj).tobytes() == ref.tobytes()
+
+
+def loop_product(low, zt):
+    """The sampling product as a loop over the factor's columns, in order: each
+    column times the draws at its step, added into the rows it reaches."""
+    out = np.zeros_like(zt)
+    term = np.empty_like(zt)
+    for s in range(zt.shape[0]):
+        np.multiply(low[s:, s, None, None], zt[s], out=term[s:])
+        out[s:] += term[s:]
+    return out
 
 
 class TestSamplingProduct:
@@ -389,11 +407,26 @@ class TestSamplingProduct:
         ref = gp.mean[None, :, :] + np.einsum("ts,msd->mtd", low, z)
         assert got.trajectories.tobytes() == ref.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 25),
+        m=st.one_of(st.integers(1, 40), st.integers(1, 1100)),  # 1100 columns: wider than a full run at m=100
+        dim=st.sampled_from([1, 2]),
+        fortran=st.booleans(),
+    )
+    def test_product_equals_the_step_loop_bit_for_bit(self, seed, steps, m, dim, fortran):
+        rng = np.random.default_rng(seed)
+        low = np.tril(rng.normal(size=(steps, steps)))
+        low = np.asfortranarray(low) if fortran else low
+        zt = rng.standard_normal((steps, dim, m))
+        assert _lower_product(low, zt).tobytes() == loop_product(low, zt).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         steps=st.integers(1, 25),
-        m=st.integers(1, 60),
+        m=st.one_of(st.integers(1, 60), st.integers(1, 1100)),
         dim=st.sampled_from([1, 2]),
     )
     def test_product_within_rounding_of_the_einsum(self, seed, steps, m, dim):
@@ -421,13 +454,11 @@ class TestBatchSampling:
         grid = make_grid(steps=steps)
         kp = KernelParams(length_scale=2.0, signal_var=1.0)
         rng = np.random.default_rng(seed)
-        shared, gps = {}, []
+        group = []
         for g, size in enumerate(sizes):  # schedule g: g + 1 observations
             times = np.sort(rng.uniform(-3.0, 0.0, size=g + 1))
-            for _ in range(size):
-                gps.append(fit_preference(
-                    [Observation(t, tuple(rng.normal(size=dim)), 0.01) for t in times], grid, kp, shared))
-        gps = [gps[k] for k in rng.permutation(len(gps))]  # the schedules interleaved
+            group += [[Observation(t, tuple(rng.normal(size=dim)), 0.01) for t in times] for _ in range(size)]
+        gps = fit_preference([group[k] for k in rng.permutation(len(group))], grid, kp)  # schedules interleaved
         seeds = [seed + k for k in range(len(gps))]
         agents = [f"agent{k}" for k in range(len(gps))]
 
@@ -521,7 +552,7 @@ class TestJitterEscalation:
         kp = KernelParams(jitter=1e-6)
         chol, seen = _failing_cholesky(2)
         with mock.patch.object(distnav.gp, "_cholesky", chol):
-            fit_preference(self.OBS, make_grid(steps=4), kp)
+            fit_preference([self.OBS], make_grid(steps=4), kp)
         jits = _escalation(kp.jitter, kp.jitter, 3)
         assert len(seen) == 3
         for mat, jit in zip(seen, jits):
@@ -532,7 +563,7 @@ class TestJitterEscalation:
         chol, seen = _failing_cholesky(100)
         with mock.patch.object(distnav.gp, "_cholesky", chol):
             with pytest.raises(NumericalError) as exc:
-                fit_preference(self.OBS, make_grid(steps=4), kp)
+                fit_preference([self.OBS], make_grid(steps=4), kp)
         assert len(seen) == 4
         last = 10.0 * _escalation(kp.jitter, kp.jitter, 4)[-1]
         assert str(exc.value).startswith(f"singular Gram matrix after jitter escalation to {last:g} (cond ~ ")

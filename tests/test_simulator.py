@@ -89,7 +89,7 @@ class TestReplan:
 
         grid = cfg.grid_at(0.0)
         obs, prior = _robot_observations(robot, history[-1], cfg, 0.0)
-        gp = fit_preference(obs, grid, cfg.kernel, prior=prior)
+        gp = fit_preference([obs], grid, cfg.kernel, [prior])[0]
         ss = sample_trajectories([gp], cfg.samples_per_agent, [_sample_seed(3, 0, -1)], [-1])[0]
         expected = select_optimal([ss], {-1: gp})[-1]
         assert np.array_equal(res.robot_plan.states, expected.states)
