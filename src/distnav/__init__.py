@@ -27,7 +27,6 @@ from .dataset import PartialRun, TrajectoryDataset, extract_partials, load_datas
 from .errors import ConfigError, GridMismatchError, NumericalError
 from .gp import (
     KernelParams,
-    Observation,
     PreferenceGP,
     fit_preference,
     moments_1d,

@@ -2,9 +2,11 @@
 
 Each agent's preference over future trajectories is the posterior of a GP
 fitted to its observed positions (per axis, squared-exponential kernel,
-independent x/y). A goal enters as one more, artificial, observation.
-Sampling the GP yields the weighted-sample representation the solver
-operates on.
+independent x/y). An agent's observations come as one track of arrays,
+``(times, positions, noises)``; the caller picks each observation's noise
+and which observations to keep. A goal enters as one more, artificial,
+observation. Sampling the GP yields the weighted-sample representation the
+solver operates on.
 
 The GP's prior mean is a line, m(t) = pos + vel * (t - t0), that the caller
 passes per agent: the fit conditions on the residuals y - m(t_obs) and adds
@@ -62,7 +64,6 @@ from .grids import TimeGrid, Trajectory
 from .samples import CrowdSamples, SampleSet
 
 __all__ = [
-    "Observation",
     "KernelParams",
     "PreferenceGP",
     "DensityMoments",
@@ -132,25 +133,6 @@ def _solve_lower(a, b) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
     return x
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A (possibly noisy) position measurement at time ``t``."""
-
-    t: float
-    pos: tuple
-    noise_var: float = 0.0
-
-    def __post_init__(self):
-        pos = tuple(float(c) for c in np.atleast_1d(self.pos))
-        if len(pos) not in (1, 2):
-            raise ValueError(f"pos must be 1D or 2D, got {len(pos)} components")
-        object.__setattr__(self, "pos", pos)
-        if not math.isfinite(self.t):
-            raise ValueError("observation time must be finite")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -291,29 +273,33 @@ def _cholesky_psd(mat, base_jitter: float, from_zero=True, what="Cholesky failed
     raise NumericalError(f"{what} after jitter escalation to {jit:g} (cond ~ {cond:.3g})")
 
 
-def fit_preference(observations: Sequence[Sequence[Observation]], grid: TimeGrid, kp: KernelParams,
+def fit_preference(tracks: Sequence[tuple], grid: TimeGrid, kp: KernelParams,
                    priors: Sequence | None = None) -> list[PreferenceGP]:
-    """GP posteriors over the grid times, per axis: one per agent's observation list.
+    """GP posteriors over the grid times, per axis: one per agent's track.
 
-    ``priors[k] = (t0, pos, vel)``, when given and not None, is agent k's prior
-    mean line m(t) = pos + vel * (t - t0), ``pos`` and ``vel`` with one
-    component per axis: the fit conditions on y - m(t_obs) and adds
-    m(grid.times()) back. Without it m = 0. Agents on one schedule (times,
-    noises and dimension) share its posterior, solve and product; each agent's
-    fit is bit for bit the one it gets alone.
+    A track is ``(times, positions, noises)``: n finite observation times,
+    the (n, dim) positions observed at them, dim 1 or 2, and n noise
+    variances >= 0. ``priors[k] = (t0, pos, vel)``, when given and not None,
+    is agent k's prior mean line m(t) = pos + vel * (t - t0), ``pos`` and
+    ``vel`` with one component per axis: the fit conditions on y - m(t_obs)
+    and adds m(grid.times()) back. Without it m = 0. Agents on one schedule
+    (times, noises and dimension) share its posterior, solve and product;
+    each agent's fit is bit for bit the one it gets alone.
     """
-    priors = [None] * len(observations) if priors is None else priors
-    if len(priors) != len(observations):
+    priors = [None] * len(tracks) if priors is None else priors
+    if len(priors) != len(tracks):
         raise ValueError("fit_preference needs one prior line or None per agent")
     schedules: dict = {}  # (times, noises, dim) -> [(agent, times, noises, residuals, line)]
-    for k, (obs, line) in enumerate(zip(observations, priors)):
-        if not obs:
-            raise ValueError("at least one observation is required")
-        if len({len(o.pos) for o in obs}) != 1:
-            raise ValueError("observations mix 1D and 2D positions")
-        t_obs = np.array([o.t for o in obs], dtype=float)  # finite: Observation checks
-        noise = np.array([o.noise_var for o in obs], dtype=float)
-        y = np.array([o.pos for o in obs], dtype=float)  # (n, dim)
+    for k, ((times, positions, noises), line) in enumerate(zip(tracks, priors)):
+        y = np.array(positions, dtype=float)  # (n, dim): a copy, the line comes off it in place
+        t_obs, noise = np.asarray(times, dtype=float), np.asarray(noises, dtype=float)
+        if not y.size:
+            raise ValueError("a track needs at least one observation")
+        if y.ndim != 2 or y.shape[1] not in (1, 2):
+            raise ValueError(f"positions must be 1D or 2D, one row per observation, got shape {y.shape}")
+        if t_obs.shape != (len(y),) or noise.shape != (len(y),):
+            raise ValueError(f"a track needs one time and one noise per position, got {t_obs.shape} "
+                             f"and {noise.shape} for {len(y)}")
         if line is not None:
             t0, pos, vel = line = (float(line[0]), np.asarray(line[1], dtype=float),
                                    np.asarray(line[2], dtype=float))
@@ -323,10 +309,14 @@ def fit_preference(observations: Sequence[Sequence[Observation]], grid: TimeGrid
             y -= pos + (t_obs - t0)[:, None] * vel
         key = (t_obs.tobytes(), noise.tobytes(), y.shape[1])
         schedules.setdefault(key, []).append((k, t_obs, noise, y, line))
-    gps: list = [None] * len(observations)
+    gps: list = [None] * len(tracks)
     times = grid.times()
     for members in schedules.values():
-        _, t_obs, noise, y, _ = members[0]
+        _, t_obs, noise, y, _ = members[0]  # checked once per schedule
+        if not np.isfinite(t_obs).all():
+            raise ValueError("observation times must be finite")
+        if not (noise >= 0).all():
+            raise ValueError("observation noises must be >= 0")
         post = _fit_posterior(t_obs, noise, grid, kp)
         alpha = _cho_solve(post.gram_low, np.hstack([member[3] for member in members]))  # (n, agents * dim)
         # one (steps, n) @ (n, dim) product per agent, the one its fit alone makes

@@ -162,15 +162,12 @@ def exact_update(
     densities: list[GridDensity],
     kernel: CollisionKernel,
     sweeps: int,
-    order: Sequence[int] | None = None,
 ) -> EvolutionHistory:
-    """Run closed-form sequential sweeps on grid densities (mutates the list)."""
+    """Run closed-form sequential sweeps on grid densities, in index order
+    (mutates the list)."""
     xs = _require_shared_grid(densities)
     kmat = _penalty_kernel_1d(xs, kernel)
     tw = _trapezoid_weights(xs)
-    order = list(range(len(densities))) if order is None else list(order)
-    if sorted(order) != list(range(len(densities))):
-        raise ValueError("order must be a permutation of the agent indices")
 
     history = EvolutionHistory(
         xs=xs,
@@ -180,7 +177,7 @@ def exact_update(
     )
     for _ in range(sweeps):
         kl_sum = 0.0
-        for i in order:
+        for i in range(len(densities)):
             gamma = exact_gamma(i, densities, kernel, _kmat=kmat)
             shifted = gamma - gamma.min()
             if not shifted.any():

@@ -8,6 +8,12 @@ sequential variational solve, and read off the best sample of the robot and
 of each critical pedestrian: the others keep unit weights and get no
 prediction.
 
+The caller passes each agent's observed ``(t, x, y)`` rows as they are; the
+planner alone decides how they enter the fit. It keeps an agent's last
+``history_window`` rows and turns them into one track of arrays: the
+robot's rows get ``current_obs_noise_var`` and its goal row
+``goal_noise_var``, a pedestrian's rows ``obs_noise_var``.
+
 Each fit's prior mean is a line of the agent's own (see :mod:`distnav.gp`),
 so a replan of a world shifted by c is the same replan shifted by c. A
 pedestrian's line passes through its latest observation at the velocity of
@@ -37,7 +43,7 @@ from .engine import (
     select_optimal,
     solve,
 )
-from .gp import KernelParams, Observation, fit_preference, sample_trajectories
+from .gp import KernelParams, fit_preference, sample_trajectories
 from .grids import TimeGrid, Trajectory
 from .world import WorldState
 
@@ -84,19 +90,11 @@ class ReplanResult:
     report: SolveReport | None  # None when no critical pedestrians
     critical: list
     scores: dict
-    replan_s: float = 0.0
 
 
-def _recent(history: Sequence[Observation], window: int) -> list[Observation]:
-    return sorted(history, key=lambda o: o.t)[-window:]
-
-
-def _robot_observations(robot, history, cfg: PlannerConfig, now: float):
-    """The robot's observations, its goal last, and its prior mean line:
-    flat at its current position."""
-    obs = list(_recent(history, cfg.history_window))
-    if not obs or obs[-1].t < now:
-        obs.append(Observation(now, tuple(robot.pos), cfg.current_obs_noise_var))
+def _robot_observations(robot, rows, cfg: PlannerConfig, now: float):
+    """The robot's track, its goal last, and its prior mean line: flat at
+    its current position."""
     to_goal = robot.goal - robot.pos
     dist = float(np.linalg.norm(to_goal))
     horizon = cfg.dt * (cfg.horizon_steps - 1)
@@ -107,23 +105,21 @@ def _robot_observations(robot, history, cfg: PlannerConfig, now: float):
         # goal beyond the horizon: aim at its projection onto the horizon end
         goal_pos = robot.pos + to_goal / dist * cfg.robot_speed * horizon
         goal_time = now + horizon
-    obs.append(Observation(goal_time, tuple(goal_pos), cfg.goal_noise_var))
-    return obs, (now, robot.pos, np.zeros_like(robot.pos))
+    track = np.array([*rows[-cfg.history_window:], (goal_time, *goal_pos.tolist())])
+    noises = np.full(len(track), cfg.current_obs_noise_var)
+    noises[-1] = cfg.goal_noise_var
+    return (track[:, 0], track[:, 1:], noises), (now, robot.pos, np.zeros_like(robot.pos))
 
 
-def _pedestrian_observations(ped, history, cfg: PlannerConfig, now: float):
-    """A pedestrian's observations and its prior mean line: through the
-    latest one, at the velocity of the last two."""
-    obs = list(_recent(history, cfg.history_window))
-    if not obs:
-        obs = [Observation(now, tuple(ped.pos), cfg.obs_noise_var)]
-    if len(obs) >= 2:
-        (a, b) = obs[-2], obs[-1]
-        dt = b.t - a.t
-        vel = (np.asarray(b.pos) - np.asarray(a.pos)) / dt if dt > 0 else np.zeros(2)
-    else:
-        vel = np.zeros(2)
-    return obs, (obs[-1].t, obs[-1].pos, vel)
+def _pedestrian_observations(rows, cfg: PlannerConfig):
+    """A pedestrian's track and its prior mean line: through the latest
+    row, at the velocity of the last two."""
+    rows = rows[-cfg.history_window:]
+    (ta, xa, ya), (t, x, y) = rows[-2:][0], rows[-1]  # with one row, both are it
+    dt = t - ta
+    vel = ((x - xa) / dt, (y - ya) / dt) if dt > 0 else (0.0, 0.0)
+    track = np.array(rows)
+    return (track[:, 0], track[:, 1:], np.full(len(rows), cfg.obs_noise_var)), (t, (x, y), vel)
 
 
 def _sample_seed(seed: int, frame: int, agent_id: int):
@@ -133,21 +129,29 @@ def _sample_seed(seed: int, frame: int, agent_id: int):
 
 def replan(
     world: WorldState,
-    history: Mapping[int, Sequence[Observation]],
+    history: Mapping[int, Sequence[tuple]],
     cfg: PlannerConfig,
     seed: int = 0,
     frame: int = 0,
 ) -> ReplanResult:
     """Plan the robot's horizon jointly with predictions for the critical
-    pedestrians; ``predictions`` holds no other pedestrian."""
+    pedestrians; ``predictions`` holds no other pedestrian.
+
+    ``history[a]`` holds agent a's observed ``(t, x, y)`` rows, oldest first,
+    its last row at ``world.time``; every agent of the world needs one. The
+    fit keeps each agent's last ``cfg.history_window`` rows.
+    """
     robot = world.robot()
     now = world.time
     grid = cfg.grid_at(now)
 
+    missing = [a.id for a in world.agents if not history.get(a.id)]
+    if missing:
+        raise ValueError(f"no observation of agents {missing} in the history")
     peds = world.pedestrians()
-    obs, lines = zip(_robot_observations(robot, history.get(robot.id, ()), cfg, now),
-                     *(_pedestrian_observations(p, history.get(p.id, ()), cfg, now) for p in peds))
-    gps = dict(zip([robot.id, *(p.id for p in peds)], fit_preference(obs, grid, cfg.kernel, lines)))
+    tracks, lines = zip(_robot_observations(robot, history[robot.id], cfg, now),
+                        *(_pedestrian_observations(history[p.id], cfg) for p in peds))
+    gps = dict(zip([robot.id, *(p.id for p in peds)], fit_preference(tracks, grid, cfg.kernel, lines)))
     robot_gp = gps[robot.id]
 
     ids, m = list(gps), cfg.samples_per_agent  # the robot first

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import PartialRun, TrajectoryDataset
-from .gp import Observation
 from .planner import PlannerConfig, replan
 from .runlog import ARRIVED, TIMEOUT, RunLog, RunLogStep
 from .sfm import SfmParams, step_sfm
@@ -80,18 +79,17 @@ def _run_episode(robot, frames, crowd, cfg, goal_tolerance, seed, log, react=Non
     """Drive the robot until it reaches its goal or the frames run out.
 
     ``frames`` yields ``(frame, now)`` pairs and ``crowd(frame)`` the other
-    agents at that frame. Each frame snapshots the world, records every
-    agent's observation, and either stops at the goal or replans, moves
-    the robot along the plan and then calls ``react(robot, now)``.
+    agents at that frame. Each frame snapshots the world, appends every
+    agent's ``(now, x, y)`` row to its history (oldest first; the planner
+    picks the rows it fits and their noises), and either stops at the goal
+    or replans, moves the robot along the plan and then calls
+    ``react(robot, now)``.
     """
-    history: dict[int, list] = {}
+    history: dict[int, list] = {}  # agent id -> (t, x, y) rows
     for frame, now in frames:
         world = WorldState(now, [robot.copy(), *crowd(frame)])
         for agent in world.agents:
-            noise = cfg.current_obs_noise_var if agent.kind == ROBOT else cfg.obs_noise_var
-            obs = history.setdefault(agent.id, [])
-            obs.append(Observation(now, tuple(agent.pos), noise))
-            history[agent.id] = obs[-cfg.history_window :]
+            history.setdefault(agent.id, []).append((now, *agent.pos.tolist()))
         sep = min_separation(world)
 
         if float(np.linalg.norm(robot.pos - robot.goal)) <= goal_tolerance:

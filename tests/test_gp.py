@@ -11,7 +11,6 @@ import distnav.gp
 from distnav.errors import GridMismatchError, NumericalError
 from distnav.gp import (
     KernelParams,
-    Observation,
     PreferenceGP,
     _cho_solve,
     _cholesky,
@@ -32,11 +31,18 @@ def make_grid(t0=0.0, dt=0.4, steps=20):
     return TimeGrid(t0, dt, steps)
 
 
+def track(times, positions, noise):
+    """An agent's ``(times, positions, noises)`` track; ``noise`` is one
+    variance for every row or one per row."""
+    times = np.asarray(times, dtype=float)
+    return times, np.asarray(positions, dtype=float), np.broadcast_to(np.asarray(noise, dtype=float), times.shape)
+
+
 class TestFitPreference:
     def test_single_noiseless_observation_interpolates(self):
         grid = make_grid()
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-10)
-        obs = [Observation(grid.times()[3], (1.5, -2.0), 0.0)]
+        obs = track([grid.times()[3]], [(1.5, -2.0)], 0.0)
         gp = fit_preference([obs], grid, kp)[0]
         assert np.allclose(gp.mean[3], [1.5, -2.0], atol=1e-6)
 
@@ -57,15 +63,38 @@ class TestFitPreference:
         kq = np.array([k(tq, t1), k(tq, t2)])
         expected = kq @ inv @ np.stack([y1, y2])
 
-        obs = [Observation(t1, tuple(y1), noise), Observation(t2, tuple(y2), noise)]
+        obs = track([t1, t2], [y1, y2], noise)
         gp = fit_preference([obs], grid, kp)[0]
         assert np.allclose(gp.mean[1], expected, atol=1e-9)
         # with length_scale >> horizon this is linear interpolation to ~cm level
         assert np.linalg.norm(gp.mean[1] - (y1 + y2) / 2) < 0.05
 
+
     def test_zero_observations_raises(self):
-        with pytest.raises(ValueError):
-            fit_preference([[]], make_grid(), KernelParams())
+        with pytest.raises(ValueError, match="at least one observation"):
+            fit_preference([track([], np.empty((0, 2)), 0.0)], make_grid(), KernelParams())
+
+    @pytest.mark.parametrize("bad, message", [
+        (track([0.0, np.nan], [(0.0, 0.0), (0.5, 0.0)], 0.01), "times must be finite"),
+        (track([0.0, np.inf], [(0.0, 0.0), (0.5, 0.0)], 0.01), "times must be finite"),
+        (track([0.0, 0.4], [(0.0, 0.0), (0.5, 0.0)], [0.01, -1e-9]), "noises must be >= 0"),
+        (track([0.0, 0.4], [(0.0, 0.0), (0.5, 0.0)], [np.nan, 0.01]), "noises must be >= 0"),
+        (track([0.0, 0.4], [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)], 0.01), "1D or 2D"),
+        (track([0.0, 0.4], [0.0, 0.5], 0.01), "1D or 2D"),
+        ((np.array([0.0, 0.4, 0.8]), np.zeros((2, 2)), np.full(3, 0.01)), "one time and one noise"),
+        ((np.array([0.0, 0.4]), np.zeros((2, 2)), np.full(3, 0.01)), "one time and one noise"),
+    ])
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_a_bad_track_is_refused(self, bad, message, alone):
+        good = track([0.0, 0.4], [(0.0, 0.0), (0.5, 0.0)], 0.01)
+        with pytest.raises(ValueError, match=message):
+            fit_preference([bad] if alone else [good, good, bad], make_grid(), KernelParams())
+
+    def test_the_fit_leaves_the_positions_alone(self):
+        times, positions, noises = track([0.0, 0.4], [(1.0, 2.0), (1.5, 2.5)], 0.01)
+        before = positions.copy()
+        fit_preference([(times, positions, noises)], make_grid(), KernelParams(), [(0.4, (1.5, 2.5), (1.25, 1.25))])
+        assert np.array_equal(positions, before)
 
     def test_noiseless_observations_interpolated_at_grid_times(self):
         grid = make_grid(steps=10)
@@ -73,7 +102,7 @@ class TestFitPreference:
         rng = np.random.default_rng(3)
         idx = [0, 4, 9]
         pts = rng.normal(size=(3, 2))
-        obs = [Observation(grid.times()[i], tuple(p), 0.0) for i, p in zip(idx, pts)]
+        obs = track(grid.times()[idx], pts, 0.0)
         gp = fit_preference([obs], grid, kp)[0]
         for i, p in zip(idx, pts):
             assert np.linalg.norm(gp.mean[i] - p) < 1e-6
@@ -84,10 +113,8 @@ class TestFitPreference:
         rng = np.random.default_rng(11)
         for _ in range(10):
             n = rng.integers(1, 6)
-            obs = [
-                Observation(rng.uniform(-2, 10), tuple(rng.normal(size=2)), rng.uniform(0, 0.1))
-                for _ in range(n)
-            ]
+            rows = [(rng.uniform(-2, 10), rng.normal(size=2), rng.uniform(0, 0.1)) for _ in range(n)]
+            obs = track(*zip(*rows))
             gp = fit_preference([obs], grid, kp)[0]
             assert np.all(np.diag(gp.cov) <= kp.signal_var + kp.jitter + 1e-9)
 
@@ -105,12 +132,11 @@ class TestPriorLine:
         return np.asarray(start) + (self.TIMES - 2.8)[:, None] * vel
 
     def fit(self, walk, line):
-        obs = [Observation(t, tuple(p), self.NOISE) for t, p in zip(self.TIMES, walk)]
-        return fit_preference([obs], self.GRID, KernelParams(), [line])[0]
+        return fit_preference([track(self.TIMES, walk, self.NOISE)], self.GRID, KernelParams(), [line])[0]
 
     def test_a_zero_line_is_the_zero_prior(self):
         rng = np.random.default_rng(3)
-        obs = [Observation(t, tuple(rng.normal(size=2)), self.NOISE) for t in self.TIMES]
+        obs = track(self.TIMES, [rng.normal(size=2) for _ in self.TIMES], self.NOISE)
         plain = fit_preference([obs], self.GRID, KernelParams())[0]
         lined = fit_preference([obs], self.GRID, KernelParams(), [(2.8, (0.0, 0.0), (0.0, 0.0))])[0]
         assert plain.mean.tobytes() == lined.mean.tobytes()
@@ -184,7 +210,7 @@ class TestSampleTrajectories:
     def test_empirical_mean_within_three_standard_errors(self):
         grid = make_grid(steps=8)
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-10)
-        obs = [Observation(0.0, (0.0, 0.0), 0.01), Observation(2.8, (3.0, 1.0), 0.01)]
+        obs = track([0.0, 2.8], [(0.0, 0.0), (3.0, 1.0)], 0.01)
         gp = fit_preference([obs], grid, kp)[0]
         m = 20000
         ss = sample_trajectories([gp], m, [42])[0]
@@ -195,7 +221,7 @@ class TestSampleTrajectories:
     def test_empirical_variance_within_ten_percent(self):
         grid = make_grid(steps=6)
         kp = KernelParams(length_scale=1.0, signal_var=2.0, jitter=1e-8)
-        obs = [Observation(0.0, (0.0, 0.0), 0.05)]
+        obs = track([0.0], [(0.0, 0.0)], 0.05)
         gp = fit_preference([obs], grid, kp)[0]
         ss = sample_trajectories([gp], 20000, [7])[0]
         emp = ss.trajectories.var(axis=0).mean(axis=1)  # average the two axes
@@ -259,7 +285,7 @@ SCHEDULES = ["same", "shifted_times", "other_noise", "zero_noise_duplicates"]
 
 
 def schedule_group(seed, n_obs, kinds, dim):
-    """One observation list per kind; positions always differ between agents."""
+    """One track per kind; positions always differ between agents."""
     rng = np.random.default_rng(seed)
     base_t = np.sort(rng.uniform(-3.0, 8.0, n_obs))
     base_noise = rng.uniform(0.0, 0.1, n_obs)
@@ -274,7 +300,7 @@ def schedule_group(seed, n_obs, kinds, dim):
             t = np.repeat(t[:1], n_obs)
             noise = np.zeros(n_obs)
         pos = rng.normal(scale=2.0, size=(n_obs, dim))
-        group.append([Observation(ti, tuple(p), ni) for ti, p, ni in zip(t, pos, noise)])
+        group.append(track(t, pos, noise))
     return group
 
 
@@ -349,7 +375,7 @@ class TestSharedPosterior:
 
     def test_shared_covariance_is_read_only(self):
         grid = make_grid(steps=4)
-        gp = fit_preference([[Observation(0.0, (0.0, 0.0), 0.01)]], grid, KernelParams())[0]
+        gp = fit_preference([track([0.0], [(0.0, 0.0)], 0.01)], grid, KernelParams())[0]
         with pytest.raises(ValueError):
             gp.cov[0, 0] = 1.0
 
@@ -457,7 +483,7 @@ class TestBatchSampling:
         group = []
         for g, size in enumerate(sizes):  # schedule g: g + 1 observations
             times = np.sort(rng.uniform(-3.0, 0.0, size=g + 1))
-            group += [[Observation(t, tuple(rng.normal(size=dim)), 0.01) for t in times] for _ in range(size)]
+            group += [track(times, [rng.normal(size=dim) for _ in times], 0.01) for _ in range(size)]
         gps = fit_preference([group[k] for k in rng.permutation(len(group))], grid, kp)  # schedules interleaved
         seeds = [seed + k for k in range(len(gps))]
         agents = [f"agent{k}" for k in range(len(gps))]
@@ -542,11 +568,11 @@ def _escalation(first, base, tries):
 
 
 class TestJitterEscalation:
-    OBS = [Observation(0.0, (0.0, 0.0), 0.01), Observation(1.2, (1.0, 0.5), 0.01)]
+    OBS = track([0.0, 1.2], [(0.0, 0.0), (1.0, 0.5)], 0.01)
 
     def gram(self, kp):
-        t = np.array([o.t for o in self.OBS])
-        return distnav.gp._se_kernel(t, t, kp) + np.diag([o.noise_var for o in self.OBS])
+        t, _, noise = self.OBS
+        return distnav.gp._se_kernel(t, t, kp) + np.diag(noise)
 
     def test_fit_escalates_from_the_kernel_jitter(self):
         kp = KernelParams(jitter=1e-6)

@@ -1,12 +1,12 @@
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from distnav.dataset import extract_partials, load_dataset
-from distnav.gp import Observation
 from distnav.metrics import classify_run
 from distnav.planner import PlannerConfig, _pedestrian_observations, _robot_observations, replan
 from distnav.runlog import ARRIVED
@@ -38,13 +38,13 @@ def two_ped_dataset(tmp_path_factory):
 
 
 def constant_velocity_history(agent, vel, now, cfg, frames=5):
-    noise = cfg.current_obs_noise_var if agent.kind == ROBOT else cfg.obs_noise_var
-    obs = []
+    """The agent's ``(t, x, y)`` rows at velocity ``vel``, one a frame, the last at ``now``."""
+    rows = []
     for k in range(frames):
         t = now - cfg.dt * (frames - 1 - k)
         pos = np.asarray(agent.pos, dtype=float) - np.asarray(vel) * cfg.dt * (frames - 1 - k)
-        obs.append(Observation(t, tuple(pos), noise))
-    return obs
+        rows.append((t, *pos.tolist()))
+    return rows
 
 
 def hallway(c=(0.0, 0.0)):
@@ -88,8 +88,8 @@ class TestReplan:
         from distnav.planner import _sample_seed
 
         grid = cfg.grid_at(0.0)
-        obs, prior = _robot_observations(robot, history[-1], cfg, 0.0)
-        gp = fit_preference([obs], grid, cfg.kernel, [prior])[0]
+        track, prior = _robot_observations(robot, history[-1], cfg, 0.0)
+        gp = fit_preference([track], grid, cfg.kernel, [prior])[0]
         ss = sample_trajectories([gp], cfg.samples_per_agent, [_sample_seed(3, 0, -1)], [-1])[0]
         expected = select_optimal([ss], {-1: gp})[-1]
         assert np.array_equal(res.robot_plan.states, expected.states)
@@ -147,11 +147,11 @@ class TestReplan:
         assert shifted.critical == base.critical == [-1, 1, 2]
 
         grid, now = cfg.grid_at(2.0), 2.0
-        robot_obs, _ = _robot_observations(world.robot(), history[-1], cfg, now)
-        ped_obs, _ = _pedestrian_observations(world.get(1), history[1], cfg, now)
+        robot_track, _ = _robot_observations(world.robot(), history[-1], cfg, now)
+        ped_track, _ = _pedestrian_observations(history[1], cfg)
         norms = [
-            mean_operator_norm([o.t for o in obs], [o.noise_var for o in obs], grid, cfg.kernel)
-            for obs in (robot_obs, ped_obs)
+            mean_operator_norm(times, noises, grid, cfg.kernel)
+            for times, _, noises in (robot_track, ped_track)
         ]
         assert norms[0] < 279 and norms[1] < 14.9
         trajectories = {-1: (base.robot_plan, shifted.robot_plan)}
@@ -198,6 +198,39 @@ class TestReplan:
         assert np.array_equal(a.robot_plan.states, b.robot_plan.states)
         for pid in a.predictions:
             assert np.array_equal(a.predictions[pid].states, b.predictions[pid].states)
+
+    def test_a_replan_fits_only_the_last_history_window_rows(self):
+        cfg = FAST_PLANNER
+        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (10.0, 0.0), ROBOT)
+        peds = [AgentState(1, (5.0, 0.3), (-1.3, 0.0), (0.0, 0.3), REPLAY),
+                AgentState(2, (6.0, -0.4), (-1.0, 0.2), (0.0, -0.4), REPLAY)]
+        world = WorldState(4.4, [robot, *peds])
+        history = {a.id: constant_velocity_history(a, a.vel, 4.4, cfg, frames=12) for a in [robot, *peds]}
+        # the rows before the window are off the line, so fitting them would show
+        history = {a: [(t, x + 0.5, y - 0.5) for t, x, y in rows[:4]] + rows[4:] for a, rows in history.items()}
+        assert cfg.history_window == 8  # the window starts after the changed rows
+        full = replan(world, history, cfg, seed=5, frame=11)
+        window = replan(world, {a: rows[-cfg.history_window:] for a, rows in history.items()}, cfg, seed=5, frame=11)
+        wide = replan(world, history, replace(cfg, history_window=12), seed=5, frame=11)
+        assert full.critical == window.critical and full.scores == window.scores
+        assert full.robot_plan.states.tobytes() == window.robot_plan.states.tobytes()
+        assert full.predictions.keys() == window.predictions.keys()
+        for a in full.predictions:
+            assert full.predictions[a].states.tobytes() == window.predictions[a].states.tobytes()
+        assert wide.robot_plan.states.tobytes() != full.robot_plan.states.tobytes()
+
+    @pytest.mark.parametrize("rows", [None, []])
+    def test_a_world_agent_without_history_is_refused(self, rows):
+        cfg = FAST_PLANNER
+        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (6.0, 0.0), ROBOT)
+        ped = AgentState(7, (4.0, 0.2), (-1.3, 0.0), (0.0, 0.2), REPLAY)
+        history = {-1: constant_velocity_history(robot, robot.vel, 0.0, cfg)}
+        if rows is not None:
+            history[7] = rows
+        with pytest.raises(ValueError, match=r"no observation of agents \[7\]"):
+            replan(WorldState(0.0, [robot, ped]), history, cfg)
+        with pytest.raises(ValueError, match=r"no observation of agents \[-1\]"):
+            replan(WorldState(0.0, [robot]), {}, cfg)
 
 
 class TestRunReplay:
