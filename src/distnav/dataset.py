@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +73,9 @@ class TrajectoryDataset:
 
 
 def load_dataset(path, frame_period: float | None = None) -> TrajectoryDataset:
-    """Parse a dataset file; malformed records or negative pedestrian ids raise
-    ConfigError with the line number, and so do a file that cannot be read
-    and a frame period that is not a positive number of seconds."""
+    """Parse a dataset file; malformed records and ids that are not whole numbers
+    (``780.0`` is 780) below 2^63 in magnitude, or negative for a pedestrian, raise
+    ConfigError with the line number, as do an unreadable file and a bad period."""
     path = Path(path)
     if frame_period is None:
         frame_period = _sidecar_frame_period(path)
@@ -94,16 +95,14 @@ def load_dataset(path, frame_period: float | None = None) -> TrajectoryDataset:
             if len(parts) != 4:
                 raise ConfigError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             try:
-                frame = int(float(parts[0]))
-                ped = int(float(parts[1]))
+                frame = _record_id("frame", parts[0], 1 - 2**63)
+                # -1 is the robot's id in a replay, and seeds need ids >= -1
+                ped = _record_id("pedestrian", parts[1], 0)
                 x, y = float(parts[2]), float(parts[3])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
             if not (np.isfinite(x) and np.isfinite(y)):
                 raise ConfigError(f"{path}:{lineno}: non-finite position")
-            if ped < 0:
-                # -1 is the robot's id in a replay, and seeds need ids >= -1
-                raise ConfigError(f"{path}:{lineno}: pedestrian id {ped} is negative")
             rows.append((frame, ped, x, y))
     if not rows:
         raise ConfigError(f"{path}: dataset contains no records")
@@ -115,11 +114,26 @@ def load_dataset(path, frame_period: float | None = None) -> TrajectoryDataset:
     for ped, recs in by_ped.items():
         recs.sort(key=lambda r: r[0])
         frames = np.array([r[0] for r in recs], dtype=int)
-        if np.any(np.diff(frames) <= 0):
+        if np.any(frames[1:] <= frames[:-1]):  # np.diff would wrap past 2^63
             raise ConfigError(f"{path}: pedestrian {ped} has duplicate frames")
         xy = np.array([(r[1], r[2]) for r in recs], dtype=float)
         tracks[ped] = (frames, xy)
     return TrajectoryDataset(frame_period=float(frame_period), tracks=tracks)
+
+
+def _record_id(kind: str, text: str, low: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            number = Decimal(text)  # exact: "780.0" is 780, "1e-400" is not whole
+        except ArithmeticError:
+            number = Decimal("NaN")
+        whole = number.is_finite() and number == number.to_integral_value()
+        value = int(number) if whole and abs(number) < 2**63 else 2**63
+    if not low <= value < 2**63:
+        raise ValueError(f"{kind} id {text} is not a whole number in [{low}, 2^63)")
+    return value
 
 
 def _sidecar_frame_period(path: Path) -> float:

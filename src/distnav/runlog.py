@@ -102,7 +102,9 @@ def read_runlog(csv_path, summary_path) -> RunLog:
         summary = json.loads(summary_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read run summary {summary_path}: {exc}") from None
-    robot_id = int(summary["robot_id"])
+    if not (isinstance(summary, dict) and isinstance(summary.get("robot_id"), int) and "outcome" in summary):
+        raise ConfigError(f"{summary_path}: a run summary needs an integer robot_id and an outcome")
+    robot_id = summary["robot_id"]
 
     steps = []
     with csv_path.open() as fh:
@@ -111,12 +113,17 @@ def read_runlog(csv_path, summary_path) -> RunLog:
         if header is None or header[:4] != ["t", "agent_id", "x", "y"]:
             raise ConfigError(f"{csv_path}: not a run log")
         for row in reader:
-            if int(row[1]) != robot_id:
-                continue
-            t, pos = float(row[0]), (float(row[2]), float(row[3]))
+            try:
+                t, agent, x, y, min_sep, replan_ms = row
+                if int(agent) != robot_id:
+                    continue
+                t, pos = float(t), (float(x), float(y))
+                replan_s = float(replan_ms) / 1000.0 if replan_ms else None
+                min_sep = float(min_sep) if min_sep else math.nan
+            except ValueError as exc:
+                raise ConfigError(f"{csv_path}:{reader.line_num}: {exc}") from None
             world = WorldState(t, [AgentState(robot_id, pos, np.zeros(2), pos, ROBOT)])
-            replan_s = float(row[5]) / 1000.0 if row[5] else None
-            steps.append(RunLogStep(t, world, replan_s, float(row[4]) if row[4] else math.nan))
+            steps.append(RunLogStep(t, world, replan_s, min_sep))
     if not steps:
         raise ConfigError(f"{csv_path}: log contains no robot rows")
     return RunLog(

@@ -1,4 +1,6 @@
-"""Shared builders for solver, oracle and GP tests."""
+"""Shared builders for solver, oracle, GP and run-log tests."""
+
+import json
 
 import numpy as np
 
@@ -6,7 +8,9 @@ from distnav.collision import CollisionKernel
 from distnav.gp import _cho_solve, _fit_posterior
 from distnav.grids import TimeGrid, Trajectory
 from distnav.oracle import GridDensity
+from distnav.runlog import RunLog, RunLogStep, write_runlog
 from distnav.samples import SampleSet
+from distnav.world import REPLAY, ROBOT, AgentState, WorldState
 
 GRID_1D = TimeGrid(0.0, 1.0, 1)
 U = 2.0**-53  # unit roundoff of float64
@@ -61,3 +65,32 @@ def straight_line_trajectory(grid: TimeGrid, start, end) -> Trajectory:
         np.asarray(end, dtype=float) - np.asarray(start, dtype=float)
     )
     return Trajectory(grid, states)
+
+
+def demo_log():
+    rng = np.random.default_rng(0)
+    steps = []
+    for k in range(6):
+        robot = AgentState(-1, rng.normal(size=2), (0, 0), (5.0, 0.0), ROBOT)
+        ped = AgentState(3, rng.normal(size=2), (0, 0), (0, 0), REPLAY)
+        world = WorldState(0.4 * k, [robot, ped])
+        sep = float(np.linalg.norm(robot.pos - ped.pos))
+        replan_s = rng.uniform(0.01, 0.1)
+        steps.append(RunLogStep(0.4 * k, world, replan_s if k < 5 else None, sep))
+    return RunLog(steps=steps, outcome="arrived", seed=12, robot_id=-1, human_length=3.3)
+
+
+def broken_log(tmp_path, case):
+    """A written log with one fault: a non-numeric field, a summary without a
+    robot_id, or a short row; the fault sits on line 3 of the CSV."""
+    csv_path, summary_path = tmp_path / "run_0000.csv", tmp_path / "run_0000.summary.json"
+    write_runlog(demo_log(), csv_path, summary_path)
+    if case == "summary":
+        summary = json.loads(summary_path.read_text())
+        del summary["robot_id"]
+        summary_path.write_text(json.dumps(summary))
+    else:
+        lines = csv_path.read_text().splitlines()
+        lines[2] = "0.4,-1,1.0" if case == "short" else "0.4,-1,west,1.0,0.5,"
+        csv_path.write_text("\n".join(lines) + "\n")
+    return csv_path, summary_path

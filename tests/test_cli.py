@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import distnav
 from distnav.cli import main
 
+from helpers import broken_log
+
 
 @pytest.fixture()
 def dataset(tmp_path):
@@ -451,6 +453,12 @@ class TestMetricsCommand:
 
     def test_missing_directory_exits_2(self, tmp_path):
         assert run_cli("metrics", "--logs", tmp_path / "nothere") == 2
+
+    @pytest.mark.parametrize("case", ["field", "short", "summary"])
+    def test_a_broken_run_log_exits_2(self, tmp_path, capsys, case):
+        broken_log(tmp_path, case)
+        assert run_cli("metrics", "--logs", tmp_path) == 2
+        assert "run_0000" in capsys.readouterr().err
 
 
 # Command-line text of a float: anything argparse's float() parses.

@@ -108,6 +108,73 @@ class TestLoadDataset:
             load_dataset(path)
 
 
+# an id as a dataset may write it: an integer, or a float such as 780.0 when exact
+def written_ids(lo):
+    ints = st.integers(lo, 2**63 - 1)
+    exact = st.integers(max(lo, -(2**53)), 2**53).map(lambda v: (v, repr(float(v))))
+    return st.one_of(ints.map(lambda v: (v, str(v))), exact)
+
+
+# ids that are no finite whole number below 2^63 in magnitude, and non-numbers
+BAD_IDS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).filter(lambda v: not float(v).is_integer()).map(repr),
+    st.floats(min_value=2.0**63).map(repr),
+    st.integers(2**63, 2**80).flatmap(lambda v: st.sampled_from([str(v), str(-v)])),
+    st.sampled_from(["inf", "-inf", "nan", "1e20", "1.5", "1e-400", "0x10", "1/2", "one"]),
+)
+
+
+@pytest.fixture(scope="module")
+def id_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ids")
+
+
+class TestRecordIds:
+    def test_eth_style_float_ids_load(self, tmp_path):
+        lines = ["780.0 1.0 8.46 3.59", "790.0 1.0 9.57 3.79", "790.0 2.0 1.5 2.0"]
+        ds = load_dataset(write_dataset(tmp_path, lines))
+        assert ds.pedestrians() == [1, 2]
+        assert list(ds.tracks[1][0]) == [780, 790]
+        assert ds.present_at(790) == [1, 2]
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("inf 2 0.0 0.0", "frame id inf"),
+            ("1e20 2 0.0 0.0", "frame id 1e20"),
+            ("1.5 2 0.0 0.0", "frame id 1.5"),  # once read as frame 1
+            ("1 1.7 0.5 0.0", "pedestrian id 1.7"),  # once read as pedestrian 1
+        ],
+    )
+    def test_an_id_that_is_not_whole_names_file_and_line(self, tmp_path, record, message):
+        path = write_dataset(tmp_path, ["0 1 0.0 0.0", record])
+        with pytest.raises(ConfigError, match=rf"ds\.txt:2: {message} is not a whole number"):
+            load_dataset(path)
+
+    def test_frames_at_both_ends_of_the_range_are_one_track(self, tmp_path):
+        lines = [f"{-(2**63) + 1} 4 0.0 0.0", f"{2**63 - 1} 4 1.0 0.0"]
+        frames, _ = load_dataset(write_dataset(tmp_path, lines)).tracks[4]
+        assert frames.tolist() == [-(2**63) + 1, 2**63 - 1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(frame=written_ids(-(2**63) + 1), ped=written_ids(0))
+    def test_valid_ids_load_as_written(self, id_dir, frame, ped):
+        path = id_dir / "valid.txt"
+        path.write_text(f"{frame[1]} {ped[1]} 0.5 -1.0\n")
+        ds = load_dataset(path)
+        assert ds.pedestrians() == [ped[0]]
+        assert ds.tracks[ped[0]][0].tolist() == [frame[0]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(bad=BAD_IDS, good=written_ids(0), frame_is_bad=st.booleans())
+    def test_any_other_id_raises_config_error(self, id_dir, bad, good, frame_is_bad):
+        path = id_dir / "invalid.txt"
+        fields = (bad, good[1]) if frame_is_bad else (good[1], bad)
+        path.write_text(f"0 0 0.0 0.0\n{fields[0]} {fields[1]} 0.5 -1.0\n")
+        with pytest.raises(ConfigError, match=r"invalid\.txt:2: "):
+            load_dataset(path)
+
+
 class TestFrameIndex:
     @settings(max_examples=60, deadline=None)
     @given(

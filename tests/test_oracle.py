@@ -14,7 +14,7 @@ from distnav.oracle import (
     write_evolution_csv,
 )
 
-from helpers import gaussian_densities_1d, gaussian_sets_1d
+from helpers import U, gaussian_densities_1d, gaussian_sets_1d
 
 KERNEL = CollisionKernel(weight=10.0, sigma=0.3)
 
@@ -96,6 +96,7 @@ class TestExactUpdate:
         history = exact_update(dens, KERNEL, sweeps=3)
         assert np.array_equal(dens[0].ps, before)
         assert history.jc_trace == [0.0, 0.0, 0.0, 0.0]
+        assert all(type(jc) is float for jc in history.jc_trace)  # written as 0.0, not 0
 
     def test_three_gaussians_middle_agent_splits(self):
         dens = gaussian_densities_1d([-1.0, 0.0, 1.0], 0.5)
@@ -142,6 +143,98 @@ class TestExactUpdate:
         assert len(history.snapshots) == 5
         assert history.sweeps == 4
         assert len(history.kl_trace) == 4
+
+
+def reference_update(densities, kernel, sweeps):
+    """Per-update quadrature: every gamma from n - 1 fresh kernel products, J
+    from ((tw * p_i) K) . (tw * p_j) over the pairs. Returns the snapshots, J
+    and KL traces, and each agent's initial gamma."""
+    xs = densities[0].xs
+    d = xs[:, None] - xs[None, :]
+    kmat = kernel.weight / (math.sqrt(2.0 * math.pi) * kernel.sigma) * np.exp(-0.5 * (d / kernel.sigma) ** 2)
+    h = xs[1] - xs[0]
+    tw = np.full(xs.size, h)
+    tw[0] = tw[-1] = h / 2
+
+    def gamma(i):
+        total = np.zeros(xs.size)
+        for j, dj in enumerate(densities):
+            if j != i:
+                total += kmat @ (tw * dj.ps)
+        return total
+
+    def joint():
+        total = 0.0
+        for i in range(len(densities)):
+            gi = tw * densities[i].ps
+            for j in range(i + 1, len(densities)):
+                total += float(gi @ kmat @ (tw * densities[j].ps))
+        return total
+
+    gammas = [gamma(i) for i in range(len(densities))]
+    snapshots, jc, kl = [[dd.ps.copy() for dd in densities]], [joint()], []
+    for _ in range(sweeps):
+        kl_sum = 0.0
+        for i in range(len(densities)):
+            g = gamma(i)
+            shifted = g - g.min()
+            if not shifted.any():
+                continue
+            raw = densities[i].ps * np.exp(-shifted)
+            new = raw / float(np.sum(tw * raw))
+            pn, po = np.maximum(new, 1e-300), np.maximum(densities[i].ps, 1e-300)
+            kl_sum += float(np.sum(tw * new * (np.log(pn) - np.log(po))))
+            densities[i] = GridDensity(xs, new)
+        snapshots.append([dd.ps.copy() for dd in densities])
+        jc.append(joint())
+        kl.append(kl_sum)
+    return snapshots, jc, kl, gammas
+
+
+# (means, sigmas, grid points, kernel, sweeps)
+PROBLEMS = [
+    ([0.0], [0.7], 101, KERNEL, 3),
+    ([-0.5, 0.5], [0.4, 0.4], 51, KERNEL, 4),
+    ([-1.0, 0.0, 1.0], [0.5, 0.5, 0.5], 2001, KERNEL, 10),
+    ([-1.2, -0.1, 0.4, 1.5], [0.3, 0.6, 0.5, 0.4], 601, CollisionKernel(weight=4.0, sigma=0.5), 6),
+    ([-0.3, 0.2, 0.9], [0.8, 0.2, 0.5], 1001, CollisionKernel(weight=25.0, sigma=0.15), 5),
+]
+
+
+class TestAgainstPerUpdateQuadrature:
+    @pytest.mark.parametrize("means, sigmas, points, kernel, sweeps", PROBLEMS)
+    def test_densities_kl_and_gamma_bit_for_bit_and_j_within_its_bound(
+        self, means, sigmas, points, kernel, sweeps
+    ):
+        """J here is sum over i < j of g_i . (K g_j), the reference's is
+        (g_i K) . g_j, with g = tw * p the same stored doubles and K the same
+        matrix. So both add the same N^2 nonnegative products
+        g_i[a] K[a, b] g_j[b], in two association orders. Each product meets
+        two multiplications and at most 2(N - 1) additions, and rounding in
+        any summation order of nonnegative terms leaves it scaled by some
+        (1 + t), |t| <= gamma_2N, where gamma_k = k u / (1 - k u). The P =
+        n(n - 1) / 2 pair terms then go through at most P - 1 additions. Each
+        computed J is the exact double sum times (1 + t), |t| <= gamma_K,
+        K = 2N + P - 1, so the two differ relatively by at most
+        2 gamma_K / (1 - gamma_K) = 2K u + O((K u)^2) < (4N + n^2) u + O((K u)^2),
+        inside (4N + 2n^2) u. A product that underflows errs by at most
+        2^-1075 absolutely, about 1e-317 over all products here, far below
+        u J."""
+        xs = np.linspace(min(means) - 8 * max(sigmas), max(means) + 8 * max(sigmas), points)
+        make = lambda: [GridDensity.gaussian(xs, mu, s) for mu, s in zip(means, sigmas)]
+        snapshots, jc, kl, gammas = reference_update(make(), kernel, sweeps)
+        dens = make()
+        for i, g in enumerate(gammas):
+            assert np.array_equal(exact_gamma(i, dens, kernel), g)
+        history = exact_update(dens, kernel, sweeps)
+        assert len(history.snapshots) == len(snapshots)
+        for got, want in zip(history.snapshots, snapshots):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert history.kl_trace == kl
+        n = len(means)
+        for got, want in zip(history.jc_trace, jc):
+            assert type(got) is float
+            assert abs(got - want) <= (4 * points + 2 * n**2) * U * want
 
 
 class TestKsDistance:

@@ -6,20 +6,9 @@ import pytest
 from distnav.errors import ConfigError
 from distnav.metrics import classify_run
 from distnav.runlog import RunLog, RunLogStep, read_runlog, write_runlog
-from distnav.world import REPLAY, ROBOT, AgentState, WorldState
+from distnav.world import ROBOT
 
-
-def demo_log():
-    rng = np.random.default_rng(0)
-    steps = []
-    for k in range(6):
-        robot = AgentState(-1, rng.normal(size=2), (0, 0), (5.0, 0.0), ROBOT)
-        ped = AgentState(3, rng.normal(size=2), (0, 0), (0, 0), REPLAY)
-        world = WorldState(0.4 * k, [robot, ped])
-        sep = float(np.linalg.norm(robot.pos - ped.pos))
-        replan_s = rng.uniform(0.01, 0.1)
-        steps.append(RunLogStep(0.4 * k, world, replan_s if k < 5 else None, sep))
-    return RunLog(steps=steps, outcome="arrived", seed=12, robot_id=-1, human_length=3.3)
+from helpers import broken_log, demo_log
 
 
 class TestRoundTrip:
@@ -78,3 +67,24 @@ class TestRoundTrip:
         write_runlog(log, tmp_path / "r.csv", tmp_path / "r.summary.json")
         loaded = read_runlog(tmp_path / "r.csv", tmp_path / "r.summary.json")
         assert np.all(np.isnan(loaded.min_sep_series()))
+
+
+class TestBrokenLogs:
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("field", r"run_0000\.csv:3: could not convert string to float: 'west'"),
+            ("short", r"run_0000\.csv:3: not enough values to unpack"),
+            ("summary", r"run_0000\.summary\.json: a run summary needs an integer robot_id"),
+        ],
+    )
+    def test_config_error_names_the_file_and_line(self, tmp_path, case, message):
+        with pytest.raises(ConfigError, match=message):
+            read_runlog(*broken_log(tmp_path, case))
+
+    @pytest.mark.parametrize("summary", ["[]", '{"robot_id": "-1", "outcome": "arrived"}', '{"robot_id": -1}'])
+    def test_a_summary_of_another_shape_is_refused(self, tmp_path, summary):
+        csv_path, summary_path = broken_log(tmp_path, "summary")
+        summary_path.write_text(summary)
+        with pytest.raises(ConfigError, match="needs an integer robot_id and an outcome"):
+            read_runlog(csv_path, summary_path)

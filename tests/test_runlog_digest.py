@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "runlog_digest.py"
-LINES = {"total": "a" * 64, "human": "b" * 64, "oracle": "c" * 64}
+LINES = {"total": "a" * 64, "human": "b" * 64, "oracle": "c" * 64, "evolve1d": "e" * 64}
 
 
 @pytest.fixture
 def tool(monkeypatch):
-    """The tool as a module, its runs replaced by three fixed hashes.
+    """The tool as a module, its runs replaced by four fixed hashes.
 
     Importing it pins BLAS threads in the environment, puts ``src/`` and
     ``bench/`` on the path and imports the benchmark's modules; all three are
@@ -37,19 +37,25 @@ class TestExpect:
         assert tool.main(["--expect", LINES["total"], LINES["human"], "d" * 64]) == 1
         err = capsys.readouterr().err
         assert f"oracle {LINES['oracle']} differs from the expected {'d' * 64}" in err
-        assert "total" not in err and "human" not in err
+        assert "total" not in err and "human" not in err and "evolve1d" not in err
+
+    def test_a_wrong_evolve1d_hash_exits_1_and_names_that_line(self, tool, capsys):
+        assert tool.main(["--expect", LINES["total"], LINES["human"], LINES["oracle"], "d" * 64]) == 1
+        err = capsys.readouterr().err
+        assert f"evolve1d {LINES['evolve1d']} differs from the expected {'d' * 64}" in err
+        assert "total" not in err and "human" not in err and "oracle" not in err
 
     def test_every_differing_line_is_named(self, tool, capsys):
         assert tool.main(["--expect", "x", "y"]) == 1
         err = capsys.readouterr().err
-        assert "total" in err and "human" in err and "oracle" not in err
+        assert "total" in err and "human" in err and "oracle" not in err and "evolve1d" not in err
 
-    @pytest.mark.parametrize("given", [0, 1, 2, 3])
+    @pytest.mark.parametrize("given", [0, 1, 2, 3, 4])
     def test_matching_hashes_exit_0(self, tool, given):
         expect = list(LINES.values())[:given]
         assert tool.main(["--expect", *expect] if expect else []) == 0
 
-    def test_more_than_three_hashes_refused(self, tool):
+    def test_more_than_four_hashes_refused(self, tool):
         with pytest.raises(SystemExit) as exc:
             tool.main(["--expect", *LINES.values(), "d" * 64])
         assert exc.value.code == 2

@@ -1,6 +1,6 @@
-"""Fingerprint the run logs of three fixed closed-loop runs.
+"""Fingerprint the run logs of three fixed closed-loop runs, and the oracle's outputs.
 
-    python3 tools/runlog_digest.py [--expect TOTAL [HUMAN [ORACLE]]]
+    python3 tools/runlog_digest.py [--expect TOTAL [HUMAN [ORACLE [EVOLVE1D]]]]
 
 Runs, under ``--no-timing`` and into a temporary directory:
 
@@ -11,17 +11,17 @@ Runs, under ``--no-timing`` and into a temporary directory:
 - ``distnav simulate`` with the default config, 3 runs from seed 3.
 
 Prints the sha256 of every file written, then one total over all of them.
-Two last lines, outside the total, give the sha256 of ``human_report.json``
+Three last lines, outside the total, give the sha256 of ``human_report.json``
 from a ``--human-baseline`` replay of the same plaza file (seed 7, 4 partial
-runs, m=100), and of the sample weights after the benchmark's
-``oracle1d_large_m`` solve of seed 7 (the inputs of its timed rounds); no run
-log covers either. A change meant to leave the program's outputs alone must
-leave all three unchanged. With ``--expect TOTAL [HUMAN [ORACLE]]`` the
-command still prints every line, then exits 1 when any line given differs:
-the total from TOTAL, the human-baseline line from HUMAN, the oracle line
-from ORACLE; each line that differs is named on stderr. Uses the checkout's
-own ``src/`` and ``bench/`` and pins BLAS to one thread, as the benchmark
-does.
+runs, m=100), of the sample weights after the benchmark's ``oracle1d_large_m``
+solve of seed 7 (the inputs of its timed rounds), and of the three files
+``distnav evolve1d --compare-sampler`` writes at defaults (``evolution.csv``,
+``jc_trace.csv``, ``ks_summary.json``, hashed as the total is); no run log
+covers any of them. A change meant to leave the program's outputs alone must
+leave all four unchanged. With ``--expect TOTAL [HUMAN [ORACLE [EVOLVE1D]]]``
+the command still prints every line, then exits 1 when any line given
+differs, and names each line that differs on stderr. Uses the checkout's own
+``src/`` and ``bench/`` and pins BLAS to one thread, as the benchmark does.
 """
 
 import os
@@ -45,7 +45,7 @@ import workloads  # noqa: E402
 
 
 # the lines --expect can gate, in the order it takes their hashes
-GATED = ("total", "human", "oracle")
+GATED = ("total", "human", "oracle", "evolve1d")
 
 
 def _distnav(*argv) -> None:
@@ -65,8 +65,21 @@ def oracle_weights_digest() -> str:
     return digest.hexdigest()
 
 
+def tree_digest(root: Path, show: bool = False) -> str:
+    """sha256 over the lines ``<path> <sha256>`` of every file under root, in
+    path order; with show, print each file's line first."""
+    total = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        name = path.relative_to(root).as_posix()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        total.update(f"{name} {digest}\n".encode())
+        if show:
+            print(f"{digest}  {name}")
+    return total.hexdigest()
+
+
 def digests() -> dict:
-    """Make the three runs and print every line; returns the three gated hashes."""
+    """Make the runs and print every line; returns the four gated hashes."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         inputs = tmp / "inputs"
@@ -83,31 +96,29 @@ def digests() -> dict:
         _distnav("simulate", "--runs", 3, "--seed", 3, "--out", out / "default", "--jobs", 1,
                  "--no-timing")
 
-        total = hashlib.sha256()
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            name = path.relative_to(out).as_posix()
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            total.update(f"{name} {digest}\n".encode())
-            print(f"{digest}  {name}")
-        print(f"{total.hexdigest()}  total")
+        total = tree_digest(out, show=True)
+        print(f"{total}  total")
         human = tmp / "human"
         _distnav("replay", "--dataset", plaza.plaza, "--limit", 4, "--m", 100, "--seed", 7,
                  "--out", human, "--jobs", 1, "--no-timing", "--human-baseline")
         human_digest = hashlib.sha256((human / "human_report.json").read_bytes()).hexdigest()
         print(f"{human_digest}  human_report.json (replay --human-baseline)")
-    oracle = oracle_weights_digest()
-    print(f"{oracle}  oracle1d_large_m seed 7 weights")
-    return {"total": total.hexdigest(), "human": human_digest, "oracle": oracle}
+        oracle = oracle_weights_digest()
+        print(f"{oracle}  oracle1d_large_m seed 7 weights")
+        _distnav("evolve1d", "--compare-sampler", "--out", tmp / "evolve1d")
+        evolve1d = tree_digest(tmp / "evolve1d")
+        print(f"{evolve1d}  evolve1d --compare-sampler")
+    return {"total": total, "human": human_digest, "oracle": oracle, "evolve1d": evolve1d}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--expect", nargs="+", metavar="HASH",
-                        help="TOTAL [HUMAN [ORACLE]]: exit 1 unless each line given matches")
+                        help="TOTAL [HUMAN [ORACLE [EVOLVE1D]]]: exit 1 unless each line given matches")
     args = parser.parse_args(argv)
     expect = args.expect or []
     if len(expect) > len(GATED):
-        parser.error("--expect takes at most three hashes: TOTAL [HUMAN [ORACLE]]")
+        parser.error("--expect takes at most four hashes: TOTAL [HUMAN [ORACLE [EVOLVE1D]]]")
     got = digests()
     differ = [(name, want) for name, want in zip(GATED, expect) if got[name] != want]
     for name, want in differ:
