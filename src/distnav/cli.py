@@ -180,20 +180,22 @@ def _attempt(worker, payload):
 
 
 def _run_batch(out: Path, jobs: int, worker, payloads, thresholds, no_timing: bool):
-    """Run ``worker(*payload)`` per payload; write and classify each completed run.
-    Returns the completed logs and their classifications in payload order, and
-    the error of each failed run by run name."""
+    """Run ``worker(*payload)`` per payload; write, classify and drop each run's log
+    in payload order as it finishes. Returns the completed runs' classifications and
+    ``(outcome, duration)`` pairs in payload order, and each failed run's error by name."""
     run = partial(_attempt, worker)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for --jobs > 1
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, payloads))
-    else:
-        results = [run(p) for p in payloads]
+            return _write_runs(out, pool.map(run, payloads), len(payloads), thresholds, no_timing)
+    return _write_runs(out, map(run, payloads), len(payloads), thresholds, no_timing)
 
-    logs, classifications, errors = [], [], {}
-    for k, result in enumerate(results):
+
+def _write_runs(out: Path, results, count: int, thresholds, no_timing: bool):
+    classifications, completed, errors = [], [], {}
+    for k in range(count):  # not enumerate(): its reused tuple would keep the last log alive
+        result = next(results)
         csv_path, summary_path = out / f"run_{k:04d}.csv", out / f"run_{k:04d}.summary.json"
         if isinstance(result, dict):
             errors[f"run_{k:04d}"] = result["error"]
@@ -202,9 +204,10 @@ def _run_batch(out: Path, jobs: int, worker, payloads, thresholds, no_timing: bo
             summary_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
             continue
         write_runlog(result, csv_path, summary_path, not no_timing)
-        logs.append(result)
         classifications.append(_classification(result, thresholds, no_timing))
-    return logs, classifications, errors
+        completed.append((result.outcome, result.duration))
+        del result  # drop this run's log before the next run starts
+    return classifications, completed, errors
 
 
 def _write_report(path: Path | None, report: dict, errors: dict) -> None:
@@ -240,10 +243,10 @@ def cmd_replay(args) -> int:
     out = _out_dir(cfg)
     planner_cfg = cfg.planner_config()
     payloads = [(ds, p, planner_cfg, cfg.replay, cfg.seed + k) for k, p in enumerate(partials)]
-    logs, classifications, errors = _run_batch(
+    classifications, completed, errors = _run_batch(
         out, args.jobs, run_replay, payloads, cfg.thresholds, args.no_timing
     )
-    if not logs:
+    if not completed:
         return 1  # every episode failed; each summary holds its error
 
     report = aggregate(classifications)
@@ -261,9 +264,9 @@ def cmd_replay(args) -> int:
 
     (out / "metrics_table.txt").write_text(table)
     print(table, end="")
-    timeouts = sum(1 for log in logs if log.outcome == "timeout")
-    print(f"{len(logs)} runs written to {out} ({timeouts} timeouts)")
-    return 0 if len(logs) == len(payloads) else 1
+    timeouts = sum(1 for outcome, _ in completed if outcome == "timeout")
+    print(f"{len(completed)} runs written to {out} ({timeouts} timeouts)")
+    return 0 if len(completed) == len(payloads) else 1
 
 
 def cmd_simulate(args) -> int:
@@ -275,32 +278,30 @@ def cmd_simulate(args) -> int:
     scenario = cfg.scenario_config()
     planner_cfg = cfg.planner_config()
     payloads = [(scenario, planner_cfg, cfg.seed + k) for k in range(args.runs)]
-    logs, classifications, errors = _run_batch(
+    classifications, completed, errors = _run_batch(
         out, args.jobs, run_interactive, payloads, cfg.thresholds, args.no_timing
     )
-    if not logs:
+    if not completed:
         return 1  # every episode failed; each summary holds its error
     report = aggregate(classifications)
 
-    arrived = [log for log in logs if log.outcome == "arrived"]
+    arrived = [duration for outcome, duration in completed if outcome == "arrived"]
     summary = {
-        "runs": len(logs),
+        "runs": len(completed),
         "pedestrians": scenario.n_pedestrians,
         "arrived": len(arrived),
-        "arrived_pct": 100.0 * len(arrived) / len(logs),
+        "arrived_pct": 100.0 * len(arrived) / len(completed),
         "collisions": sum(1 for c in classifications if c.collision),
-        "mean_time_to_goal_s": (
-            float(np.mean([log.duration for log in arrived])) if arrived else None
-        ),
+        "mean_time_to_goal_s": float(np.mean(arrived)) if arrived else None,
         "metrics": report.to_dict(),
     }
     _write_report(out / "simulation_report.json", summary, errors)
     print(report.to_table("distnav"), end="")
     print(
-        f"{summary['arrived']}/{len(logs)} arrived, {summary['collisions']} collision runs, "
+        f"{summary['arrived']}/{len(completed)} arrived, {summary['collisions']} collision runs, "
         f"mean time to goal {summary['mean_time_to_goal_s']}"
     )
-    return 0 if len(logs) == len(payloads) else 1
+    return 0 if len(completed) == len(payloads) else 1
 
 
 def cmd_metrics(args) -> int:
@@ -330,6 +331,8 @@ def cmd_metrics(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read run summary {summary_path}: {exc}") from None
         if isinstance(summary, dict) and summary.get("outcome") == "error":
+            if not isinstance(summary.get("error"), str):
+                raise ConfigError(f"run summary {summary_path} has no error message")
             errors[name] = summary["error"]
     if not runs:
         raise ConfigError(f"no run logs found in {logs_dir}")

@@ -53,7 +53,8 @@ class TrajectoryDataset:
         groups = np.split(owner[order], starts[1:])
         self._present = {int(f): [peds[i] for i in g] for f, g in zip(ids, groups)}
         self._frames = ids
-        self.frame_stride = int(np.gcd.reduce(np.diff(ids))) if ids.size > 1 else 1
+        steps = [b - a for a, b in zip(ids.tolist(), ids[1:].tolist())]  # np.diff wraps past 2^63
+        self.frame_stride = math.gcd(*steps) if steps else 1
 
     def pedestrians(self) -> list:
         return sorted(self.tracks)

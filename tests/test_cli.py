@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 import distnav
 from distnav.cli import main
 
-from helpers import broken_log
+from distnav.runlog import write_runlog
+from helpers import broken_log, demo_log
 
 
 @pytest.fixture()
@@ -231,6 +233,55 @@ class TestExitCodes:
         report = json.loads((tmp_path / "failed" / "metrics_report.json").read_text())
         assert report.pop("errors") == {"run_0001": "ValueError: synthetic failure"}
         assert report["runs"] == 1
+
+
+class TestStreamedBatch:
+    @pytest.mark.parametrize("command", ["simulate", "replay"])
+    def test_each_run_log_is_dropped_before_the_next_run(
+        self, dataset, tmp_path, fast_config, monkeypatch, command
+    ):
+        import distnav.cli as cli
+
+        name = "run_interactive" if command == "simulate" else "run_replay"
+        real = getattr(cli, name)
+        refs, previous_gone = [], []
+
+        def tracked(*payload):
+            if refs:
+                previous_gone.append(refs[-1]() is None)
+            log = real(*payload)
+            refs.append(weakref.ref(log))
+            return log
+
+        monkeypatch.setattr(cli, name, tracked)
+        if command == "simulate":
+            args = ("simulate", "--pedestrians", 2, "--runs", 3)
+        else:
+            args = ("replay", "--dataset", dataset, "--limit", 3)
+        code = run_cli(*args, "--config", fast_config, "--out", tmp_path / "out", "--no-timing")
+        assert code == 0
+        assert previous_gone == [True, True]
+
+    def test_an_interrupted_batch_keeps_the_runs_it_finished(self, tmp_path, fast_config, monkeypatch):
+        import distnav.cli as cli
+
+        args = ("simulate", "--config", fast_config, "--pedestrians", 2, "--runs", 3, "--seed", 0, "--no-timing")
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        assert run_cli(*args, "--out", whole) == 0
+        real = cli.run_interactive
+
+        def interrupted(scenario, planner_cfg, seed):
+            if seed == 2:
+                raise KeyboardInterrupt
+            return real(scenario, planner_cfg, seed)
+
+        monkeypatch.setattr(cli, "run_interactive", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*args, "--out", cut)
+        names = [f"run_{k:04d}{suffix}" for k in (0, 1) for suffix in (".csv", ".summary.json")]
+        assert sorted(p.name for p in cut.iterdir()) == names
+        for name in names:
+            assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 class TestEvolve1d:
@@ -453,6 +504,13 @@ class TestMetricsCommand:
 
     def test_missing_directory_exits_2(self, tmp_path):
         assert run_cli("metrics", "--logs", tmp_path / "nothere") == 2
+
+    @pytest.mark.parametrize("summary", ['{"outcome": "error"}', '{"outcome": "error", "error": 3}'])
+    def test_an_error_summary_without_its_message_exits_2(self, tmp_path, capsys, summary):
+        write_runlog(demo_log(), tmp_path / "run_0000.csv", tmp_path / "run_0000.summary.json")
+        (tmp_path / "run_0001.summary.json").write_text(summary + "\n")
+        assert run_cli("metrics", "--logs", tmp_path) == 2
+        assert "run_0001.summary.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["field", "short", "summary"])
     def test_a_broken_run_log_exits_2(self, tmp_path, capsys, case):

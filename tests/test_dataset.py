@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distnav.dataset import (
@@ -164,6 +164,27 @@ class TestRecordIds:
         ds = load_dataset(path)
         assert ds.pedestrians() == [ped[0]]
         assert ds.tracks[ped[0]][0].tolist() == [frame[0]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        frames=st.lists(
+            st.one_of(
+                st.integers(-(2**63) + 1, -(2**63) + 2**20),
+                st.integers(2**63 - 2**20, 2**63 - 1),
+                st.integers(-(2**63) + 1, 2**63 - 1),
+            ),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    @example(frames=[-(2**63) + 1, 2**63 - 1])  # int64 steps once gave stride 2
+    @example(frames=[-(2**63) + 1, 1, 2**63 - 1])
+    def test_frame_stride_is_the_exact_gcd_of_the_steps(self, id_dir, frames):
+        path = id_dir / "stride.txt"
+        path.write_text("".join(f"{frame} {k} 0.0 0.0\n" for k, frame in enumerate(frames)))
+        first, *rest = sorted(frames)
+        assert load_dataset(path).frame_stride == (math.gcd(*(f - first for f in rest)) if rest else 1)
 
     @settings(max_examples=80, deadline=None)
     @given(bad=BAD_IDS, good=written_ids(0), frame_is_bad=st.booleans())
