@@ -259,7 +259,7 @@ def cmd_replay(args) -> int:
             for p in partials
         ]
         human_report = aggregate(human)
-        (out / "human_report.json").write_text(human_report.to_json())
+        _write_report(out / "human_report.json", human_report.to_dict(), {})
         table += human_report.to_table("human").splitlines()[1] + "\n"
 
     (out / "metrics_table.txt").write_text(table)

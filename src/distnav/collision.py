@@ -41,9 +41,8 @@ the 2-vCPU Xeon the benchmark was measured on): every time step rereads and
 rewrites the whole block, and a block larger than the cache turns each of
 those passes into memory traffic. Entries do not depend on the block size, so
 a call may stack several sample sets as rows. Penalties below the smallest
-normal number of the output are flushed to zero: a subnormal entry adds
-nothing a normal one would not, but it slows every later product with the
-matrix.
+normal float64 are flushed to zero: a subnormal entry adds nothing a normal
+one would not, but it slows every later product with the matrix.
 
 One trajectory against many (:func:`pairwise_penalty`, :func:`penalty_row`,
 which scores every pedestrian against the robot's intent) keeps direct
@@ -97,6 +96,8 @@ _TRUNCATION_BOUND = 1e-14
 _CUTOFF_BOUND = 1e-14
 # Cramer's inequality: |H_n(t)| exp(-t^2 / 2) <= _CRAMER * 2^(n/2) * sqrt(n!)
 _CRAMER = 1.086435
+# Penalties below the smallest normal float64 are flushed to 0 (module docstring).
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -138,13 +139,13 @@ def _min_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _to_penalty(d2: np.ndarray, kernel: CollisionKernel, dim: int, tiny: float) -> np.ndarray:
+def _to_penalty(d2: np.ndarray, kernel: CollisionKernel, dim: int) -> np.ndarray:
     """Turn min squared distances into penalties in place, flushing entries
-    below ``tiny`` to 0."""
+    below ``_TINY`` to 0."""
     np.multiply(d2, -0.5 / kernel.sigma**2, out=d2)
     np.exp(d2, out=d2)
     d2 *= kernel.peak(dim)
-    d2 *= d2 >= tiny  # the flush; penalties are >= 0, so x * 0 is +0
+    d2 *= d2 >= _TINY  # the flush; penalties are >= 0, so x * 0 is +0
     return d2
 
 
@@ -152,7 +153,7 @@ def penalty_row(f: Trajectory, batch: np.ndarray, kernel: CollisionKernel) -> np
     """Penalties of one trajectory against each of a (T, d, m) trajectory
     batch, by the direct arithmetic of :func:`_min_sq_dist`."""
     d2 = _min_sq_dist(f.states[:, :, None], batch)[0]
-    return _to_penalty(d2, kernel, f.dim, np.finfo(float).tiny)
+    return _to_penalty(d2, kernel, f.dim)
 
 
 def pairwise_penalty(fa: Trajectory, fb: Trajectory, kernel: CollisionKernel) -> float:
@@ -182,9 +183,9 @@ def penalty_matrix(
     one set after another, so one call stacks the matrices of every set in
     ``a`` against ``b``, each a contiguous block of rows holding the entries
     a call for that set alone gives. Entries are within the bound in the
-    module docstring of the exact penalties, and those below the output's
-    smallest normal number are stored as 0. ``out``, a C-contiguous array of
-    the result's shape, receives the entries in place of a new float64 array.
+    module docstring of the exact penalties, and those below the smallest
+    normal float64 are stored as 0. ``out``, a C-contiguous float64 array of
+    the result's shape, receives the entries in place of a new array.
 
     Each time step's squared distances come from one matrix product,
     [p, |p|^2, 1] @ [-2q; 1; |q|^2] = |p - q|^2, with p and q measured from
@@ -221,7 +222,6 @@ def penalty_matrix(
         start += s.m
     left[:, :, dim + 1] = 1.0
 
-    tiny = np.finfo(out.dtype).tiny
     # per entry: a block's running minimum, one time step's product, and one
     # byte for the flush's flags, all reused so they stay in cache
     block = max(2, min(n, 8 * _BLOCK_BUDGET // (17 * mb)))
@@ -236,7 +236,7 @@ def penalty_matrix(
             np.minimum(acc, d2, out=acc)
         np.maximum(acc, 0.0, out=acc)  # rounding can take |p - q|^2 below 0
         rows = out[lo : min(hi, ma)]
-        rows[...] = _to_penalty(acc, kernel, dim, tiny)[: len(rows)]
+        rows[...] = _to_penalty(acc, kernel, dim)[: len(rows)]
     return out
 
 

@@ -52,15 +52,11 @@ class TrajectoryDataset:
         ids, starts = np.unique(frames[order], return_index=True)
         groups = np.split(owner[order], starts[1:])
         self._present = {int(f): [peds[i] for i in g] for f, g in zip(ids, groups)}
-        self._frames = ids
         steps = [b - a for a, b in zip(ids.tolist(), ids[1:].tolist())]  # np.diff wraps past 2^63
         self.frame_stride = math.gcd(*steps) if steps else 1
 
     def pedestrians(self) -> list:
         return sorted(self.tracks)
-
-    def frames(self) -> np.ndarray:
-        return self._frames.copy()
 
     def position_at(self, ped_id: int, frame: int) -> np.ndarray | None:
         frames, xy = self.tracks[ped_id]

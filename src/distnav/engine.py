@@ -306,15 +306,14 @@ def solve(
 
 def interaction_scores(
     robot_intent: Trajectory,
-    sets: Sequence[SampleSet],
+    sets: CrowdSamples,
     kernel: CollisionKernel,
 ) -> dict:
     """Mean weighted penalty of each agent's samples against the robot's intent.
 
     One penalty row of the intent against every set's samples at once, by the
     direct arithmetic of :func:`~distnav.collision.pairwise_penalty`, read off
-    the block of :class:`~distnav.samples.CrowdSamples` (or the sets stacked);
-    each set's score reads its own slice of that row.
+    the block of the sets; each set's score reads its own slice of that row.
     """
     if not sets:
         return {}
@@ -322,19 +321,14 @@ def interaction_scores(
         require_same_grid(robot_intent.grid, s.grid, "robot intent and sample set")
         if s.dim != robot_intent.dim:
             raise ValueError(f"sample set dim {s.dim} != robot intent dim {robot_intent.dim}")
-    block = sets.block if isinstance(sets, CrowdSamples) else np.concatenate([s.trajectories for s in sets])
-    row = penalty_row(robot_intent, block.transpose(1, 2, 0), kernel)
+    row = penalty_row(robot_intent, sets.block.transpose(1, 2, 0), kernel)
     parts = np.split(row, np.cumsum([s.m for s in sets[:-1]], dtype=int))
     return {s.agent: float(part @ s.weights) / s.m for s, part in zip(sets, parts)}
 
 
-def select_critical(scores: Mapping, threshold: float, robot: Hashable = None) -> list:
-    """Agents whose interaction score strictly exceeds the threshold.
-
-    The robot, when given, is always first in the returned list.
-    """
-    chosen = [a for a, v in scores.items() if v > threshold and a != robot]
-    return ([robot] if robot is not None else []) + chosen
+def select_critical(scores: Mapping, threshold: float, robot: Hashable) -> list:
+    """The robot, then the agents whose interaction score strictly exceeds the threshold."""
+    return [robot] + [a for a, v in scores.items() if v > threshold and a != robot]
 
 
 def select_optimal(

@@ -15,7 +15,7 @@ world point (0, 0) wherever the observations thin out; the further the agent
 is from the origin, the harder. With a line through the agent's own
 observations, shifting the observations and the line by c shifts the mean
 and every sample by c (up to rounding), so a fit does not depend on where
-the world's origin lies. Without a line the prior mean is 0.
+the world's origin lies.
 
 The posterior covariance depends only on the observation times and noises,
 never on the positions, so agents observed on the same schedule share it.
@@ -162,19 +162,17 @@ class PreferenceGP:
     mean: np.ndarray = field(repr=False)  # (steps, dim)
     cov: np.ndarray = field(repr=False)  # (steps, steps)
     jitter: float = 0.0
-    # the schedule's shared posterior, when ``cov`` is its already checked covariance
+    # the covariance with its Cholesky factors: the schedule's shared posterior
+    # when ``cov`` is its already checked covariance, else made here from ``cov``
     _post: "_Posterior | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.ndim == 1:
-            mean = mean[:, None]
-        if mean.shape[0] != self.grid.steps or mean.shape[1] not in (1, 2):
-            raise ValueError(f"mean must be ({self.grid.steps}, 1|2), got {mean.shape}")
-        self.mean = mean
-        if self._post is None or self._post.cov is not self.cov:
-            self._post = None
+        self.mean = np.asarray(self.mean, dtype=float)
+        if self.mean.shape not in ((self.grid.steps, 1), (self.grid.steps, 2)):
+            raise ValueError(f"mean must be ({self.grid.steps}, 1|2), got {self.mean.shape}")
+        if self._post is None:
             self.cov = _checked_cov(self.cov, self.grid.steps)
+            self._post = _Posterior(self.cov, self.jitter)
 
     @property
     def dim(self) -> int:
@@ -182,13 +180,6 @@ class PreferenceGP:
 
     def mean_trajectory(self) -> Trajectory:
         return Trajectory(self.grid, self.mean)
-
-    def _posterior(self) -> "_Posterior":
-        """The covariance with its Cholesky factors, made on first use."""
-        post = self._post
-        if post is None or post.cov is not self.cov or post.jitter != self.jitter:
-            post = self._post = _Posterior(self.cov, self.jitter)
-        return post
 
 
 def _checked_cov(cov, steps: int) -> np.ndarray:
@@ -274,21 +265,20 @@ def _cholesky_psd(mat, base_jitter: float, from_zero=True, what="Cholesky failed
 
 
 def fit_preference(tracks: Sequence[tuple], grid: TimeGrid, kp: KernelParams,
-                   priors: Sequence | None = None) -> list[PreferenceGP]:
+                   priors: Sequence) -> list[PreferenceGP]:
     """GP posteriors over the grid times, per axis: one per agent's track.
 
     A track is ``(times, positions, noises)``: n finite observation times,
     the (n, dim) positions observed at them, dim 1 or 2, and n noise
-    variances >= 0. ``priors[k] = (t0, pos, vel)``, when given and not None,
-    is agent k's prior mean line m(t) = pos + vel * (t - t0), ``pos`` and
-    ``vel`` with one component per axis: the fit conditions on y - m(t_obs)
-    and adds m(grid.times()) back. Without it m = 0. Agents on one schedule
-    (times, noises and dimension) share its posterior, solve and product;
-    each agent's fit is bit for bit the one it gets alone.
+    variances >= 0. ``priors[k] = (t0, pos, vel)`` is agent k's prior mean
+    line m(t) = pos + vel * (t - t0), ``pos`` and ``vel`` with one component
+    per axis: the fit conditions on y - m(t_obs) and adds m(grid.times())
+    back. Agents on one schedule (times, noises and dimension) share its
+    posterior, solve and product; each agent's fit is bit for bit the one it
+    gets alone.
     """
-    priors = [None] * len(tracks) if priors is None else priors
-    if len(priors) != len(tracks):
-        raise ValueError("fit_preference needs one prior line or None per agent")
+    if len(priors) != len(tracks) or None in priors:
+        raise ValueError("fit_preference needs one prior line per agent")
     schedules: dict = {}  # (times, noises, dim) -> [(agent, times, noises, residuals, line)]
     for k, ((times, positions, noises), line) in enumerate(zip(tracks, priors)):
         y = np.array(positions, dtype=float)  # (n, dim): a copy, the line comes off it in place
@@ -300,13 +290,10 @@ def fit_preference(tracks: Sequence[tuple], grid: TimeGrid, kp: KernelParams,
         if t_obs.shape != (len(y),) or noise.shape != (len(y),):
             raise ValueError(f"a track needs one time and one noise per position, got {t_obs.shape} "
                              f"and {noise.shape} for {len(y)}")
-        if line is not None:
-            t0, pos, vel = line = (float(line[0]), np.asarray(line[1], dtype=float),
-                                   np.asarray(line[2], dtype=float))
-            if pos.shape != (y.shape[1],) or vel.shape != (y.shape[1],):
-                raise ValueError(f"prior pos and vel need {y.shape[1]} components, "
-                                 f"got {pos.shape} and {vel.shape}")
-            y -= pos + (t_obs - t0)[:, None] * vel
+        t0, pos, vel = line = (float(line[0]), np.asarray(line[1], dtype=float), np.asarray(line[2], dtype=float))
+        if pos.shape != (y.shape[1],) or vel.shape != (y.shape[1],):
+            raise ValueError(f"prior pos and vel need {y.shape[1]} components, got {pos.shape} and {vel.shape}")
+        y -= pos + (t_obs - t0)[:, None] * vel
         key = (t_obs.tobytes(), noise.tobytes(), y.shape[1])
         schedules.setdefault(key, []).append((k, t_obs, noise, y, line))
     gps: list = [None] * len(tracks)
@@ -321,10 +308,8 @@ def fit_preference(tracks: Sequence[tuple], grid: TimeGrid, kp: KernelParams,
         alpha = _cho_solve(post.gram_low, np.hstack([member[3] for member in members]))  # (n, agents * dim)
         # one (steps, n) @ (n, dim) product per agent, the one its fit alone makes
         means = post.k_star.T @ alpha.reshape(len(y), len(members), -1).transpose(1, 0, 2)
-        for (k, *_, line), mean in zip(members, means):
-            if line is not None:
-                t0, pos, vel = line
-                mean += pos + (times - t0)[:, None] * vel
+        for (k, *_, (t0, pos, vel)), mean in zip(members, means):
+            mean += pos + (times - t0)[:, None] * vel
             gps[k] = PreferenceGP(grid, mean, post.cov, jitter=kp.jitter, _post=post)
     return gps
 
@@ -375,7 +360,7 @@ def sample_trajectories(
     ((steps, dim),) = shapes
     schedules: dict = {}
     for k, gp in enumerate(gps):
-        schedules.setdefault(gp._posterior(), []).append(k)
+        schedules.setdefault(gp._post, []).append(k)
     per = max(1, _PRODUCT_COLUMNS // m)  # agents per product
     runs = [(post, ks[i:i + per]) for post, ks in schedules.items() for i in range(0, len(ks), per)]
     block = np.empty((len(gps) * m, steps, dim))
@@ -398,14 +383,12 @@ def log_densities(gp: PreferenceGP, trajectories: np.ndarray) -> np.ndarray:
     """Log-density of each trajectory of a (m, steps, dim) batch under the GP
     (axes independent, shared covariance)."""
     traj = np.asarray(trajectories, dtype=float)
-    if traj.ndim == 2:
-        traj = traj[:, :, None]
     m, steps, dim = traj.shape
     if steps != gp.grid.steps or dim != gp.dim:
         raise GridMismatchError(
             f"batch shape {traj.shape} incompatible with GP ({gp.grid.steps}, {gp.dim})"
         )
-    low, log_det_half = gp._posterior().density_factor()
+    low, log_det_half = gp._post.density_factor()
     resid = (traj - gp.mean[None]).transpose(1, 0, 2).reshape(steps, m * dim)
     z = _solve_lower(low, resid).reshape(steps, m, dim)
     quad = np.einsum("tmd,tmd->m", z, z)

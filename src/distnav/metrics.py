@@ -9,7 +9,6 @@ minimum separation, robot path length, and per-step replanning time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -77,9 +76,6 @@ class MetricsReport:
             "mean_replan_s": clean(self.mean_replan_s),
             "sd_replan_s": clean(self.sd_replan_s),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_table(self, label: str = "planner") -> str:
         """Aligned text table with the benchmark's column layout."""

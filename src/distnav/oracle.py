@@ -62,10 +62,6 @@ class GridDensity:
         self.xs = xs
         self.ps = ps
 
-    @property
-    def spacing(self) -> float:
-        return float(self.xs[1] - self.xs[0])
-
     @classmethod
     def from_values(cls, xs: np.ndarray, values: np.ndarray) -> "GridDensity":
         """Normalize arbitrary non-negative values into a density."""
@@ -96,10 +92,6 @@ class EvolutionHistory:
     snapshots: list  # snapshots[k][i] = agent i's ps after sweep k (k=0: initial)
     jc_trace: list  # jc_trace[k] = objective after sweep k (k=0: initial)
     kl_trace: list  # kl_trace[k] = KL sum during sweep k+1
-
-    @property
-    def sweeps(self) -> int:
-        return len(self.snapshots) - 1
 
 
 def _fields(densities: Sequence[GridDensity], kernel: CollisionKernel):

@@ -96,7 +96,9 @@ def write_runlog(log: RunLog, csv_path, summary_path, include_timing: bool = Tru
 
 def read_runlog(csv_path, summary_path) -> RunLog:
     """Rebuild a run from disk. Each step's world holds the robot alone, since
-    the CSV records neither agent kinds nor velocities and goals."""
+    the CSV records neither agent kinds nor velocities and goals. A summary
+    without a positive finite human path length, or a robot row with a
+    non-finite time or position, raises ConfigError."""
     csv_path, summary_path = Path(csv_path), Path(summary_path)
     try:
         summary = json.loads(summary_path.read_text())
@@ -104,7 +106,9 @@ def read_runlog(csv_path, summary_path) -> RunLog:
         raise ConfigError(f"cannot read run summary {summary_path}: {exc}") from None
     if not (isinstance(summary, dict) and isinstance(summary.get("robot_id"), int) and "outcome" in summary):
         raise ConfigError(f"{summary_path}: a run summary needs an integer robot_id and an outcome")
-    robot_id = summary["robot_id"]
+    robot_id, human = summary["robot_id"], summary.get("human_path_length_m")
+    if type(human) not in (int, float) or not 0 < human < math.inf:
+        raise ConfigError(f"{summary_path}: human_path_length_m must be a positive finite number, got {human!r}")
 
     steps = []
     with csv_path.open() as fh:
@@ -118,11 +122,13 @@ def read_runlog(csv_path, summary_path) -> RunLog:
                 if int(agent) != robot_id:
                     continue
                 t, pos = float(t), (float(x), float(y))
+                if not math.isfinite(t):
+                    raise ValueError(f"non-finite time {t}")
                 replan_s = float(replan_ms) / 1000.0 if replan_ms else None
                 min_sep = float(min_sep) if min_sep else math.nan
+                world = WorldState(t, [AgentState(robot_id, pos, np.zeros(2), pos, ROBOT)])
             except ValueError as exc:
                 raise ConfigError(f"{csv_path}:{reader.line_num}: {exc}") from None
-            world = WorldState(t, [AgentState(robot_id, pos, np.zeros(2), pos, ROBOT)])
             steps.append(RunLogStep(t, world, replan_s, min_sep))
     if not steps:
         raise ConfigError(f"{csv_path}: log contains no robot rows")
@@ -131,5 +137,5 @@ def read_runlog(csv_path, summary_path) -> RunLog:
         outcome=summary["outcome"],
         seed=summary.get("seed"),
         robot_id=robot_id,
-        human_length=summary.get("human_path_length_m"),
+        human_length=human,
     )

@@ -64,13 +64,6 @@ class SampleSet:
     def trajectory(self, j: int) -> Trajectory:
         return Trajectory(self.grid, self.trajectories[j])
 
-    def distribution(self) -> np.ndarray:
-        """Weights normalized to a probability vector over the samples."""
-        total = self.weights.sum()
-        if total <= 0:
-            raise ValueError("all sample weights are zero")
-        return self.weights / total
-
 
 class CrowdSamples(tuple):
     """The sets of one sampling call, in the order their agents were given;

@@ -1,6 +1,7 @@
 """Shared builders for solver, oracle, GP and run-log tests."""
 
 import json
+import math
 
 import numpy as np
 
@@ -9,7 +10,7 @@ from distnav.gp import _cho_solve, _fit_posterior
 from distnav.grids import TimeGrid, Trajectory
 from distnav.oracle import GridDensity
 from distnav.runlog import RunLog, RunLogStep, write_runlog
-from distnav.samples import SampleSet
+from distnav.samples import CrowdSamples, SampleSet
 from distnav.world import REPLAY, ROBOT, AgentState, WorldState
 
 GRID_1D = TimeGrid(0.0, 1.0, 1)
@@ -22,6 +23,16 @@ def mean_operator_norm(times, noise, grid, kp) -> float:
     ||A||_inf * e on each axis."""
     post = _fit_posterior(np.asarray(times, dtype=float), np.asarray(noise, dtype=float), grid, kp)
     return float(np.abs(_cho_solve(post.gram_low, post.k_star)).sum(axis=0).max())
+
+
+def zero_lines(tracks):
+    """The zero prior mean line of each ``(times, positions, noises)`` track, one component per axis."""
+    return [(0.0, np.zeros(np.shape(positions)[-1]), np.zeros(np.shape(positions)[-1])) for _, positions, _ in tracks]
+
+
+def crowd_of(sets):
+    """The sets as one sampling call returns them: a CrowdSamples whose block stacks their trajectories."""
+    return CrowdSamples(sets, np.concatenate([s.trajectories for s in sets]))
 
 
 def gaussian_sets_1d(means, sigma, m, seed):
@@ -80,17 +91,41 @@ def demo_log():
     return RunLog(steps=steps, outcome="arrived", seed=12, robot_id=-1, human_length=3.3)
 
 
+# broken_log's faults: a robot row put on line 3 of the CSV, or one summary
+# field set to a value (... removes it)
+BROKEN_ROWS = {
+    "field": "0.4,-1,west,1.0,0.5,",
+    "short": "0.4,-1,1.0",
+    "inf_x": "0.4,-1,inf,1.0,0.5,",
+    "inf_y": "0.4,-1,1.0,-inf,0.5,",
+    "nan_t": "nan,-1,1.0,0.5,0.5,",
+    "inf_t": "inf,-1,1.0,0.5,0.5,",
+}
+BROKEN_SUMMARIES = {
+    "summary": ("robot_id", ...),
+    "no_human": ("human_path_length_m", ...),
+    "null_human": ("human_path_length_m", None),
+    "text_human": ("human_path_length_m", "3.3"),
+    "zero_human": ("human_path_length_m", 0),
+    "nan_human": ("human_path_length_m", math.nan),
+    "bool_human": ("human_path_length_m", True),
+}
+
+
 def broken_log(tmp_path, case):
-    """A written log with one fault: a non-numeric field, a summary without a
-    robot_id, or a short row; the fault sits on line 3 of the CSV."""
+    """A written log with the one fault ``case`` names in BROKEN_ROWS or BROKEN_SUMMARIES."""
     csv_path, summary_path = tmp_path / "run_0000.csv", tmp_path / "run_0000.summary.json"
     write_runlog(demo_log(), csv_path, summary_path)
-    if case == "summary":
+    if case in BROKEN_SUMMARIES:
         summary = json.loads(summary_path.read_text())
-        del summary["robot_id"]
+        key, value = BROKEN_SUMMARIES[case]
+        if value is ...:
+            del summary[key]
+        else:
+            summary[key] = value
         summary_path.write_text(json.dumps(summary))
     else:
         lines = csv_path.read_text().splitlines()
-        lines[2] = "0.4,-1,1.0" if case == "short" else "0.4,-1,west,1.0,0.5,"
+        lines[2] = BROKEN_ROWS[case]
         csv_path.write_text("\n".join(lines) + "\n")
     return csv_path, summary_path

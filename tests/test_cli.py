@@ -15,7 +15,7 @@ import distnav
 from distnav.cli import main
 
 from distnav.runlog import write_runlog
-from helpers import broken_log, demo_log
+from helpers import BROKEN_ROWS, BROKEN_SUMMARIES, broken_log, demo_log
 
 
 @pytest.fixture()
@@ -512,7 +512,7 @@ class TestMetricsCommand:
         assert run_cli("metrics", "--logs", tmp_path) == 2
         assert "run_0001.summary.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["field", "short", "summary"])
+    @pytest.mark.parametrize("case", [*BROKEN_ROWS, *BROKEN_SUMMARIES])
     def test_a_broken_run_log_exits_2(self, tmp_path, capsys, case):
         broken_log(tmp_path, case)
         assert run_cli("metrics", "--logs", tmp_path) == 2

@@ -20,8 +20,11 @@ from distnav.collision import (
 )
 from distnav.engine import PenaltyCache, interaction_scores
 from distnav.errors import GridMismatchError
+from distnav.gp import sample_trajectories
 from distnav.grids import TimeGrid, Trajectory
 from distnav.samples import SampleSet
+
+from helpers import crowd_of
 
 GRID = TimeGrid(0.0, 0.4, 10)
 KERNEL = CollisionKernel(weight=10.0, sigma=0.35)
@@ -333,11 +336,9 @@ class TestPenaltyCacheRows:
             penalty_matrix(a, b, KERNEL, out=np.empty((8, 5)))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("budget", [None, 20_000])
-    def test_scratch_stays_within_block_budget(self, dim, dtype, budget):
-        # 300 rows against 2000 columns take many row blocks at either budget;
-        # the scratch is float64 whatever the dtype of the caller's ``out``
+    def test_scratch_stays_within_block_budget(self, dim, budget):
+        # 300 rows against 2000 columns take many row blocks at either budget
         steps = 5
         a, b = drawn_sets(17, [300, 2000], steps, dim, 1.0)
         budget = collision._BLOCK_BUDGET if budget is None else budget
@@ -346,7 +347,7 @@ class TestPenaltyCacheRows:
             try:
                 before, _ = tracemalloc.get_traced_memory()
                 tracemalloc.reset_peak()
-                out = np.empty((300, 2000), dtype)
+                out = np.empty((300, 2000))
                 penalty_matrix(a, b, KERNEL, out=out)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -437,11 +438,11 @@ class TestInteractionScoresProperties:
         intent_set, *sets = drawn_sets(seed, [1] + sizes, steps, dim, spread)
         intent = intent_set.trajectory(0)
         kernel = CollisionKernel(weight=10.0, sigma=0.35)
-        scores = interaction_scores(intent, sets, kernel)
+        scores = interaction_scores(intent, crowd_of(sets), kernel)
         assert list(scores) == [s.agent for s in sets]
         for s in sets:
             row = np.array([pairwise_penalty(intent, s.trajectory(z), kernel) for z in range(s.m)])
             assert scores[s.agent] == float(row @ s.weights) / s.m
 
     def test_no_sets_gives_no_scores(self):
-        assert interaction_scores(traj(np.zeros((GRID.steps, 2))), [], KERNEL) == {}
+        assert interaction_scores(traj(np.zeros((GRID.steps, 2))), sample_trajectories([], 1, []), KERNEL) == {}

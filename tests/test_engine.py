@@ -28,7 +28,7 @@ from distnav.gp import KernelParams, PreferenceGP, sample_trajectories
 from distnav.grids import TimeGrid
 from distnav.samples import SampleSet
 
-from helpers import GRID_1D, U, gaussian_sets_1d, random_instance, straight_line_trajectory
+from helpers import GRID_1D, U, crowd_of, gaussian_sets_1d, random_instance, straight_line_trajectory
 
 SIGMA = 0.35
 UNIT_PEAK = CollisionKernel(weight=2 * math.pi * SIGMA**2, sigma=SIGMA)  # peak = 1
@@ -238,7 +238,7 @@ class TestSolve:
         kernel = CollisionKernel(weight=10.0, sigma=0.3)
         solve(sets, kernel, SolverConfig(epsilon=0.0, max_sweeps=10))
         mid = sets[0]
-        kde = gaussian_kde(mid.trajectories[:, 0, 0], weights=mid.distribution())
+        kde = gaussian_kde(mid.trajectories[:, 0, 0], weights=mid.weights)
         xs = np.linspace(-4.0, 4.0, 801)
         ys = kde(xs)
         peak = ys.max()
@@ -316,7 +316,7 @@ class TestInteractionScores:
         grid = TimeGrid(0.0, 0.4, 8)
         intent = straight_line_trajectory(grid, (0, 0), (5, 0))
         far = SampleSet("far", grid, 1e3 + rng.normal(size=(10, 8, 2)), np.ones(10))
-        scores = interaction_scores(intent, [far], CollisionKernel(10.0, 0.35))
+        scores = interaction_scores(intent, crowd_of([far]), CollisionKernel(10.0, 0.35))
         assert scores["far"] < 1e-20
 
     def test_identical_samples_score_peak(self):
@@ -324,7 +324,7 @@ class TestInteractionScores:
         kernel = CollisionKernel(10.0, 0.35)
         intent = straight_line_trajectory(grid, (0, 0), (5, 0))
         same = SampleSet("same", grid, np.repeat(intent.states[None], 4, axis=0), np.ones(4))
-        scores = interaction_scores(intent, [same], kernel)
+        scores = interaction_scores(intent, crowd_of([same]), kernel)
         assert scores["same"] == pytest.approx(kernel.peak(2), rel=1e-12)
 
     def test_crossing_agent_scores_highest(self):
@@ -341,7 +341,7 @@ class TestInteractionScores:
         crossing = ped("crossing", (3, -2), (3, 2))
         parallel = ped("parallel", (0, 3), (6, 3))
         away = ped("away", (-5, -5), (-10, -8))
-        scores = interaction_scores(intent, [crossing, parallel, away], kernel)
+        scores = interaction_scores(intent, crowd_of([crossing, parallel, away]), kernel)
         assert scores["crossing"] > scores["parallel"]
         assert scores["crossing"] > scores["away"]
 

@@ -24,7 +24,7 @@ from distnav.gp import (
 )
 from distnav.grids import TimeGrid, Trajectory
 
-from helpers import U, mean_operator_norm
+from helpers import U, mean_operator_norm, zero_lines
 
 
 def make_grid(t0=0.0, dt=0.4, steps=20):
@@ -43,7 +43,7 @@ class TestFitPreference:
         grid = make_grid()
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-10)
         obs = track([grid.times()[3]], [(1.5, -2.0)], 0.0)
-        gp = fit_preference([obs], grid, kp)[0]
+        gp = fit_preference([obs], grid, kp, zero_lines([obs]))[0]
         assert np.allclose(gp.mean[3], [1.5, -2.0], atol=1e-6)
 
     def test_two_point_posterior_matches_closed_form(self):
@@ -64,15 +64,16 @@ class TestFitPreference:
         expected = kq @ inv @ np.stack([y1, y2])
 
         obs = track([t1, t2], [y1, y2], noise)
-        gp = fit_preference([obs], grid, kp)[0]
+        gp = fit_preference([obs], grid, kp, zero_lines([obs]))[0]
         assert np.allclose(gp.mean[1], expected, atol=1e-9)
         # with length_scale >> horizon this is linear interpolation to ~cm level
         assert np.linalg.norm(gp.mean[1] - (y1 + y2) / 2) < 0.05
 
 
     def test_zero_observations_raises(self):
+        group = [track([], np.empty((0, 2)), 0.0)]
         with pytest.raises(ValueError, match="at least one observation"):
-            fit_preference([track([], np.empty((0, 2)), 0.0)], make_grid(), KernelParams())
+            fit_preference(group, make_grid(), KernelParams(), zero_lines(group))
 
     @pytest.mark.parametrize("bad, message", [
         (track([0.0, np.nan], [(0.0, 0.0), (0.5, 0.0)], 0.01), "times must be finite"),
@@ -85,10 +86,12 @@ class TestFitPreference:
         ((np.array([0.0, 0.4]), np.zeros((2, 2)), np.full(3, 0.01)), "one time and one noise"),
     ])
     @pytest.mark.parametrize("alone", [True, False])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # an inf time times the zero line's velocity
     def test_a_bad_track_is_refused(self, bad, message, alone):
         good = track([0.0, 0.4], [(0.0, 0.0), (0.5, 0.0)], 0.01)
         with pytest.raises(ValueError, match=message):
-            fit_preference([bad] if alone else [good, good, bad], make_grid(), KernelParams())
+            group = [bad] if alone else [good, good, bad]
+            fit_preference(group, make_grid(), KernelParams(), zero_lines(group))
 
     def test_the_fit_leaves_the_positions_alone(self):
         times, positions, noises = track([0.0, 0.4], [(1.0, 2.0), (1.5, 2.5)], 0.01)
@@ -103,7 +106,7 @@ class TestFitPreference:
         idx = [0, 4, 9]
         pts = rng.normal(size=(3, 2))
         obs = track(grid.times()[idx], pts, 0.0)
-        gp = fit_preference([obs], grid, kp)[0]
+        gp = fit_preference([obs], grid, kp, zero_lines([obs]))[0]
         for i, p in zip(idx, pts):
             assert np.linalg.norm(gp.mean[i] - p) < 1e-6
 
@@ -115,7 +118,7 @@ class TestFitPreference:
             n = rng.integers(1, 6)
             rows = [(rng.uniform(-2, 10), rng.normal(size=2), rng.uniform(0, 0.1)) for _ in range(n)]
             obs = track(*zip(*rows))
-            gp = fit_preference([obs], grid, kp)[0]
+            gp = fit_preference([obs], grid, kp, zero_lines([obs]))[0]
             assert np.all(np.diag(gp.cov) <= kp.signal_var + kp.jitter + 1e-9)
 
 
@@ -134,21 +137,14 @@ class TestPriorLine:
     def fit(self, walk, line):
         return fit_preference([track(self.TIMES, walk, self.NOISE)], self.GRID, KernelParams(), [line])[0]
 
-    def test_a_zero_line_is_the_zero_prior(self):
-        rng = np.random.default_rng(3)
-        obs = track(self.TIMES, [rng.normal(size=2) for _ in self.TIMES], self.NOISE)
-        plain = fit_preference([obs], self.GRID, KernelParams())[0]
-        lined = fit_preference([obs], self.GRID, KernelParams(), [(2.8, (0.0, 0.0), (0.0, 0.0))])[0]
-        assert plain.mean.tobytes() == lined.mean.tobytes()
-
     def test_a_walker_on_its_line_is_extrapolated_exactly(self):
         start, vel = np.array([50.0, 50.0]), 1.2 * np.array([math.cos(0.3), math.sin(0.3)])
         walk = self.walk(start, vel)
         line = start + (self.GRID.times() - 2.8)[:, None] * vel
         # zero residuals: the posterior adds nothing to the line
         assert np.array_equal(self.fit(walk, (2.8, start, vel)).mean, line)
-        # without the line the mean sags toward the world origin, 0.89 m one step ahead
-        assert np.linalg.norm(self.fit(walk, None).mean[1] - line[1]) > 0.5
+        # with the zero line the mean sags toward the world origin, 0.89 m one step ahead
+        assert np.linalg.norm(self.fit(walk, (2.8, (0.0, 0.0), (0.0, 0.0))).mean[1] - line[1]) > 0.5
 
     def test_line_needs_one_component_per_axis(self):
         walk = self.walk((0.0, 0.0), np.array([1.2, 0.0]))
@@ -211,7 +207,7 @@ class TestSampleTrajectories:
         grid = make_grid(steps=8)
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-10)
         obs = track([0.0, 2.8], [(0.0, 0.0), (3.0, 1.0)], 0.01)
-        gp = fit_preference([obs], grid, kp)[0]
+        gp = fit_preference([obs], grid, kp, zero_lines([obs]))[0]
         m = 20000
         ss = sample_trajectories([gp], m, [42])[0]
         se = np.sqrt(np.diag(gp.cov) / m)
@@ -222,7 +218,7 @@ class TestSampleTrajectories:
         grid = make_grid(steps=6)
         kp = KernelParams(length_scale=1.0, signal_var=2.0, jitter=1e-8)
         obs = track([0.0], [(0.0, 0.0)], 0.05)
-        gp = fit_preference([obs], grid, kp)[0]
+        gp = fit_preference([obs], grid, kp, zero_lines([obs]))[0]
         ss = sample_trajectories([gp], 20000, [7])[0]
         emp = ss.trajectories.var(axis=0).mean(axis=1)  # average the two axes
         ref = np.diag(gp.cov)
@@ -304,7 +300,7 @@ def schedule_group(seed, n_obs, kinds, dim):
     return group
 
 
-def fit_or_error(group, grid, kp, priors=None):
+def fit_or_error(group, grid, kp, priors):
     try:
         return fit_preference(group, grid, kp, priors)
     except (NumericalError, ValueError) as exc:
@@ -338,7 +334,7 @@ class TestSharedPosterior:
         group = schedule_group(seed, n_obs, [kinds[k % len(kinds)] for k in range(agents)], dim)
         rng = np.random.default_rng(seed)
         line = lambda: (rng.uniform(-3.0, 8.0), rng.normal(size=dim), rng.normal(size=dim))
-        lines = [None if rng.random() < 0.3 else line() for _ in group]
+        lines = [(0.0, np.zeros(dim), np.zeros(dim)) if rng.random() < 0.3 else line() for _ in group]
         alone = [fit_or_error([obs], grid, kp, [line]) for obs, line in zip(group, lines)]
         crowd = fit_or_error(group, grid, kp, lines)
         errors = [fit for fit in alone if isinstance(fit, type)]
@@ -356,10 +352,10 @@ class TestSharedPosterior:
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-18)
         group = schedule_group(4, 3, ["zero_noise_duplicates"] * 3, 2)
         with mock.patch.object(distnav.gp, "_cholesky", wraps=distnav.gp._cholesky) as chol:
-            fit_preference(group[:1], grid, kp)
+            fit_preference(group[:1], grid, kp, zero_lines(group[:1]))
             alone = chol.call_count
             assert alone > 1  # the first jitter is lost to rounding
-            fit_preference(group, grid, kp)
+            fit_preference(group, grid, kp, zero_lines(group))
         assert chol.call_count == 2 * alone
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -367,7 +363,7 @@ class TestSharedPosterior:
         grid = make_grid()
         group = schedule_group(9, 9, ["same"] * 5 + ["other_noise"] * 3, dim)
         with mock.patch.object(distnav.gp, "_cholesky", wraps=distnav.gp._cholesky) as chol:
-            gps = fit_preference(group, grid, KernelParams())
+            gps = fit_preference(group, grid, KernelParams(), zero_lines(group))
         assert chol.call_count == 2
         assert all(gp.cov is gps[0].cov for gp in gps[:5]) and gps[5].cov is not gps[0].cov
         assert all(gp.cov is gps[5].cov for gp in gps[5:])
@@ -375,15 +371,19 @@ class TestSharedPosterior:
 
     def test_shared_covariance_is_read_only(self):
         grid = make_grid(steps=4)
-        gp = fit_preference([track([0.0], [(0.0, 0.0)], 0.01)], grid, KernelParams())[0]
+        group = [track([0.0], [(0.0, 0.0)], 0.01)]
+        gp = fit_preference(group, grid, KernelParams(), zero_lines(group))[0]
         with pytest.raises(ValueError):
             gp.cov[0, 0] = 1.0
 
-    def test_needs_one_line_or_none_per_agent(self):
+    def test_needs_one_line_per_agent(self):
         group = schedule_group(2, 3, ["same", "same"], 2)
-        with pytest.raises(ValueError, match="one prior line or None per agent"):
-            fit_preference(group, make_grid(), KernelParams(), [None])
-        assert fit_preference([], make_grid(), KernelParams()) == []
+        with pytest.raises(TypeError, match="priors"):
+            fit_preference(group, make_grid(), KernelParams())
+        for priors in (zero_lines(group)[:1], [None, *zero_lines(group)[1:]]):
+            with pytest.raises(ValueError, match="one prior line per agent"):
+                fit_preference(group, make_grid(), KernelParams(), priors)
+        assert fit_preference([], make_grid(), KernelParams(), []) == []
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -396,7 +396,8 @@ class TestSharedPosterior:
     def test_log_densities_equal_a_fresh_factorisation(self, seed, n_obs, steps, m, dim):
         grid = make_grid(steps=steps)
         kp = KernelParams(length_scale=2.0, signal_var=1.0)
-        gps = fit_preference(schedule_group(seed, n_obs, ["same", "same"], dim), grid, kp)
+        group = schedule_group(seed, n_obs, ["same", "same"], dim)
+        gps = fit_preference(group, grid, kp, zero_lines(group))
         traj = np.random.default_rng(seed).normal(scale=2.0, size=(m, steps, dim))
         for gp in gps:
             ref = reference_log_densities(gp, traj)
@@ -484,7 +485,8 @@ class TestBatchSampling:
         for g, size in enumerate(sizes):  # schedule g: g + 1 observations
             times = np.sort(rng.uniform(-3.0, 0.0, size=g + 1))
             group += [track(times, [rng.normal(size=dim) for _ in times], 0.01) for _ in range(size)]
-        gps = fit_preference([group[k] for k in rng.permutation(len(group))], grid, kp)  # schedules interleaved
+        group = [group[k] for k in rng.permutation(len(group))]  # schedules interleaved
+        gps = fit_preference(group, grid, kp, zero_lines(group))
         seeds = [seed + k for k in range(len(gps))]
         agents = [f"agent{k}" for k in range(len(gps))]
 
@@ -578,7 +580,7 @@ class TestJitterEscalation:
         kp = KernelParams(jitter=1e-6)
         chol, seen = _failing_cholesky(2)
         with mock.patch.object(distnav.gp, "_cholesky", chol):
-            fit_preference([self.OBS], make_grid(steps=4), kp)
+            fit_preference([self.OBS], make_grid(steps=4), kp, zero_lines([self.OBS]))
         jits = _escalation(kp.jitter, kp.jitter, 3)
         assert len(seen) == 3
         for mat, jit in zip(seen, jits):
@@ -589,7 +591,7 @@ class TestJitterEscalation:
         chol, seen = _failing_cholesky(100)
         with mock.patch.object(distnav.gp, "_cholesky", chol):
             with pytest.raises(NumericalError) as exc:
-                fit_preference([self.OBS], make_grid(steps=4), kp)
+                fit_preference([self.OBS], make_grid(steps=4), kp, zero_lines([self.OBS]))
         assert len(seen) == 4
         last = 10.0 * _escalation(kp.jitter, kp.jitter, 4)[-1]
         assert str(exc.value).startswith(f"singular Gram matrix after jitter escalation to {last:g} (cond ~ ")

@@ -76,6 +76,16 @@ class TestBrokenLogs:
             ("field", r"run_0000\.csv:3: could not convert string to float: 'west'"),
             ("short", r"run_0000\.csv:3: not enough values to unpack"),
             ("summary", r"run_0000\.summary\.json: a run summary needs an integer robot_id"),
+            ("inf_x", r"run_0000\.csv:3: agent -1 has non-finite state"),
+            ("inf_y", r"run_0000\.csv:3: agent -1 has non-finite state"),
+            ("nan_t", r"run_0000\.csv:3: non-finite time nan"),
+            ("inf_t", r"run_0000\.csv:3: non-finite time inf"),
+            ("no_human", r"run_0000\.summary\.json: human_path_length_m must be a positive finite number, got None"),
+            ("null_human", r"run_0000\.summary\.json: human_path_length_m must be .*, got None"),
+            ("text_human", r"run_0000\.summary\.json: human_path_length_m must be .*, got '3\.3'"),
+            ("zero_human", r"run_0000\.summary\.json: human_path_length_m must be .*, got 0"),
+            ("nan_human", r"run_0000\.summary\.json: human_path_length_m must be .*, got nan"),
+            ("bool_human", r"run_0000\.summary\.json: human_path_length_m must be .*, got True"),
         ],
     )
     def test_config_error_names_the_file_and_line(self, tmp_path, case, message):
