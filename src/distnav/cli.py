@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -94,9 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="recompute metrics from run logs")
     p.add_argument("--logs", type=Path, required=True, help="directory of run logs")
     p.add_argument("--out", type=Path, default=None, help="report file (default: stdout)")
-    p.add_argument("--collision-dist", type=float, default=None)
-    p.add_argument("--discomfort-dist", type=float, default=None)
-    p.add_argument("--freezing-ratio", type=float, default=None)
+    for f in fields(Thresholds):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=None)
     p.set_defaults(func=cmd_metrics)
     return parser
 
@@ -163,13 +162,6 @@ def cmd_evolve1d(args) -> int:
     return 0
 
 
-def _classification(log, thresholds, no_timing):
-    rc = classify_run(log, log.human_length, thresholds)
-    if no_timing:
-        rc.replan_times = []
-    return rc
-
-
 def _attempt(worker, payload):
     """``worker(*payload)``'s run log, or the error summary of the exception it raised."""
     try:
@@ -203,8 +195,11 @@ def _write_runs(out: Path, results, count: int, thresholds, no_timing: bool):
             csv_path.unlink(missing_ok=True)  # a stale CSV would pair with this summary
             summary_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
             continue
+        if no_timing:  # so that neither the written log nor its classification keeps a wall time
+            for step in result.steps:
+                step.replan_s = None
         write_runlog(result, csv_path, summary_path, not no_timing)
-        classifications.append(_classification(result, thresholds, no_timing))
+        classifications.append(classify_run(result, result.human_length, thresholds))
         completed.append((result.outcome, result.duration))
         del result  # drop this run's log before the next run starts
     return classifications, completed, errors
@@ -254,10 +249,7 @@ def cmd_replay(args) -> int:
     table = report.to_table("distnav")
 
     if args.human_baseline:
-        human = [
-            _classification(human_baseline(ds, p), cfg.thresholds, args.no_timing)
-            for p in partials
-        ]
+        human = [classify_run(human_baseline(ds, p), p.human_length, cfg.thresholds) for p in partials]
         human_report = aggregate(human)
         _write_report(out / "human_report.json", human_report.to_dict(), {})
         table += human_report.to_table("human").splitlines()[1] + "\n"
@@ -305,14 +297,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    overrides = {
-        "collision_dist": args.collision_dist,
-        "discomfort_dist": args.discomfort_dist,
-        "freezing_ratio": args.freezing_ratio,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(Thresholds)}
     try:
-        thresholds = replace(Thresholds(), **overrides)
+        thresholds = Thresholds(**{k: v for k, v in overrides.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

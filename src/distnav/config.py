@@ -9,7 +9,7 @@ so typos fail loudly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -68,35 +68,32 @@ class ExperimentConfig:
 
     def planner_config(self) -> PlannerConfig:
         """Planner assembled from the shared sections plus planner-local knobs."""
-        return replace(
-            self.planner,
-            samples_per_agent=self.samples_per_agent,
-            kernel=self.gp,
-            collision=self.collision,
-            solver=self.solver,
-        )
+        return self._fed("planner")
 
     def scenario_config(self) -> ScenarioConfig:
-        return replace(self.scenario, sfm=self.sfm)
+        return self._fed("scenario")
+
+    def _fed(self, name: str):
+        fed = {f: getattr(self, key) for f, key in _FED_FIELDS[name].items()}
+        return replace(getattr(self, name), **fed)
 
 
+# a field with a default factory is a section, every other field a scalar key
 _SECTION_TYPES = {
-    "gp": KernelParams,
-    "collision": CollisionKernel,
-    "solver": SolverConfig,
-    "planner": PlannerConfig,
-    "sfm": SfmParams,
-    "scenario": ScenarioConfig,
-    "replay": ReplayConfig,
-    "thresholds": Thresholds,
-    "evolve1d": Evolve1dConfig,
+    f.name: f.default_factory for f in fields(ExperimentConfig) if f.default_factory is not MISSING
 }
-_SCALAR_KEYS = ("seed", "samples_per_agent", "out")
-# composite fields fed from other sections, not settable directly
-_EXCLUDED_FIELDS = {
-    "planner": {"samples_per_agent", "kernel", "collision", "solver"},
-    "scenario": {"sfm"},
+_SCALAR_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _SECTION_TYPES)
+# section -> {field: the top-level key that feeds it}; a fed field is not settable in its section
+_FED_FIELDS = {
+    "planner": {
+        "samples_per_agent": "samples_per_agent", "kernel": "gp", "collision": "collision", "solver": "solver"
+    },
+    "scenario": {"sfm": "sfm"},
 }
+
+
+def _settable(name: str, cls) -> list:
+    return [f.name for f in fields(cls) if f.name not in _FED_FIELDS.get(name, {})]
 
 
 _FIELD_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
@@ -127,8 +124,7 @@ def _check_finite(where: str, data: dict) -> None:
 
 
 def _build_section(name: str, cls, data: dict):
-    allowed = {f.name for f in fields(cls)} - _EXCLUDED_FIELDS.get(name, set())
-    unknown = set(data) - allowed
+    unknown = set(data) - set(_settable(name, cls))
     if unknown:
         raise ConfigError(f"unknown keys in section '{name}': {sorted(map(str, unknown))}")
     where = f"section '{name}': "
@@ -204,15 +200,8 @@ def default_config_dict() -> dict:
     out: dict = {k: getattr(cfg, k) for k in _SCALAR_KEYS}
     for name, cls in _SECTION_TYPES.items():
         section = getattr(cfg, name)
-        values = {}
-        for f in fields(cls):
-            if f.name in _EXCLUDED_FIELDS.get(name, set()):
-                continue
-            value = getattr(section, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            values[f.name] = value
-        out[name] = values
+        values = {key: getattr(section, key) for key in _settable(name, cls)}
+        out[name] = {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
     return out
 
 

@@ -293,7 +293,6 @@ def fit_preference(tracks: Sequence[tuple], grid: TimeGrid, kp: KernelParams,
         t0, pos, vel = line = (float(line[0]), np.asarray(line[1], dtype=float), np.asarray(line[2], dtype=float))
         if pos.shape != (y.shape[1],) or vel.shape != (y.shape[1],):
             raise ValueError(f"prior pos and vel need {y.shape[1]} components, got {pos.shape} and {vel.shape}")
-        y -= pos + (t_obs - t0)[:, None] * vel
         key = (t_obs.tobytes(), noise.tobytes(), y.shape[1])
         schedules.setdefault(key, []).append((k, t_obs, noise, y, line))
     gps: list = [None] * len(tracks)
@@ -304,6 +303,8 @@ def fit_preference(tracks: Sequence[tuple], grid: TimeGrid, kp: KernelParams,
             raise ValueError("observation times must be finite")
         if not (noise >= 0).all():
             raise ValueError("observation noises must be >= 0")
+        for _, _, _, y_k, (t0, pos, vel) in members:  # after the checks: a non-finite time raises, not warns
+            y_k -= pos + (t_obs - t0)[:, None] * vel
         post = _fit_posterior(t_obs, noise, grid, kp)
         alpha = _cho_solve(post.gram_low, np.hstack([member[3] for member in members]))  # (n, agents * dim)
         # one (steps, n) @ (n, dim) product per agent, the one its fit alone makes

@@ -40,8 +40,6 @@ class Trajectory:
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
-        if states.ndim == 1:
-            states = states[:, None]
         if states.ndim != 2 or states.shape[1] not in (1, 2):
             raise ValueError(f"states must be (steps, 1|2), got {states.shape}")
         if states.shape[0] != self.grid.steps:

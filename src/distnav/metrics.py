@@ -10,7 +10,7 @@ minimum separation, robot path length, and per-step replanning time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,28 +54,16 @@ class MetricsReport:
     collision_pct: float
     freezing_pct: float
     max_ratio: float
-    mean_min_sep: float
-    sd_min_sep: float
-    mean_path: float
-    sd_path: float
+    mean_min_sep_m: float
+    sd_min_sep_m: float
+    mean_path_m: float
+    sd_path_m: float
     mean_replan_s: float
     sd_replan_s: float
 
     def to_dict(self) -> dict:
-        clean = lambda x: x if isinstance(x, int) or math.isfinite(x) else None
-        return {
-            "runs": self.runs,
-            "discomfort_pct": self.discomfort_pct,
-            "collision_pct": self.collision_pct,
-            "freezing_pct": self.freezing_pct,
-            "max_ratio": clean(self.max_ratio),
-            "mean_min_sep_m": clean(self.mean_min_sep),
-            "sd_min_sep_m": clean(self.sd_min_sep),
-            "mean_path_m": self.mean_path,
-            "sd_path_m": self.sd_path,
-            "mean_replan_s": clean(self.mean_replan_s),
-            "sd_replan_s": clean(self.sd_replan_s),
-        }
+        """Every field by name, a non-finite value as None."""
+        return {k: v if isinstance(v, int) or math.isfinite(v) else None for k, v in asdict(self).items()}
 
     def to_table(self, label: str = "planner") -> str:
         """Aligned text table with the benchmark's column layout."""
@@ -95,10 +83,10 @@ class MetricsReport:
             f"{self.collision_pct:.1f}%",
             f"{self.freezing_pct:.1f}%",
             f"{self.max_ratio:.2f}" if math.isfinite(self.max_ratio) else "n/a",
-            f"{self.mean_min_sep:.2f}+-{self.sd_min_sep:.2f}m"
-            if math.isfinite(self.mean_min_sep)
+            f"{self.mean_min_sep_m:.2f}+-{self.sd_min_sep_m:.2f}m"
+            if math.isfinite(self.mean_min_sep_m)
             else "n/a",
-            f"{self.mean_path:.2f}+-{self.sd_path:.2f}m",
+            f"{self.mean_path_m:.2f}+-{self.sd_path_m:.2f}m",
             f"{self.mean_replan_s:.3f}+-{self.sd_replan_s:.3f}s"
             if math.isfinite(self.mean_replan_s)
             else "n/a",
@@ -151,10 +139,10 @@ def aggregate(results: Sequence[RunClassification]) -> MetricsReport:
         collision_pct=pct([r.collision for r in results]),
         freezing_pct=pct([r.freezing for r in results]),
         max_ratio=max(r.ratio for r in results),
-        mean_min_sep=float(seps.mean()) if seps.size else math.nan,
-        sd_min_sep=float(seps.std()) if seps.size else math.nan,
-        mean_path=float(paths.mean()),
-        sd_path=float(paths.std()),
+        mean_min_sep_m=float(seps.mean()) if seps.size else math.nan,
+        sd_min_sep_m=float(seps.std()) if seps.size else math.nan,
+        mean_path_m=float(paths.mean()),
+        sd_path_m=float(paths.std()),
         mean_replan_s=float(replans.mean()) if replans.size else math.nan,
         sd_replan_s=float(replans.std()) if replans.size else math.nan,
     )

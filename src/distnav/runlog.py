@@ -40,7 +40,7 @@ class RunLog:
     outcome: str = ARRIVED
     seed: int | None = None
     robot_id: int = -1
-    human_length: float | None = None  # recorded path length, replay runs only
+    human_length: float = field(kw_only=True)  # the human path length the robot's path is compared with
 
     def robot_positions(self) -> np.ndarray:
         return np.array([s.world.get(self.robot_id).pos for s in self.steps])

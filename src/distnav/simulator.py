@@ -75,7 +75,7 @@ def _advance_along_plan(robot: AgentState, plan, dt: float, max_speed: float) ->
     robot.pos = robot.pos + step
 
 
-def _run_episode(robot, frames, crowd, cfg, goal_tolerance, seed, log, react=None) -> RunLog:
+def _run_episode(robot, frames, crowd, cfg, goal_tolerance, seed, human_length, react=None) -> RunLog:
     """Drive the robot until it reaches its goal or the frames run out.
 
     ``frames`` yields ``(frame, now)`` pairs and ``crowd(frame)`` the other
@@ -85,6 +85,7 @@ def _run_episode(robot, frames, crowd, cfg, goal_tolerance, seed, log, react=Non
     or replans, moves the robot along the plan and then calls
     ``react(robot, now)``.
     """
+    log = RunLog(seed=seed, robot_id=robot.id, human_length=human_length)
     history: dict[int, list] = {}  # agent id -> (t, x, y) rows
     for frame, now in frames:
         world = WorldState(now, [robot.copy(), *crowd(frame)])
@@ -140,10 +141,9 @@ def run_replay(
     frames = ((f, f * period / stride) for f in range(partial.start_frame, last_frame + 1, stride))
 
     robot = AgentState(ROBOT_ID, partial.start.copy(), np.zeros(2), partial.goal.copy(), ROBOT)
-    log = RunLog(seed=seed, robot_id=ROBOT_ID, human_length=partial.human_length)
     return _run_episode(
         robot, frames, _replay_crowd(ds, partial.ped_id), replace(planner_cfg, dt=period),
-        replay_cfg.goal_tolerance, seed, log,
+        replay_cfg.goal_tolerance, seed, partial.human_length,
     )
 
 
@@ -197,12 +197,8 @@ def run_interactive(
             if float(np.linalg.norm(ped.pos - ped.goal)) <= scenario.recycle_tolerance:
                 ped.goal = _circle_point(radius, rng.uniform(0.0, 2.0 * math.pi))
 
-    log = RunLog(
-        seed=seed,
-        robot_id=ROBOT_ID,
-        human_length=float(np.linalg.norm(robot.goal - robot.pos)),
-    )
+    human_length = float(np.linalg.norm(robot.goal - robot.pos))
     n_frames = int(math.ceil(scenario.time_cap_s / planner_cfg.dt))
     frames = ((f, f * planner_cfg.dt) for f in range(n_frames + 1))
     crowd = lambda frame: [p.copy() for p in peds]
-    return _run_episode(robot, frames, crowd, planner_cfg, scenario.goal_tolerance, seed, log, react)
+    return _run_episode(robot, frames, crowd, planner_cfg, scenario.goal_tolerance, seed, human_length, react)

@@ -239,6 +239,12 @@ class TestDefaultDump:
         }
         assert "  rtol: 0.001\n" in dump_default_config()
 
+    def test_top_level_keys_keep_their_order(self):
+        assert list(yaml.safe_load(dump_default_config())) == [
+            "seed", "samples_per_agent", "out", "gp", "collision", "solver",
+            "planner", "sfm", "scenario", "replay", "thresholds", "evolve1d",
+        ]
+
     def test_dump_parses_and_round_trips(self):
         text = dump_default_config()
         data = yaml.safe_load(text)

@@ -86,7 +86,7 @@ class TestFitPreference:
         ((np.array([0.0, 0.4]), np.zeros((2, 2)), np.full(3, 0.01)), "one time and one noise"),
     ])
     @pytest.mark.parametrize("alone", [True, False])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # an inf time times the zero line's velocity
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a bad time is refused before any arithmetic on it
     def test_a_bad_track_is_refused(self, bad, message, alone):
         good = track([0.0, 0.4], [(0.0, 0.0), (0.5, 0.0)], 0.01)
         with pytest.raises(ValueError, match=message):

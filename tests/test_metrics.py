@@ -21,7 +21,7 @@ def synthetic_log(min_seps, xs=None, outcome=ARRIVED, replans=(0.01, 0.02)):
         world = WorldState(0.4 * k, agents)
         replan_s = replans[k % len(replans)] if replans else None
         steps.append(RunLogStep(0.4 * k, world, replan_s, sep))
-    return RunLog(steps=steps, outcome=outcome, robot_id=-1)
+    return RunLog(steps=steps, outcome=outcome, robot_id=-1, human_length=1.0)
 
 
 class TestThresholds:
@@ -72,7 +72,7 @@ class TestClassifyRun:
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            classify_run(RunLog(steps=[], robot_id=-1), 1.0)
+            classify_run(RunLog(steps=[], robot_id=-1, human_length=1.0), 1.0)
 
     def test_collision_implies_discomfort_on_random_logs(self):
         rng = np.random.default_rng(0)
@@ -112,8 +112,8 @@ class TestAggregate:
 
     def test_single_run_has_zero_sd(self):
         report = aggregate(self.run_set()[:1])
-        assert report.sd_min_sep == 0.0
-        assert report.sd_path == 0.0
+        assert report.sd_min_sep_m == 0.0
+        assert report.sd_path_m == 0.0
 
     def test_permutation_invariance(self):
         rcs = self.run_set()

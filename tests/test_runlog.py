@@ -12,6 +12,11 @@ from helpers import broken_log, demo_log
 
 
 class TestRoundTrip:
+    def test_a_log_needs_its_human_length(self):
+        # read_runlog refuses a summary without one, so no log is built without it
+        with pytest.raises(TypeError, match="human_length"):
+            RunLog(steps=[])
+
     def test_robot_series_survive_exactly(self, tmp_path):
         log = demo_log()
         write_runlog(log, tmp_path / "r.csv", tmp_path / "r.summary.json")

@@ -20,9 +20,11 @@ def _load(name):
 @pytest.fixture(scope="module")
 def bench():
     """``bench/layers.py`` and ``bench/tracer.py`` as modules, without running the
-    benchmark; the path entry and the benchmark's modules are removed afterwards."""
+    benchmark; the path entry and the benchmark's modules are removed afterwards,
+    and the copies of the two that another test module imported are put back."""
     saved = list(sys.path)
     before = set(sys.modules)
+    replaced = {name: sys.modules[name] for name in ("tracer", "layers") if name in sys.modules}
     sys.path.insert(0, str(BENCH))
     try:
         tracer = _load("tracer")
@@ -32,6 +34,7 @@ def bench():
         for name in set(sys.modules) - before:
             if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == BENCH:
                 del sys.modules[name]
+        sys.modules.update(replaced)
 
 
 def test_every_trace_target_resolves(bench):
