@@ -33,7 +33,7 @@ from .oracle import (
     ks_distance,
     write_evolution_csv,
 )
-from .runlog import read_runlog, write_runlog
+from .runlog import read_runlog, read_summary, write_runlog
 from .samples import SampleSet
 from .simulator import human_baseline, run_interactive, run_replay
 
@@ -119,7 +119,10 @@ def _experiment_config(args, extra: dict | None = None) -> ExperimentConfig:
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -199,7 +202,7 @@ def _write_runs(out: Path, results, count: int, thresholds, no_timing: bool):
             for step in result.steps:
                 step.replan_s = None
         write_runlog(result, csv_path, summary_path, not no_timing)
-        classifications.append(classify_run(result, result.human_length, thresholds))
+        classifications.append(classify_run(result, thresholds))
         completed.append((result.outcome, result.duration))
         del result  # drop this run's log before the next run starts
     return classifications, completed, errors
@@ -214,8 +217,11 @@ def _write_report(path: Path | None, report: dict, errors: dict) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if path is None:
         print(text, end="")
-    else:
+        return
+    try:
         path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path}: {exc.strerror}") from None
 
 
 def cmd_replay(args) -> int:
@@ -249,7 +255,7 @@ def cmd_replay(args) -> int:
     table = report.to_table("distnav")
 
     if args.human_baseline:
-        human = [classify_run(human_baseline(ds, p), p.human_length, cfg.thresholds) for p in partials]
+        human = [classify_run(human_baseline(ds, p), cfg.thresholds) for p in partials]
         human_report = aggregate(human)
         _write_report(out / "human_report.json", human_report.to_dict(), {})
         table += human_report.to_table("human").splitlines()[1] + "\n"
@@ -313,17 +319,14 @@ def cmd_metrics(args) -> int:
         name = summary_path.name.removesuffix(".summary.json")
         if (logs_dir / f"{name}.csv").exists():
             continue
-        try:
-            summary = json.loads(summary_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read run summary {summary_path}: {exc}") from None
+        summary = read_summary(summary_path)
         if isinstance(summary, dict) and summary.get("outcome") == "error":
             if not isinstance(summary.get("error"), str):
                 raise ConfigError(f"run summary {summary_path} has no error message")
             errors[name] = summary["error"]
     if not runs:
         raise ConfigError(f"no run logs found in {logs_dir}")
-    classifications = [classify_run(r, r.human_length, thresholds) for r in runs]
+    classifications = [classify_run(r, thresholds) for r in runs]
     _write_report(args.out, aggregate(classifications).to_dict(), errors)
     if args.out:
         print(f"report written to {args.out}")

@@ -382,32 +382,18 @@ class GaussTransform:
         return out
 
 
-def expected_penalty(
-    a: SampleSet,
-    b: SampleSet,
-    kernel: CollisionKernel,
-    matrix=None,
-) -> float:
-    """Monte Carlo expected penalty: weighted mean of the penalty matrix.
-
-    ``matrix`` may be any pair operator with ``@``, such as a
-    :class:`GaussTransform`."""
-    if matrix is None:
-        matrix = penalty_matrix(a, b, kernel)
+def expected_penalty(a: SampleSet, b: SampleSet, kernel: CollisionKernel) -> float:
+    """Monte Carlo expected penalty: weighted mean of the penalty matrix."""
+    matrix = penalty_matrix(a, b, kernel)
     return float((a.weights / a.m) @ (matrix @ (b.weights / b.m)))
 
 
-def joint_expected_penalty(
-    sets: Sequence[SampleSet],
-    kernel: CollisionKernel,
-    matrices: dict | None = None,
-) -> float:
+def joint_expected_penalty(sets: Sequence[SampleSet], kernel: CollisionKernel) -> float:
     """Sum of expected penalties over all unordered pairs of sample sets."""
     if len(sets) < 2:
         raise ValueError("need at least 2 sample sets")
     total = 0.0
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
-            mat = matrices.get((i, j)) if matrices is not None else None
-            total += expected_penalty(sets[i], sets[j], kernel, matrix=mat)
+            total += expected_penalty(sets[i], sets[j], kernel)
     return total

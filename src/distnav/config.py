@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
-from pathlib import Path
 
 import yaml
 
 from .collision import CollisionKernel
 from .engine import SolverConfig
-from .errors import ConfigError
+from .errors import ConfigError, read_input
 from .gp import KernelParams
 from .metrics import Thresholds
 from .planner import PlannerConfig
@@ -152,11 +151,8 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """
     data: dict = {}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = yaml.safe_load(path.read_text())
+            loaded = yaml.safe_load(read_input(path))
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
         if loaded is None:

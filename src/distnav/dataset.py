@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, read_input
 
 __all__ = ["TrajectoryDataset", "PartialRun", "load_dataset", "extract_partials"]
 
@@ -78,29 +78,24 @@ def load_dataset(path, frame_period: float | None = None) -> TrajectoryDataset:
         frame_period = _sidecar_frame_period(path)
     if not (0 < frame_period < math.inf):
         raise ConfigError(f"{path}: frame period must be positive and finite, got {frame_period}")
-    try:
-        fh = path.open()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror}") from None
     rows = []
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) != 4:
-                raise ConfigError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                frame = _record_id("frame", parts[0], 1 - 2**63)
-                # -1 is the robot's id in a replay, and seeds need ids >= -1
-                ped = _record_id("pedestrian", parts[1], 0)
-                x, y = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            if not (np.isfinite(x) and np.isfinite(y)):
-                raise ConfigError(f"{path}:{lineno}: non-finite position")
-            rows.append((frame, ped, x, y))
+    for lineno, line in enumerate(read_input(path).split("\n"), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.replace(",", " ").split()
+        if len(parts) != 4:
+            raise ConfigError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            frame = _record_id("frame", parts[0], 1 - 2**63)
+            # -1 is the robot's id in a replay, and seeds need ids >= -1
+            ped = _record_id("pedestrian", parts[1], 0)
+            x, y = float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise ConfigError(f"{path}:{lineno}: non-finite position")
+        rows.append((frame, ped, x, y))
     if not rows:
         raise ConfigError(f"{path}: dataset contains no records")
 
@@ -138,7 +133,7 @@ def _sidecar_frame_period(path: Path) -> float:
     if not sidecar.exists():
         return DEFAULT_FRAME_PERIOD
     try:
-        meta = yaml.safe_load(sidecar.read_text()) or {}
+        meta = yaml.safe_load(read_input(sidecar)) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {sidecar}: {exc}") from None
     if not isinstance(meta, dict):

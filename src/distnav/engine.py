@@ -169,11 +169,6 @@ class PenaltyCache:
         """(e_j, m_j) matrix, or operator, of every earlier agent against agent j."""
         return self._columns[j]
 
-    def pair_matrices(self) -> dict[tuple, np.ndarray]:
-        """The matrix of every pair (i, j), i < j, of a dense cache."""
-        edges = self.edges
-        return {(i, j): self._columns[j][edges[i] : edges[i + 1]] for j in range(self.n) for i in range(j)}
-
 
 def _seed(sets: Sequence[SampleSet], cache: PenaltyCache) -> tuple[np.ndarray, np.ndarray]:
     """v, every agent's w / m concatenated with entries below the floor

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of input files."""
+
+from pathlib import Path
 
 
 class GridMismatchError(ValueError):
@@ -11,3 +13,14 @@ class NumericalError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid configuration, dataset, or command-line input."""
+
+
+def read_input(path) -> str:
+    """The text of an input file; one that cannot be read or decoded raises
+    ConfigError naming it."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

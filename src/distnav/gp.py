@@ -19,12 +19,13 @@ the world's origin lies.
 
 The posterior covariance depends only on the observation times and noises,
 never on the positions, so agents observed on the same schedule share it.
-One ``fit_preference`` call fits a replan's agents: per schedule one Gram
-factor, one posterior covariance, one solve of its agents' residuals stacked
-as columns and one batched product by the cross-covariance, which makes for
-each agent the BLAS call its fit alone makes. The Cholesky factors that
-sampling and log-densities need are made on first use and kept with the
-posterior. Each agent's fit is bit for bit the one it gets alone (tested).
+A ``PreferenceGP`` comes from ``fit_preference``, which fits a replan's
+agents in one call: per schedule one Gram factor, one posterior covariance,
+one solve of its agents' residuals stacked as columns and one batched
+product by the cross-covariance, which makes for each agent the BLAS call
+its fit alone makes. The Cholesky factors that sampling and log-densities
+need are made on first use and kept with the posterior. Each agent's fit is
+bit for bit the one it gets alone (tested).
 
 Sampling draws each agent's normals from its own seed and multiplies the draws
 of a schedule by its lower factor in runs of up to ``_PRODUCT_COLUMNS``
@@ -154,25 +155,14 @@ class PreferenceGP:
     """GP posterior over the grid: per-axis mean, one shared T x T covariance.
 
     The same observation times and noises condition both axes, so the
-    posterior covariance is axis-independent; only the means differ. The
-    covariance is read-only: fits on one observation schedule share it.
+    posterior covariance is axis-independent; only the means differ. Made by
+    :func:`fit_preference`: ``_post`` is the schedule's posterior, shared by
+    every fit on that schedule, with its read-only covariance.
     """
 
     grid: TimeGrid
     mean: np.ndarray = field(repr=False)  # (steps, dim)
-    cov: np.ndarray = field(repr=False)  # (steps, steps)
-    jitter: float = 0.0
-    # the covariance with its Cholesky factors: the schedule's shared posterior
-    # when ``cov`` is its already checked covariance, else made here from ``cov``
-    _post: "_Posterior | None" = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        if self.mean.shape not in ((self.grid.steps, 1), (self.grid.steps, 2)):
-            raise ValueError(f"mean must be ({self.grid.steps}, 1|2), got {self.mean.shape}")
-        if self._post is None:
-            self.cov = _checked_cov(self.cov, self.grid.steps)
-            self._post = _Posterior(self.cov, self.jitter)
+    _post: "_Posterior" = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -182,41 +172,23 @@ class PreferenceGP:
         return Trajectory(self.grid, self.mean)
 
 
-def _checked_cov(cov, steps: int) -> np.ndarray:
-    """Symmetrized, read-only copy of a covariance that is symmetric and PSD
-    within tolerance."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (steps, steps):
-        raise ValueError(f"cov must be square of size {steps}")
-    scale = max(np.abs(cov).max(), 1.0)
-    if np.abs(cov - cov.T).max() > 1e-9 * scale:
-        raise ValueError("cov is not symmetric within 1e-9 relative")
-    cov = 0.5 * (cov + cov.T)
-    trace = np.trace(cov)
-    if np.linalg.eigvalsh(cov).min() < -1e-9 * max(trace, 1.0):
-        raise ValueError("cov is not positive semi-definite within tolerance")
-    cov.setflags(write=False)
-    return cov
-
-
 class _Posterior:
-    """A posterior covariance and the Cholesky factors made from it.
-
-    From a fit it also carries the observation schedule's Gram factor and
-    cross-covariance, from which each agent's mean follows. The sampling and
-    density factors are computed on first use.
+    """An observation schedule's posterior covariance, with its Gram factor
+    and cross-covariance, from which each agent's mean follows, and the
+    Cholesky factors made from the covariance. The sampling and density
+    factors are computed on first use.
     """
 
     __slots__ = ("cov", "jitter", "gram_low", "k_star", "_sample_low", "_density")
 
-    def __init__(self, cov, jitter, gram_low=None, k_star=None):
+    def __init__(self, cov, jitter, gram_low, k_star):
         self.cov, self.jitter = cov, jitter
         self.gram_low, self.k_star = gram_low, k_star
         self._sample_low = None
         self._density = None
 
     def sample_factor(self) -> np.ndarray:
-        """Lower factor of the covariance (zero for a zero covariance)."""
+        """Lower factor of the covariance."""
         if self._sample_low is None:
             self._sample_low = _cholesky_psd(self.cov, self.jitter)
         return self._sample_low
@@ -226,8 +198,6 @@ class _Posterior:
         if self._density is None:
             steps = self.cov.shape[0]
             low = _cholesky_psd(self.cov + self.jitter * np.eye(steps), self.jitter)
-            if not low.any():
-                raise NumericalError("degenerate (zero) covariance has no density")
             self._density = (low, float(np.sum(np.log(np.diag(low)))))
         return self._density
 
@@ -247,13 +217,8 @@ def _se_kernel(ta: np.ndarray, tb: np.ndarray, kp: KernelParams) -> np.ndarray:
 
 def _cholesky_psd(mat, base_jitter: float, from_zero=True, what="Cholesky failed") -> np.ndarray:
     """Lower Cholesky factor of mat + jit * I, jit escalating x10 from base_jitter
-    (from 0 first when ``from_zero``); exact zero matrix -> 0."""
-    if not mat.any():
-        return np.zeros_like(mat)
-    n = mat.shape[0]
-    eye = np.eye(n)
-    if base_jitter <= 0:
-        base_jitter = 1e-12 * max(np.trace(mat) / n, 1.0)
+    (from 0 first when ``from_zero``)."""
+    eye = np.eye(mat.shape[0])
     jit = 0.0 if from_zero else base_jitter
     for _ in range(_MAX_JITTER_ESCALATIONS + 1 + from_zero):
         try:
@@ -311,7 +276,7 @@ def fit_preference(tracks: Sequence[tuple], grid: TimeGrid, kp: KernelParams,
         means = post.k_star.T @ alpha.reshape(len(y), len(members), -1).transpose(1, 0, 2)
         for (k, *_, (t0, pos, vel)), mean in zip(members, means):
             mean += pos + (times - t0)[:, None] * vel
-            gps[k] = PreferenceGP(grid, mean, post.cov, jitter=kp.jitter, _post=post)
+            gps[k] = PreferenceGP(grid, mean, post)
     return gps
 
 
@@ -326,7 +291,10 @@ def _fit_posterior(
     v = _solve_lower(low, k_star)  # (n, steps)
     cov = _se_kernel(t_grid, t_grid, kp) - v.T @ v
     cov = 0.5 * (cov + cov.T) + kp.jitter * np.eye(grid.steps)
-    return _Posterior(_checked_cov(cov, grid.steps), kp.jitter, low, k_star)
+    if np.linalg.eigvalsh(cov).min() < -1e-9 * max(np.trace(cov), 1.0):
+        raise ValueError("cov is not positive semi-definite within tolerance")
+    cov.setflags(write=False)
+    return _Posterior(cov, kp.jitter, low, k_star)
 
 
 def _lower_product(low: np.ndarray, zt: np.ndarray) -> np.ndarray:

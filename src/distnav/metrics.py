@@ -42,9 +42,7 @@ class RunClassification:
     ratio: float
     min_sep: float  # NaN when no pedestrian was ever present
     robot_path_length: float
-    had_pedestrian: bool
     replan_times: list
-    timed_out: bool
 
 
 @dataclass
@@ -96,21 +94,20 @@ class MetricsReport:
         return line(headers) + "\n" + line(row) + "\n"
 
 
-def classify_run(log, human_path_length: float, th: Thresholds = Thresholds()) -> RunClassification:
-    """Flags and scalars for one run against the given thresholds."""
+def classify_run(log, th: Thresholds = Thresholds()) -> RunClassification:
+    """Flags and scalars for one run against the given thresholds; the path
+    ratio is the robot's path over ``log.human_length``."""
     seps = log.min_sep_series()
     if not seps.size:
         raise ValueError("run log is empty")
-    if not (human_path_length > 0):
-        raise ValueError("human_path_length must be positive")
-    had_ped = bool(np.any(np.isfinite(seps)))
-    min_sep = float(np.nanmin(seps)) if had_ped else math.nan
-    collision = had_ped and min_sep < th.collision_dist
-    discomfort = had_ped and min_sep < th.discomfort_dist
+    if not (log.human_length > 0):
+        raise ValueError("human_length must be positive")
+    min_sep = float(np.nanmin(seps)) if np.isfinite(seps).any() else math.nan  # NaN compares False
+    collision = min_sep < th.collision_dist
+    discomfort = min_sep < th.discomfort_dist
     d_r = arc_length(log.robot_positions())
-    ratio = d_r / human_path_length
-    timed_out = log.outcome == TIMEOUT
-    freezing = ratio > th.freezing_ratio or timed_out
+    ratio = d_r / log.human_length
+    freezing = ratio > th.freezing_ratio or log.outcome == TIMEOUT
     return RunClassification(
         collision=collision,
         discomfort=discomfort,
@@ -118,9 +115,7 @@ def classify_run(log, human_path_length: float, th: Thresholds = Thresholds()) -
         ratio=ratio,
         min_sep=min_sep,
         robot_path_length=d_r,
-        had_pedestrian=had_ped,
         replan_times=list(log.replan_times()),
-        timed_out=timed_out,
     )
 
 
@@ -130,7 +125,7 @@ def aggregate(results: Sequence[RunClassification]) -> MetricsReport:
         raise ValueError("no runs to aggregate")
     n = len(results)
     pct = lambda flags: 100.0 * sum(flags) / n
-    seps = np.array([r.min_sep for r in results if r.had_pedestrian])
+    seps = np.array([r.min_sep for r in results if not math.isnan(r.min_sep)])
     paths = np.array([r.robot_path_length for r in results])
     replans = np.array([t for r in results for t in r.replan_times])
     return MetricsReport(

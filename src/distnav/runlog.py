@@ -9,6 +9,7 @@ reloaded log reproduces the in-memory values bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import arc_length
-from .errors import ConfigError
+from .errors import ConfigError, read_input
 from .world import ROBOT, AgentState, WorldState
 
-__all__ = ["RunLogStep", "RunLog", "write_runlog", "read_runlog"]
+__all__ = ["RunLogStep", "RunLog", "write_runlog", "read_runlog", "read_summary"]
 
 ARRIVED = "arrived"
 TIMEOUT = "timeout"
@@ -94,16 +95,21 @@ def write_runlog(log: RunLog, csv_path, summary_path, include_timing: bool = Tru
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
+def read_summary(summary_path):
+    """A run summary's parsed JSON; a file that cannot be read or parsed
+    raises ConfigError naming it."""
+    try:
+        return json.loads(read_input(summary_path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read run summary {summary_path}: {exc}") from None
+
+
 def read_runlog(csv_path, summary_path) -> RunLog:
     """Rebuild a run from disk. Each step's world holds the robot alone, since
     the CSV records neither agent kinds nor velocities and goals. A summary
     without a positive finite human path length, or a robot row with a
     non-finite time or position, raises ConfigError."""
-    csv_path, summary_path = Path(csv_path), Path(summary_path)
-    try:
-        summary = json.loads(summary_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read run summary {summary_path}: {exc}") from None
+    summary = read_summary(summary_path)
     if not (isinstance(summary, dict) and isinstance(summary.get("robot_id"), int) and "outcome" in summary):
         raise ConfigError(f"{summary_path}: a run summary needs an integer robot_id and an outcome")
     robot_id, human = summary["robot_id"], summary.get("human_path_length_m")
@@ -111,25 +117,24 @@ def read_runlog(csv_path, summary_path) -> RunLog:
         raise ConfigError(f"{summary_path}: human_path_length_m must be a positive finite number, got {human!r}")
 
     steps = []
-    with csv_path.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:4] != ["t", "agent_id", "x", "y"]:
-            raise ConfigError(f"{csv_path}: not a run log")
-        for row in reader:
-            try:
-                t, agent, x, y, min_sep, replan_ms = row
-                if int(agent) != robot_id:
-                    continue
-                t, pos = float(t), (float(x), float(y))
-                if not math.isfinite(t):
-                    raise ValueError(f"non-finite time {t}")
-                replan_s = float(replan_ms) / 1000.0 if replan_ms else None
-                min_sep = float(min_sep) if min_sep else math.nan
-                world = WorldState(t, [AgentState(robot_id, pos, np.zeros(2), pos, ROBOT)])
-            except ValueError as exc:
-                raise ConfigError(f"{csv_path}:{reader.line_num}: {exc}") from None
-            steps.append(RunLogStep(t, world, replan_s, min_sep))
+    reader = csv.reader(io.StringIO(read_input(csv_path)))
+    header = next(reader, None)
+    if header is None or header[:4] != ["t", "agent_id", "x", "y"]:
+        raise ConfigError(f"{csv_path}: not a run log")
+    for row in reader:
+        try:
+            t, agent, x, y, min_sep, replan_ms = row
+            if int(agent) != robot_id:
+                continue
+            t, pos = float(t), (float(x), float(y))
+            if not math.isfinite(t):
+                raise ValueError(f"non-finite time {t}")
+            replan_s = float(replan_ms) / 1000.0 if replan_ms else None
+            min_sep = float(min_sep) if min_sep else math.nan
+            world = WorldState(t, [AgentState(robot_id, pos, np.zeros(2), pos, ROBOT)])
+        except ValueError as exc:
+            raise ConfigError(f"{csv_path}:{reader.line_num}: {exc}") from None
+        steps.append(RunLogStep(t, world, replan_s, min_sep))
     if not steps:
         raise ConfigError(f"{csv_path}: log contains no robot rows")
     return RunLog(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from distnav.collision import CollisionKernel
-from distnav.gp import _cho_solve, _fit_posterior
+from distnav.gp import PreferenceGP, _cho_solve, _fit_posterior, _Posterior
 from distnav.grids import TimeGrid, Trajectory
 from distnav.oracle import GridDensity
 from distnav.runlog import RunLog, RunLogStep, write_runlog
@@ -23,6 +23,15 @@ def mean_operator_norm(times, noise, grid, kp) -> float:
     ||A||_inf * e on each axis."""
     post = _fit_posterior(np.asarray(times, dtype=float), np.asarray(noise, dtype=float), grid, kp)
     return float(np.abs(_cho_solve(post.gram_low, post.k_star)).sum(axis=0).max())
+
+
+def gp_of_cov(grid, mean, cov, jitter=0.0):
+    """A PreferenceGP over ``grid`` made directly from a positive definite
+    ``cov``: its posterior holds a read-only copy of ``cov``, as a fit's
+    does, and ``jitter``, and no Gram factor."""
+    cov = np.array(cov, dtype=float)
+    cov.setflags(write=False)
+    return PreferenceGP(grid, mean, _Posterior(cov, jitter, None, None))
 
 
 def zero_lines(tracks):

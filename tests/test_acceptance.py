@@ -55,7 +55,7 @@ def test_criterion_1_sufficient_decrease_over_500_random_instances():
     while instances < 500:
         sets, kernel = random_instance(rng)
         cache = PenaltyCache(sets, kernel)
-        jc = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
+        jc = joint_expected_penalty(sets, kernel)
         for _ in range(2):
             kls = []
             updated = set()
@@ -63,7 +63,7 @@ def test_criterion_1_sufficient_decrease_over_500_random_instances():
                 kl, _ = _update_agent(i, sets, cache, updated)
                 kls.append(kl)
                 updated.add(i)
-            jc_next = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
+            jc_next = joint_expected_penalty(sets, kernel)
             assert jc_next <= jc - sum(kls) + 1e-9
             if max(kls) > 1e-12:
                 assert jc_next < jc
@@ -153,7 +153,7 @@ def test_criterion_6_metrics_fidelity(tmp_path):
     ds = load_dataset(_write_two_ped_dataset(tmp_path))
     partials = extract_partials(ds)
 
-    human = [classify_run(human_baseline(ds, p), p.human_length) for p in partials]
+    human = [classify_run(human_baseline(ds, p)) for p in partials]
     report = aggregate(human)
     assert report.max_ratio == 1.0
     assert report.freezing_pct == 0.0
@@ -166,11 +166,11 @@ def test_criterion_6_metrics_fidelity(tmp_path):
     logs = [synthetic_log(list(rng.uniform(0.05, 0.6, size=5))) for _ in range(40)]
     for th in (Thresholds(), Thresholds(collision_dist=0.3, discomfort_dist=0.3)):
         for log in logs:
-            rc = classify_run(log, 1.0, th)
+            rc = classify_run(log, th)
             assert (not rc.collision) or rc.discomfort
-    base = sum(classify_run(l, 1.0, Thresholds()).collision for l in logs)
+    base = sum(classify_run(l, Thresholds()).collision for l in logs)
     wide = sum(
-        classify_run(l, 1.0, Thresholds(collision_dist=0.3, discomfort_dist=0.3)).collision
+        classify_run(l, Thresholds(collision_dist=0.3, discomfort_dist=0.3)).collision
         for l in logs
     )
     assert wide >= base
@@ -214,7 +214,7 @@ def test_criterion_8_closed_loop_five_pedestrians_fifty_seeds():
         log = run_interactive(scenario, planner, seed=seed)
         if log.outcome == ARRIVED:
             arrived += 1
-        rc = classify_run(log, log.human_length, thresholds)
+        rc = classify_run(log, thresholds)
         if rc.collision:
             collisions += 1
         replan_times.extend(log.replan_times())

@@ -519,6 +519,50 @@ class TestMetricsCommand:
         assert "run_0000" in capsys.readouterr().err
 
 
+NOT_UTF8 = b"0 1 0.0 0.0\n\xff\xfe\n"
+
+
+class TestUnusableFiles:
+    """An input file that cannot be read or decoded, or an output path that
+    cannot be written, exits 2 with the file's name on stderr."""
+
+    @staticmethod
+    def exits_2_naming(capsys, name, *argv):
+        assert run_cli(*argv) == 2
+        assert name in capsys.readouterr().err
+
+    def test_dataset_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "ds.txt").write_bytes(NOT_UTF8)
+        self.exits_2_naming(capsys, "ds.txt", "replay", "--dataset", tmp_path / "ds.txt", "--dry-run")
+
+    def test_dataset_sidecar_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "ds.txt").write_text("0 1 0.0 0.0\n")
+        (tmp_path / "ds.txt.meta.yaml").write_bytes(NOT_UTF8)
+        self.exits_2_naming(capsys, "ds.txt.meta.yaml", "replay", "--dataset", tmp_path / "ds.txt", "--dry-run")
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self.exits_2_naming(capsys, str(tmp_path), "simulate", "--config", tmp_path, "--out", tmp_path / "o")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "c.yaml").write_bytes(NOT_UTF8)
+        self.exits_2_naming(capsys, "c.yaml", "simulate", "--config", tmp_path / "c.yaml", "--out", tmp_path / "o")
+
+    @pytest.mark.parametrize("broken", ["run_0000.csv", "run_0000.summary.json", "run_0001.summary.json"])
+    def test_run_log_file_not_utf8(self, tmp_path, capsys, broken):
+        write_runlog(demo_log(), tmp_path / "run_0000.csv", tmp_path / "run_0000.summary.json")
+        (tmp_path / broken).write_bytes(NOT_UTF8)  # run_0001 has no CSV: an error summary
+        self.exits_2_naming(capsys, broken, "metrics", "--logs", tmp_path)
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        self.exits_2_naming(capsys, "taken", "simulate", "--runs", 1, "--out", tmp_path / "taken")
+
+    def test_report_in_a_missing_directory(self, tmp_path, capsys):
+        write_runlog(demo_log(), tmp_path / "run_0000.csv", tmp_path / "run_0000.summary.json")
+        report = tmp_path / "nodir" / "r.json"
+        self.exits_2_naming(capsys, str(report), "metrics", "--logs", tmp_path, "--out", report)
+
+
 # Command-line text of a float: anything argparse's float() parses.
 FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),

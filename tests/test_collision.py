@@ -290,7 +290,7 @@ class TestPenaltyKernelProperties:
         assert np.all(gap <= reference_bound(ta, tb, kernel))
         assert np.all((mat >= 0) & (mat <= kernel.peak(dim)))
         assert not np.any((mat > 0) & (mat < np.finfo(float).tiny))
-        assert np.array_equal(cache.pair_matrices()[0, 1], mat)
+        assert np.array_equal(cache.column(1), mat)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -318,14 +318,15 @@ class TestPenaltyCacheRows:
     def test_row_views_equal_per_pair_matrices(self, seed, sizes, steps, dim, spread, budget):
         sets = drawn_sets(seed, sizes, steps, dim, spread)
         with mock.patch.object(collision, "_BLOCK_BUDGET", budget):
-            pairs = PenaltyCache(sets, KERNEL).pair_matrices()
-        assert sorted(pairs) == [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
-        for (i, j), mat in pairs.items():
-            ref = penalty_matrix(sets[i], sets[j], KERNEL)
-            assert mat.dtype == np.float64
-            # laid out as a per-pair build, so BLAS products round alike
-            assert mat.flags.c_contiguous
-            assert np.array_equal(mat, ref)
+            cache = PenaltyCache(sets, KERNEL)
+        for j in range(len(sets)):
+            for i in range(j):
+                mat = cache.column(j)[cache.edges[i]:cache.edges[i + 1]]
+                ref = penalty_matrix(sets[i], sets[j], KERNEL)
+                assert mat.dtype == np.float64
+                # laid out as a per-pair build, so BLAS products round alike
+                assert mat.flags.c_contiguous
+                assert np.array_equal(mat, ref)
 
     def test_out_receives_the_entries_and_must_match_the_shape(self):
         a, b = drawn_sets(3, [7, 5], 4, 2, 1.0)

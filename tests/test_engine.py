@@ -24,11 +24,11 @@ from distnav.engine import (
     solve,
 )
 from distnav.errors import NumericalError
-from distnav.gp import KernelParams, PreferenceGP, sample_trajectories
+from distnav.gp import KernelParams, sample_trajectories
 from distnav.grids import TimeGrid
 from distnav.samples import SampleSet
 
-from helpers import GRID_1D, U, crowd_of, gaussian_sets_1d, random_instance, straight_line_trajectory
+from helpers import GRID_1D, U, crowd_of, gaussian_sets_1d, gp_of_cov, random_instance, straight_line_trajectory
 
 SIGMA = 0.35
 UNIT_PEAK = CollisionKernel(weight=2 * math.pi * SIGMA**2, sigma=SIGMA)  # peak = 1
@@ -50,7 +50,7 @@ class TestGammaHat:
         a = SampleSet("a", grid, rng.normal(size=(3, 5, 2)), np.ones(3))
         b = SampleSet("b", grid, rng.normal(size=(7, 5, 2)), np.ones(7))
         cache = PenaltyCache([a, b], kernel)
-        expected = cache.pair_matrices()[0, 1][1].mean()
+        expected = penalty_matrix(a, b, kernel)[1].mean()
         assert _current_gamma(0, [a, b], cache)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_no_other_agents_is_zero(self):
@@ -196,7 +196,7 @@ class TestSweep:
         for _ in range(30):
             sets, kernel = random_instance(rng)
             cache = PenaltyCache(sets, kernel)
-            before = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
+            before = joint_expected_penalty(sets, kernel)
             kl_sum, _, after = _sweep(sets, cache, *_seed(sets, cache))
             assert before - after >= kl_sum - 1e-9
 
@@ -260,8 +260,8 @@ class TestSolve:
         cov += 1e-10 * np.eye(16)
         mean_a = np.stack([np.linspace(0, 6, 16), np.full(16, 0.1)], axis=1)
         mean_b = np.stack([np.linspace(6, 0, 16), np.full(16, -0.1)], axis=1)
-        gp_a = PreferenceGP(grid, mean_a, cov, jitter=1e-10)
-        gp_b = PreferenceGP(grid, mean_b, cov, jitter=1e-10)
+        gp_a = gp_of_cov(grid, mean_a, cov, jitter=1e-10)
+        gp_b = gp_of_cov(grid, mean_b, cov, jitter=1e-10)
         sets = list(sample_trajectories([gp_a, gp_b], 5000, [21, 22], ["a", "b"]))
         kernel = CollisionKernel(weight=10.0, sigma=0.35)
         report = solve(sets, kernel, SolverConfig(epsilon=0.0, max_sweeps=25))
@@ -365,7 +365,7 @@ class TestSelectCritical:
 
 class TestSelectOptimal:
     def make_gp(self, grid):
-        return PreferenceGP(grid, np.zeros((grid.steps, 2)), np.eye(grid.steps))
+        return gp_of_cov(grid, np.zeros((grid.steps, 2)), np.eye(grid.steps))
 
     def test_equal_weights_pick_max_prior_density(self):
         grid = TimeGrid(0.0, 0.4, 3)
@@ -388,7 +388,7 @@ class TestSelectOptimal:
     def test_hand_case_selects_second_samples(self):
         # symmetric sample pairs have equal prior density; weights decide
         grid = GRID_1D
-        gp = PreferenceGP(grid, np.zeros((1, 1)), np.eye(1))
+        gp = gp_of_cov(grid, np.zeros((1, 1)), np.eye(1))
         a = SampleSet("A", grid, np.array([[[0.5]], [[-0.5]]]), np.array([0.7551, 1.2449]))
         b = SampleSet("B", grid, np.array([[[0.5]], [[-0.5]]]), np.array([0.8135, 1.1865]))
         best = select_optimal([a, b], {"A": gp, "B": gp})
@@ -398,7 +398,7 @@ class TestSelectOptimal:
     def test_weight_scaling_invariance(self):
         rng = np.random.default_rng(12)
         grid = TimeGrid(0.0, 0.4, 4)
-        gp = PreferenceGP(grid, np.zeros((4, 2)), np.eye(4))
+        gp = gp_of_cov(grid, np.zeros((4, 2)), np.eye(4))
         states = rng.normal(size=(6, 4, 2))
         w = rng.uniform(0.1, 2.0, size=6)
         one = select_optimal([SampleSet("a", grid, states, w)], {"a": gp})
@@ -407,7 +407,7 @@ class TestSelectOptimal:
 
     def test_zero_weights_excluded_and_all_zero_rejected(self):
         grid = TimeGrid(0.0, 0.4, 2)
-        gp = PreferenceGP(grid, np.zeros((2, 2)), np.eye(2))
+        gp = gp_of_cov(grid, np.zeros((2, 2)), np.eye(2))
         states = np.stack([np.zeros((2, 2)), np.ones((2, 2))])
         s = SampleSet("a", grid, states, np.array([0.0, 1.0]))
         best = select_optimal([s], {"a": gp})
@@ -423,7 +423,7 @@ class TestSufficientDecreaseProperty:
         for _ in range(60):
             sets, kernel = random_instance(rng)
             cache = PenaltyCache(sets, kernel)
-            jc = joint_expected_penalty(sets, kernel, matrices=cache.pair_matrices())
+            jc = joint_expected_penalty(sets, kernel)
             for _ in range(3):
                 kl_sum, _, jc_next = _sweep(sets, cache, *_seed(sets, cache))
                 assert jc_next <= jc - kl_sum + 1e-9

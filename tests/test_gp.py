@@ -11,7 +11,6 @@ import distnav.gp
 from distnav.errors import GridMismatchError, NumericalError
 from distnav.gp import (
     KernelParams,
-    PreferenceGP,
     _cho_solve,
     _cholesky,
     _cholesky_psd,
@@ -24,7 +23,7 @@ from distnav.gp import (
 )
 from distnav.grids import TimeGrid, Trajectory
 
-from helpers import U, mean_operator_norm, zero_lines
+from helpers import U, gp_of_cov, mean_operator_norm, zero_lines
 
 
 def make_grid(t0=0.0, dt=0.4, steps=20):
@@ -119,7 +118,7 @@ class TestFitPreference:
             rows = [(rng.uniform(-2, 10), rng.normal(size=2), rng.uniform(0, 0.1)) for _ in range(n)]
             obs = track(*zip(*rows))
             gp = fit_preference([obs], grid, kp, zero_lines([obs]))[0]
-            assert np.all(np.diag(gp.cov) <= kp.signal_var + kp.jitter + 1e-9)
+            assert np.all(np.diag(gp._post.cov) <= kp.signal_var + kp.jitter + 1e-9)
 
 
 class TestPriorLine:
@@ -196,13 +195,6 @@ class TestPriorLine:
 
 
 class TestSampleTrajectories:
-    def test_degenerate_covariance_returns_mean(self):
-        grid = make_grid(steps=5)
-        mean = np.arange(10.0).reshape(5, 2)
-        gp = PreferenceGP(grid, mean, np.zeros((5, 5)))
-        ss = sample_trajectories([gp], 1, [0])[0]
-        assert np.array_equal(ss.trajectories[0], mean)
-
     def test_empirical_mean_within_three_standard_errors(self):
         grid = make_grid(steps=8)
         kp = KernelParams(length_scale=2.0, signal_var=1.0, jitter=1e-10)
@@ -210,7 +202,7 @@ class TestSampleTrajectories:
         gp = fit_preference([obs], grid, kp, zero_lines([obs]))[0]
         m = 20000
         ss = sample_trajectories([gp], m, [42])[0]
-        se = np.sqrt(np.diag(gp.cov) / m)
+        se = np.sqrt(np.diag(gp._post.cov) / m)
         err = np.abs(ss.trajectories.mean(axis=0) - gp.mean)
         assert np.all(err <= 3 * se[:, None] + 1e-12)
 
@@ -221,12 +213,12 @@ class TestSampleTrajectories:
         gp = fit_preference([obs], grid, kp, zero_lines([obs]))[0]
         ss = sample_trajectories([gp], 20000, [7])[0]
         emp = ss.trajectories.var(axis=0).mean(axis=1)  # average the two axes
-        ref = np.diag(gp.cov)
+        ref = np.diag(gp._post.cov)
         assert np.all(np.abs(emp - ref) <= 0.10 * ref)
 
     def test_seed_determinism(self):
         grid = make_grid(steps=4)
-        gp = PreferenceGP(grid, np.zeros((4, 2)), np.eye(4) * 0.5)
+        gp = gp_of_cov(grid, np.zeros((4, 2)), np.eye(4) * 0.5)
         a = sample_trajectories([gp], 50, [123])[0]
         b = sample_trajectories([gp], 50, [123])[0]
         assert np.array_equal(a.trajectories, b.trajectories)
@@ -234,7 +226,7 @@ class TestSampleTrajectories:
 
     def test_m_zero_rejected(self):
         grid = make_grid(steps=2)
-        gp = PreferenceGP(grid, np.zeros((2, 2)), np.eye(2))
+        gp = gp_of_cov(grid, np.zeros((2, 2)), np.eye(2))
         with pytest.raises(ValueError):
             sample_trajectories([gp], 0, [1])
 
@@ -248,7 +240,7 @@ class TestLogDensity:
         grid = make_grid(steps=5)
         rng = np.random.default_rng(5)
         a = rng.normal(size=(5, 5))
-        gp = PreferenceGP(grid, rng.normal(size=(5, 2)), a @ a.T + 0.1 * np.eye(5))
+        gp = gp_of_cov(grid, rng.normal(size=(5, 2)), a @ a.T + 0.1 * np.eye(5))
         at_mean = self.log_density(gp, Trajectory(grid, gp.mean))
         for _ in range(20):
             other = Trajectory(grid, gp.mean + rng.normal(size=(5, 2)))
@@ -256,7 +248,7 @@ class TestLogDensity:
 
     def test_symmetric_offsets_equal(self):
         grid = make_grid(steps=3)
-        gp = PreferenceGP(grid, np.zeros((3, 2)), np.diag([1.0, 2.0, 0.5]))
+        gp = gp_of_cov(grid, np.zeros((3, 2)), np.diag([1.0, 2.0, 0.5]))
         off = np.array([[0.3, -0.1], [0.2, 0.4], [-0.5, 0.1]])
         hi = self.log_density(gp, Trajectory(grid, off))
         lo = self.log_density(gp, Trajectory(grid, -off))
@@ -264,13 +256,13 @@ class TestLogDensity:
 
     def test_unit_covariance_one_meter_drop(self):
         grid = TimeGrid(0.0, 1.0, 1)
-        gp = PreferenceGP(grid, np.zeros((1, 2)), np.eye(1))
+        gp = gp_of_cov(grid, np.zeros((1, 2)), np.eye(1))
         at_mean = self.log_density(gp, Trajectory(grid, np.zeros((1, 2))))
         offset = self.log_density(gp, Trajectory(grid, np.array([[1.0, 0.0]])))
         assert abs((at_mean - offset) - 0.5) < 1e-12
 
     def test_grid_mismatch_raises(self):
-        gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
+        gp = gp_of_cov(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
         other = Trajectory(make_grid(steps=4), np.zeros((4, 2)))
         with pytest.raises(GridMismatchError):
             self.log_density(gp, other)
@@ -310,7 +302,7 @@ def fit_or_error(group, grid, kp, priors):
 def reference_log_densities(gp, traj):
     """log_densities as computed before factors were shared: factorise on every call."""
     m, steps, dim = traj.shape
-    low = _cholesky_psd(gp.cov + gp.jitter * np.eye(steps), gp.jitter)
+    low = _cholesky_psd(gp._post.cov + gp._post.jitter * np.eye(steps), gp._post.jitter)
     resid = (traj - gp.mean[None]).transpose(1, 0, 2).reshape(steps, m * dim)
     z = solve_triangular(low, resid, lower=True).reshape(steps, m, dim)
     quad = np.einsum("tmd,tmd->m", z, z)
@@ -344,8 +336,8 @@ class TestSharedPosterior:
         assert len(crowd) == len(group)
         for got, (fresh,) in zip(crowd, alone):
             assert got.mean.tobytes() == fresh.mean.tobytes()
-            assert got.cov.tobytes() == fresh.cov.tobytes()
-            assert got.jitter == fresh.jitter
+            assert got._post.cov.tobytes() == fresh._post.cov.tobytes()
+            assert got._post.jitter == fresh._post.jitter
 
     def test_duplicate_zero_noise_times_escalate_jitter_once(self):
         grid = make_grid(steps=6)
@@ -365,8 +357,9 @@ class TestSharedPosterior:
         with mock.patch.object(distnav.gp, "_cholesky", wraps=distnav.gp._cholesky) as chol:
             gps = fit_preference(group, grid, KernelParams(), zero_lines(group))
         assert chol.call_count == 2
-        assert all(gp.cov is gps[0].cov for gp in gps[:5]) and gps[5].cov is not gps[0].cov
-        assert all(gp.cov is gps[5].cov for gp in gps[5:])
+        posts = [gp._post for gp in gps]
+        assert all(post is posts[0] for post in posts[:5]) and posts[5] is not posts[0]
+        assert all(post is posts[5] for post in posts[5:])
         assert len({gp.mean.tobytes() for gp in gps}) == len(gps)
 
     def test_shared_covariance_is_read_only(self):
@@ -374,7 +367,15 @@ class TestSharedPosterior:
         group = [track([0.0], [(0.0, 0.0)], 0.01)]
         gp = fit_preference(group, grid, KernelParams(), zero_lines(group))[0]
         with pytest.raises(ValueError):
-            gp.cov[0, 0] = 1.0
+            gp._post.cov[0, 0] = 1.0
+
+    def test_an_indefinite_posterior_is_refused(self):
+        solve_lower = distnav.gp._solve_lower
+        group = [track([0.0, 1.2], [(0.0, 0.0), (1.0, 0.5)], 0.01)]
+        # v scaled by 10: the fit subtracts 100 v^T v where v^T v is about the prior
+        with mock.patch.object(distnav.gp, "_solve_lower", lambda a, b: 10.0 * solve_lower(a, b)):
+            with pytest.raises(ValueError, match="not positive semi-definite"):
+                fit_preference(group, make_grid(steps=4), KernelParams(), zero_lines(group))
 
     def test_needs_one_line_per_agent(self):
         group = schedule_group(2, 3, ["same", "same"], 2)
@@ -426,11 +427,11 @@ class TestSamplingProduct:
     def test_planar_samples_equal_the_einsum_bit_for_bit(self, seed, steps, m):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(steps, steps))
-        gp = PreferenceGP(make_grid(steps=steps), rng.normal(size=(steps, 2)),
+        gp = gp_of_cov(make_grid(steps=steps), rng.normal(size=(steps, 2)),
                           a @ a.T / steps + 1e-3 * np.eye(steps), jitter=1e-9)
         got = sample_trajectories([gp], m, [seed])[0]
         z = np.random.default_rng(seed).standard_normal((m, steps, 2))
-        low = _cholesky_psd(gp.cov, gp.jitter)
+        low = _cholesky_psd(gp._post.cov, gp._post.jitter)
         ref = gp.mean[None, :, :] + np.einsum("ts,msd->mtd", low, z)
         assert got.trajectories.tobytes() == ref.tobytes()
 
@@ -507,13 +508,13 @@ class TestBatchSampling:
             assert s.grid == gp.grid and np.array_equal(s.weights, np.ones(m))
             if dim == 2:
                 z = np.random.default_rng(k).standard_normal((m, steps, 2))
-                low = _cholesky_psd(gp.cov, gp.jitter)
+                low = _cholesky_psd(gp._post.cov, gp._post.jitter)
                 ref = gp.mean[None, :, :] + np.einsum("ts,msd->mtd", low, z)
                 assert s.trajectories.tobytes() == ref.tobytes()
         assert [s.agent for s in crowd] == agents
 
     def test_needs_one_seed_and_one_agent_per_gp(self):
-        gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
+        gp = gp_of_cov(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
         with pytest.raises(ValueError, match="one seed and one agent per GP"):
             sample_trajectories([gp, gp], 4, [1])
         with pytest.raises(ValueError, match="one seed and one agent per GP"):
@@ -524,15 +525,15 @@ class TestBatchSampling:
         assert len(crowd) == 0 and crowd.m == 0
 
     def test_gps_of_one_call_share_steps_and_dim(self):
-        planar = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
-        for other in (PreferenceGP(make_grid(steps=3), np.zeros((3, 1)), np.eye(3)),
-                      PreferenceGP(make_grid(steps=4), np.zeros((4, 2)), np.eye(4))):
+        planar = gp_of_cov(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
+        for other in (gp_of_cov(make_grid(steps=3), np.zeros((3, 1)), np.eye(3)),
+                      gp_of_cov(make_grid(steps=4), np.zeros((4, 2)), np.eye(4))):
             with pytest.raises(ValueError, match="one \\(steps, dim\\)"):
                 sample_trajectories([planar, other], 4, [1, 2])
 
     def test_a_schedule_wider_than_one_product_takes_several(self, monkeypatch):
         monkeypatch.setattr(distnav.gp, "_PRODUCT_COLUMNS", 10)
-        gp = PreferenceGP(make_grid(steps=4), np.zeros((4, 2)), np.eye(4) * 0.5)
+        gp = gp_of_cov(make_grid(steps=4), np.zeros((4, 2)), np.eye(4) * 0.5)
         with mock.patch.object(distnav.gp, "_lower_product", wraps=distnav.gp._lower_product) as product:
             crowd = sample_trajectories([gp] * 7, 3, list(range(7)))
         assert product.call_count == 3  # three agents, three agents, one agent
@@ -540,7 +541,7 @@ class TestBatchSampling:
             assert s.trajectories.tobytes() == sample_trajectories([gp], 3, [k])[0].trajectories.tobytes()
 
     def test_a_non_finite_mean_is_refused(self):
-        gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
+        gp = gp_of_cov(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))
         gp.mean[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             sample_trajectories([gp], 4, [1])
@@ -598,23 +599,23 @@ class TestJitterEscalation:
 
     def test_sample_factor_escalates_from_zero(self):
         cov = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-        gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), cov, jitter=1e-9)
+        gp = gp_of_cov(make_grid(steps=3), np.zeros((3, 2)), cov, jitter=1e-9)
         chol, seen = _failing_cholesky(2)
         with mock.patch.object(distnav.gp, "_cholesky", chol):
             sample_trajectories([gp], 4, [0])
-        jits = _escalation(0.0, gp.jitter, 3)
+        jits = _escalation(0.0, gp._post.jitter, 3)
         assert len(seen) == 3
         for mat, jit in zip(seen, jits):
-            assert np.array_equal(mat, gp.cov + jit * np.eye(3))
+            assert np.array_equal(mat, gp._post.cov + jit * np.eye(3))
 
     def test_sample_factor_gives_up_after_five_tries(self):
-        gp = PreferenceGP(make_grid(steps=3), np.zeros((3, 2)), np.eye(3), jitter=1e-9)
+        gp = gp_of_cov(make_grid(steps=3), np.zeros((3, 2)), np.eye(3), jitter=1e-9)
         chol, seen = _failing_cholesky(100)
         with mock.patch.object(distnav.gp, "_cholesky", chol):
             with pytest.raises(NumericalError) as exc:
                 sample_trajectories([gp], 4, [0])
         assert len(seen) == 5
-        last = 10.0 * _escalation(0.0, gp.jitter, 5)[-1]
+        last = 10.0 * _escalation(0.0, gp._post.jitter, 5)[-1]
         assert str(exc.value).startswith(f"Cholesky failed after jitter escalation to {last:g} (cond ~ ")
 
 

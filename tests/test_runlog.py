@@ -40,8 +40,8 @@ class TestRoundTrip:
         log = demo_log()
         write_runlog(log, tmp_path / "r.csv", tmp_path / "r.summary.json")
         loaded = read_runlog(tmp_path / "r.csv", tmp_path / "r.summary.json")
-        a = classify_run(log, log.human_length)
-        b = classify_run(loaded, loaded.human_length)
+        a = classify_run(log)
+        b = classify_run(loaded)
         assert a == b
 
     def test_no_timing_omits_replan_column(self, tmp_path):

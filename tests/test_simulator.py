@@ -238,7 +238,7 @@ class TestRunReplay:
         partial = extract_partials(two_ped_dataset)[0]  # ped 1; ped 2 stays 5 m away
         log = run_replay(two_ped_dataset, partial, FAST_PLANNER, seed=0)
         assert log.outcome == ARRIVED
-        rc = classify_run(log, partial.human_length)
+        rc = classify_run(log)
         straight = np.linalg.norm(partial.goal - partial.start)
         assert rc.robot_path_length <= 1.1 * straight
 
@@ -295,7 +295,7 @@ class TestRunReplay:
             runs[dx] = []
             for k, partial in enumerate(extract_partials(ds)[:4]):
                 log = run_replay(ds, partial, PlannerConfig(), seed=7 + k)
-                rc = classify_run(log, partial.human_length)
+                rc = classify_run(log)
                 runs[dx].append((log.outcome, len(log.steps), rc.ratio, rc.min_sep))
         base = runs.pop(0.0)
         assert [r[0] for r in base] == [ARRIVED] * 4
@@ -311,7 +311,7 @@ class TestHumanBaseline:
     def test_ratio_exactly_one_and_no_freezing(self, two_ped_dataset):
         for partial in extract_partials(two_ped_dataset):
             log = human_baseline(two_ped_dataset, partial)
-            rc = classify_run(log, partial.human_length)
+            rc = classify_run(log)
             assert rc.ratio == 1.0
             assert not rc.freezing
             assert not rc.collision
