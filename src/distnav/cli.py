@@ -155,7 +155,8 @@ def cmd_evolve1d(args) -> int:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
             draws = mu + s * rng.standard_normal(m)
             sets.append(SampleSet(k, grid, draws[:, None, None], np.ones(m)))
-        solve(sets, cfg.collision, SolverConfig(epsilon=0.0, max_sweeps=max(ev.sweeps, 1), rtol=0.0))
+        if len(sets) >= 2 and ev.sweeps >= 1:  # else the oracle leaves every density as it was
+            solve(sets, cfg.collision, SolverConfig(epsilon=0.0, max_sweeps=ev.sweeps, rtol=0.0))
         summary = {}
         for k, (gd, ss) in enumerate(zip(densities, sets)):
             summary[f"agent_{k}"] = ks_distance(gd, ss.trajectories[:, 0, 0], ss.weights)

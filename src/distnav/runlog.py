@@ -1,9 +1,13 @@
 """Run logs and their on-disk form.
 
-Each run produces one CSV (row per agent per step: ``t, agent_id, x, y,
-min_sep, replan_ms``; the separation and timing columns are filled on the
-robot's row) plus a JSON summary. Floats are written with ``repr`` so a
-reloaded log reproduces the in-memory values bit for bit.
+A run log is the rows it writes. Each step holds one ``(agent_id, x, y)``
+row per agent present, the robot's first, plus the step's time, replan time
+and robot-to-nearest-pedestrian separation. Each run produces one CSV (one
+line per row: ``t, agent_id, x, y, min_sep, replan_ms``; the separation and
+timing columns are filled on the robot's line) plus a JSON summary. Floats
+are written with ``repr``, so a reloaded log holds every row and separation
+bit for bit; a replan time, written in milliseconds, may come back one
+rounding off.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 
 from .dataset import arc_length
 from .errors import ConfigError, read_input
-from .world import ROBOT, AgentState, WorldState
 
 __all__ = ["RunLogStep", "RunLog", "write_runlog", "read_runlog", "read_summary"]
 
@@ -30,7 +33,7 @@ TIMEOUT = "timeout"
 @dataclass
 class RunLogStep:
     time: float
-    world: WorldState
+    rows: list  # (agent_id, x, y) per agent present, the robot's first
     replan_s: float | None  # None on a step that made no replan
     min_sep: float  # NaN when no pedestrian is present
 
@@ -44,7 +47,7 @@ class RunLog:
     human_length: float = field(kw_only=True)  # the human path length the robot's path is compared with
 
     def robot_positions(self) -> np.ndarray:
-        return np.array([s.world.get(self.robot_id).pos for s in self.steps])
+        return np.array([s.rows[0][1:] for s in self.steps])
 
     def min_sep_series(self) -> np.ndarray:
         return np.array([s.min_sep for s in self.steps])
@@ -70,15 +73,12 @@ def write_runlog(log: RunLog, csv_path, summary_path, include_timing: bool = Tru
         writer = csv.writer(fh)
         writer.writerow(["t", "agent_id", "x", "y", "min_sep", "replan_ms"])
         for step in log.steps:
-            for agent in step.world.agents:
-                is_robot = agent.id == log.robot_id
-                min_sep = _fmt(step.min_sep) if is_robot and not math.isnan(step.min_sep) else ""
-                replan_ms = ""
-                if is_robot and step.replan_s is not None and include_timing:
-                    replan_ms = _fmt(step.replan_s * 1000.0)
-                writer.writerow(
-                    [_fmt(step.time), agent.id, _fmt(agent.pos[0]), _fmt(agent.pos[1]), min_sep, replan_ms]
-                )
+            min_sep = "" if math.isnan(step.min_sep) else _fmt(step.min_sep)
+            replan_ms = _fmt(step.replan_s * 1000.0) if step.replan_s is not None and include_timing else ""
+            cells = [min_sep, replan_ms]  # the robot's row, then blanks
+            for agent_id, x, y in step.rows:
+                writer.writerow([_fmt(step.time), agent_id, _fmt(x), _fmt(y), *cells])
+                cells = ["", ""]
 
     summary = {
         "outcome": log.outcome,
@@ -105,10 +105,12 @@ def read_summary(summary_path):
 
 
 def read_runlog(csv_path, summary_path) -> RunLog:
-    """Rebuild a run from disk. Each step's world holds the robot alone, since
-    the CSV records neither agent kinds nor velocities and goals. A summary
-    without a positive finite human path length, or a robot row with a
-    non-finite time or position, raises ConfigError."""
+    """Rebuild a run from disk, every row of every step. A robot row starts a
+    step; any other row joins the step before it, at the same time. A summary
+    without a positive finite human path length, a row with a field that is
+    not a number or a non-finite time or position, and a pedestrian row that
+    does not follow a robot row at its time raise ConfigError naming the file
+    (and line)."""
     summary = read_summary(summary_path)
     if not (isinstance(summary, dict) and isinstance(summary.get("robot_id"), int) and "outcome" in summary):
         raise ConfigError(f"{summary_path}: a run summary needs an integer robot_id and an outcome")
@@ -124,17 +126,21 @@ def read_runlog(csv_path, summary_path) -> RunLog:
     for row in reader:
         try:
             t, agent, x, y, min_sep, replan_ms = row
-            if int(agent) != robot_id:
-                continue
-            t, pos = float(t), (float(x), float(y))
-            if not math.isfinite(t):
-                raise ValueError(f"non-finite time {t}")
+            agent, t, x, y = int(agent), float(t), float(x), float(y)
             replan_s = float(replan_ms) / 1000.0 if replan_ms else None
             min_sep = float(min_sep) if min_sep else math.nan
-            world = WorldState(t, [AgentState(robot_id, pos, np.zeros(2), pos, ROBOT)])
+            if not math.isfinite(t):
+                raise ValueError(f"non-finite time {t}")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"agent {agent} has non-finite state")
+            if agent == robot_id:
+                steps.append(RunLogStep(t, [(agent, x, y)], replan_s, min_sep))
+            elif not steps or t != steps[-1].time:
+                raise ValueError(f"agent {agent}'s row at time {t} does not follow a robot row at that time")
+            else:
+                steps[-1].rows.append((agent, x, y))
         except ValueError as exc:
             raise ConfigError(f"{csv_path}:{reader.line_num}: {exc}") from None
-        steps.append(RunLogStep(t, world, replan_s, min_sep))
     if not steps:
         raise ConfigError(f"{csv_path}: log contains no robot rows")
     return RunLog(

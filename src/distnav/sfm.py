@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import SFM, WorldState
+from .world import SFM, AgentState, WorldState
 
 __all__ = ["SfmParams", "step_sfm"]
 
@@ -65,16 +65,15 @@ def _repulsion(agent, others, params: SfmParams) -> np.ndarray:
 
 
 def step_sfm(world: WorldState, params: SfmParams, dt: float) -> WorldState:
-    """Advance every sfm agent by one step; other agents pass through unchanged."""
+    """The world ``dt`` later: each sfm agent a new state, every other agent passed through."""
     if not (dt > 0):
         raise ValueError("dt must be positive")
-    out = world.copy()
-    out.time = world.time + dt
-    for agent in out.agents:
-        if agent.kind != SFM:
+    agents = []
+    for prev in world.agents:
+        if prev.kind != SFM:
+            agents.append(prev)
             continue
-        prev = world.get(agent.id)
-        others = [a for a in world.agents if a.id != agent.id]
+        others = [a for a in world.agents if a.id != prev.id]
         v_des = _desired_velocity(prev, params)
         rep = _repulsion(prev, others, params)
         accel = (v_des - prev.vel) / params.relaxation_time + rep
@@ -92,6 +91,5 @@ def step_sfm(world: WorldState, params: SfmParams, dt: float) -> WorldState:
         speed = float(np.linalg.norm(vel))
         if speed > params.max_speed:
             vel = vel * (params.max_speed / speed)
-        agent.vel = vel
-        agent.pos = prev.pos + vel * dt
-    return out
+        agents.append(AgentState(prev.id, prev.pos + vel * dt, vel, prev.goal, SFM))
+    return WorldState(world.time + dt, agents)

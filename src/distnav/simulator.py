@@ -79,29 +79,30 @@ def _run_episode(robot, frames, crowd, cfg, goal_tolerance, seed, human_length, 
     """Drive the robot until it reaches its goal or the frames run out.
 
     ``frames`` yields ``(frame, now)`` pairs and ``crowd(frame)`` the other
-    agents at that frame. Each frame snapshots the world, appends every
-    agent's ``(now, x, y)`` row to its history (oldest first; the planner
-    picks the rows it fits and their noises), and either stops at the goal
-    or replans, moves the robot along the plan and then calls
-    ``react(robot, now)``.
+    agents at that frame. Each frame takes every agent's ``(id, x, y)`` row
+    once, the robot's first: the step's record keeps them, and each agent's
+    history gets its ``(now, x, y)`` (oldest first; the planner picks the
+    rows it fits and their noises). Then it either stops at the goal or
+    replans, moves the robot along the plan and calls ``react(robot, now)``.
     """
     log = RunLog(seed=seed, robot_id=robot.id, human_length=human_length)
     history: dict[int, list] = {}  # agent id -> (t, x, y) rows
     for frame, now in frames:
-        world = WorldState(now, [robot.copy(), *crowd(frame)])
-        for agent in world.agents:
-            history.setdefault(agent.id, []).append((now, *agent.pos.tolist()))
+        world = WorldState(now, [robot, *crowd(frame)])
+        rows = world.rows()
+        for agent_id, x, y in rows:
+            history.setdefault(agent_id, []).append((now, x, y))
         sep = min_separation(world)
 
         if float(np.linalg.norm(robot.pos - robot.goal)) <= goal_tolerance:
-            log.steps.append(RunLogStep(now, world, None, sep))
+            log.steps.append(RunLogStep(now, rows, None, sep))
             log.outcome = ARRIVED
             return log
 
         t0 = _time.perf_counter()
         result = replan(world, history, cfg, seed=seed, frame=frame)
         elapsed = _time.perf_counter() - t0
-        log.steps.append(RunLogStep(now, world, elapsed, sep))
+        log.steps.append(RunLogStep(now, rows, elapsed, sep))
         _advance_along_plan(robot, result.robot_plan, cfg.dt, cfg.max_speed)
         if react is not None:
             react(robot, now)
@@ -156,9 +157,9 @@ def human_baseline(ds: TrajectoryDataset, partial: PartialRun) -> RunLog:
     log = RunLog(seed=None, robot_id=ROBOT_ID, human_length=partial.human_length)
     for frame, pos in zip(frames[mask], xy[mask]):
         now = float(frame) * period / stride
-        robot = AgentState(ROBOT_ID, pos, np.zeros(2), partial.goal.copy(), ROBOT)
+        robot = AgentState(ROBOT_ID, pos, np.zeros(2), partial.goal, ROBOT)
         world = WorldState(now, [robot, *crowd(int(frame))])
-        log.steps.append(RunLogStep(now, world, None, min_separation(world)))
+        log.steps.append(RunLogStep(now, world.rows(), None, min_separation(world)))
     log.outcome = ARRIVED
     return log
 
@@ -200,5 +201,5 @@ def run_interactive(
     human_length = float(np.linalg.norm(robot.goal - robot.pos))
     n_frames = int(math.ceil(scenario.time_cap_s / planner_cfg.dt))
     frames = ((f, f * planner_cfg.dt) for f in range(n_frames + 1))
-    crowd = lambda frame: [p.copy() for p in peds]
+    crowd = lambda frame: peds
     return _run_episode(robot, frames, crowd, planner_cfg, scenario.goal_tolerance, seed, human_length, react)

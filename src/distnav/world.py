@@ -29,9 +29,6 @@ class AgentState:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
 
-    def copy(self) -> "AgentState":
-        return AgentState(self.id, self.pos.copy(), self.vel.copy(), self.goal.copy(), self.kind)
-
 
 @dataclass
 class WorldState:
@@ -57,14 +54,9 @@ class WorldState:
     def pedestrians(self) -> list:
         return [a for a in self.agents if a.kind != ROBOT]
 
-    def get(self, agent_id: int) -> AgentState:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(agent_id)
-
-    def copy(self) -> "WorldState":
-        return WorldState(self.time, [a.copy() for a in self.agents])
+    def rows(self) -> list:
+        """Each agent's ``(id, x, y)``, in agent order."""
+        return [(a.id, *a.pos.tolist()) for a in self.agents]
 
 
 def min_separation(world: WorldState) -> float:

@@ -11,7 +11,6 @@ from distnav.grids import TimeGrid, Trajectory
 from distnav.oracle import GridDensity
 from distnav.runlog import RunLog, RunLogStep, write_runlog
 from distnav.samples import CrowdSamples, SampleSet
-from distnav.world import REPLAY, ROBOT, AgentState, WorldState
 
 GRID_1D = TimeGrid(0.0, 1.0, 1)
 U = 2.0**-53  # unit roundoff of float64
@@ -91,24 +90,28 @@ def demo_log():
     rng = np.random.default_rng(0)
     steps = []
     for k in range(6):
-        robot = AgentState(-1, rng.normal(size=2), (0, 0), (5.0, 0.0), ROBOT)
-        ped = AgentState(3, rng.normal(size=2), (0, 0), (0, 0), REPLAY)
-        world = WorldState(0.4 * k, [robot, ped])
-        sep = float(np.linalg.norm(robot.pos - ped.pos))
+        robot, ped = rng.normal(size=2), rng.normal(size=2)
+        rows = [(-1, *robot.tolist()), (3, *ped.tolist())]
+        sep = float(np.linalg.norm(robot - ped))
         replan_s = rng.uniform(0.01, 0.1)
-        steps.append(RunLogStep(0.4 * k, world, replan_s if k < 5 else None, sep))
+        steps.append(RunLogStep(0.4 * k, rows, replan_s if k < 5 else None, sep))
     return RunLog(steps=steps, outcome="arrived", seed=12, robot_id=-1, human_length=3.3)
 
 
-# broken_log's faults: a robot row put on line 3 of the CSV, or one summary
-# field set to a value (... removes it)
+# broken_log's faults: a row put on a line of the CSV (line 2 is the robot's
+# row at t=0.0, line 3 pedestrian 3's), or one summary field set to a value
+# (... removes it)
 BROKEN_ROWS = {
-    "field": "0.4,-1,west,1.0,0.5,",
-    "short": "0.4,-1,1.0",
-    "inf_x": "0.4,-1,inf,1.0,0.5,",
-    "inf_y": "0.4,-1,1.0,-inf,0.5,",
-    "nan_t": "nan,-1,1.0,0.5,0.5,",
-    "inf_t": "inf,-1,1.0,0.5,0.5,",
+    "field": (3, "0.4,-1,west,1.0,0.5,"),
+    "short": (3, "0.4,-1,1.0"),
+    "inf_x": (3, "0.4,-1,inf,1.0,0.5,"),
+    "inf_y": (3, "0.4,-1,1.0,-inf,0.5,"),
+    "nan_t": (3, "nan,-1,1.0,0.5,0.5,"),
+    "inf_t": (3, "inf,-1,1.0,0.5,0.5,"),
+    "ped_field": (3, "0.0,3,west,1.0,,"),
+    "ped_inf_y": (3, "0.0,3,1.0,inf,,"),
+    "ped_first": (2, "0.0,3,1.0,1.0,,"),
+    "ped_time": (3, "0.1,3,1.0,1.0,,"),
 }
 BROKEN_SUMMARIES = {
     "summary": ("robot_id", ...),
@@ -135,6 +138,7 @@ def broken_log(tmp_path, case):
         summary_path.write_text(json.dumps(summary))
     else:
         lines = csv_path.read_text().splitlines()
-        lines[2] = BROKEN_ROWS[case]
+        line, row = BROKEN_ROWS[case]
+        lines[line - 1] = row
         csv_path.write_text("\n".join(lines) + "\n")
     return csv_path, summary_path

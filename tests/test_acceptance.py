@@ -30,7 +30,6 @@ from distnav.simulator import (
     run_interactive,
     run_replay,
 )
-from distnav.world import REPLAY
 
 from helpers import gaussian_densities_1d, gaussian_sets_1d, random_instance
 
@@ -190,11 +189,11 @@ def test_criterion_7_partial_protocol_and_bitwise_replay(tmp_path):
     checked = 0
     for step in log.steps:
         frame = round(step.time / ds.frame_period)
-        for agent in step.world.agents:
-            if agent.kind == REPLAY:
-                rec = ds.position_at(agent.id, frame)
+        for agent, x, y in step.rows:
+            if agent != log.robot_id:
+                rec = ds.position_at(agent, frame)
                 assert rec is not None
-                assert agent.pos[0] == rec[0] and agent.pos[1] == rec[1]
+                assert x == rec[0] and y == rec[1]
                 checked += 1
     assert checked > 0
     print(

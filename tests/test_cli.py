@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import distnav
 from distnav.cli import main
-
-from distnav.runlog import write_runlog
+from distnav.dataset import extract_partials, load_dataset
+from distnav.runlog import read_runlog, write_runlog
 from helpers import BROKEN_ROWS, BROKEN_SUMMARIES, broken_log, demo_log
 
 
@@ -306,6 +306,21 @@ class TestEvolve1d:
         assert len(summary) == 3
         assert max(summary.values()) < 0.1
 
+    def test_compare_sampler_without_sweeps_compares_the_inputs(self, tmp_path):
+        # no sweep moves the oracle's densities, so no sweep may move the samples' weights
+        out = tmp_path / "evs0"
+        assert run_cli("evolve1d", "--out", out, "--sweeps", 0, "--compare-sampler", "--m", 4000) == 0
+        summary = json.loads((out / "ks_summary.json").read_text())
+        assert max(summary.values()) < 0.05
+
+    def test_compare_sampler_with_one_agent(self, tmp_path):
+        cfg = tmp_path / "one.yaml"
+        cfg.write_text("evolve1d:\n  means: [0.0]\n  sigmas: [0.5]\n")
+        out = tmp_path / "ev1"
+        assert run_cli("evolve1d", "--config", cfg, "--out", out, "--compare-sampler", "--m", 4000) == 0
+        summary = json.loads((out / "ks_summary.json").read_text())
+        assert list(summary) == ["agent_0"] and summary["agent_0"] < 0.05
+
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("evolve1d:\n  sigmas: [0.5]\n")
@@ -394,6 +409,27 @@ class TestReplay:
         assert all(r["min_sep"] for r in robot)
         times = [float(r["t"]) for r in robot]
         assert all(abs((b - a) - 0.4) < 1e-9 for a, b in zip(times, times[1:]))
+
+    def test_replayed_rows_read_back_as_recorded(self, dataset, tmp_path, fast_config):
+        out = tmp_path / "runs"
+        code = run_cli(
+            "replay", "--dataset", dataset, "--config", fast_config,
+            "--out", out, "--limit", 1, "--no-timing",
+        )
+        assert code == 0
+        ds = load_dataset(dataset)
+        removed = extract_partials(ds)[0].ped_id
+        log = read_runlog(out / "run_0000.csv", out / "run_0000.summary.json")
+        checked = 0
+        for step in log.steps:
+            frame = round(step.time / ds.frame_period)
+            ids = [row[0] for row in step.rows]
+            assert ids == [log.robot_id, *(p for p in ds.present_at(frame) if p != removed)]
+            for agent, x, y in step.rows[1:]:
+                rec = ds.position_at(agent, frame)
+                assert x == rec[0] and y == rec[1]
+                checked += 1
+        assert checked > 0
 
     def test_parallel_jobs_match_serial(self, dataset, tmp_path, fast_config):
         serial, parallel = tmp_path / "s", tmp_path / "p"

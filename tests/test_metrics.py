@@ -6,7 +6,6 @@ import pytest
 from distnav.dataset import arc_length
 from distnav.metrics import Thresholds, aggregate, classify_run
 from distnav.runlog import ARRIVED, TIMEOUT, RunLog, RunLogStep
-from distnav.world import ROBOT, SFM, AgentState, WorldState
 
 
 def synthetic_log(min_seps, xs=None, outcome=ARRIVED, replans=(0.01, 0.02), human_length=1.0):
@@ -14,13 +13,11 @@ def synthetic_log(min_seps, xs=None, outcome=ARRIVED, replans=(0.01, 0.02), huma
     steps = []
     xs = xs if xs is not None else [0.4 * k for k in range(len(min_seps))]
     for k, (sep, x) in enumerate(zip(min_seps, xs)):
-        robot = AgentState(-1, (x, 0.0), (0, 0), (10.0, 0.0), ROBOT)
-        agents = [robot]
+        rows = [(-1, float(x), 0.0)]
         if not math.isnan(sep):
-            agents.append(AgentState(1, (x, sep), (0, 0), (0, 0), SFM))
-        world = WorldState(0.4 * k, agents)
+            rows.append((1, float(x), float(sep)))
         replan_s = replans[k % len(replans)] if replans else None
-        steps.append(RunLogStep(0.4 * k, world, replan_s, sep))
+        steps.append(RunLogStep(0.4 * k, rows, replan_s, sep))
     return RunLog(steps=steps, outcome=outcome, robot_id=-1, human_length=human_length)
 
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distnav.errors import ConfigError
 from distnav.metrics import classify_run
 from distnav.runlog import RunLog, RunLogStep, read_runlog, write_runlog
-from distnav.world import ROBOT
 
 from helpers import broken_log, demo_log
 
@@ -27,14 +28,31 @@ class TestRoundTrip:
         assert loaded.outcome == log.outcome
         assert loaded.human_length == log.human_length
 
-    def test_loaded_steps_hold_the_robot_alone(self, tmp_path):
-        log = demo_log()
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_row_survives_bit_for_bit(self, tmp_path_factory, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        position = st.floats(-1e150, 1e150)  # the summary's path length squares no overflow
+        times = data.draw(st.lists(finite, min_size=1, max_size=5, unique=True).map(sorted))
+        # a replan time the CSV's millisecond column reproduces
+        replan = st.none() | st.floats(0.0, 1e6).filter(lambda s: s * 1000.0 / 1000.0 == s)
+        steps = []
+        for t in times:
+            peds = data.draw(st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=3))
+            rows = [(agent, data.draw(position), data.draw(position)) for agent in [-1, *peds]]
+            steps.append(RunLogStep(t, rows, data.draw(replan), data.draw(st.just(math.nan) | finite)))
+        log = RunLog(steps=steps, outcome="timeout", seed=None, robot_id=-1, human_length=1.0)
+
+        tmp_path = tmp_path_factory.mktemp("log")
         write_runlog(log, tmp_path / "r.csv", tmp_path / "r.summary.json")
         loaded = read_runlog(tmp_path / "r.csv", tmp_path / "r.summary.json")
-        assert isinstance(loaded, RunLog)
-        assert [s.time for s in loaded.steps] == [s.time for s in log.steps]
-        assert all([a.kind for a in s.world.agents] == [ROBOT] for s in loaded.steps)
-        assert loaded.duration == log.duration
+
+        def bits(step):  # float.hex tells -0.0 from 0.0 and matches NaN
+            rows = [(agent, x.hex(), y.hex()) for agent, x, y in step.rows]
+            replan_s = None if step.replan_s is None else step.replan_s.hex()
+            return step.time.hex(), rows, replan_s, step.min_sep.hex()
+
+        assert [bits(s) for s in loaded.steps] == [bits(s) for s in log.steps]
 
     def test_classification_identical_after_round_trip(self, tmp_path):
         log = demo_log()
@@ -67,7 +85,7 @@ class TestRoundTrip:
     def test_nan_min_sep_round_trips(self, tmp_path):
         log = demo_log()
         for s in log.steps:
-            s.world.agents = [a for a in s.world.agents if a.kind == ROBOT]
+            s.rows = s.rows[:1]
             s.min_sep = math.nan
         write_runlog(log, tmp_path / "r.csv", tmp_path / "r.summary.json")
         loaded = read_runlog(tmp_path / "r.csv", tmp_path / "r.summary.json")
@@ -91,6 +109,10 @@ class TestBrokenLogs:
             ("zero_human", r"run_0000\.summary\.json: human_path_length_m must be .*, got 0"),
             ("nan_human", r"run_0000\.summary\.json: human_path_length_m must be .*, got nan"),
             ("bool_human", r"run_0000\.summary\.json: human_path_length_m must be .*, got True"),
+            ("ped_field", r"run_0000\.csv:3: could not convert string to float: 'west'"),
+            ("ped_inf_y", r"run_0000\.csv:3: agent 3 has non-finite state"),
+            ("ped_first", r"run_0000\.csv:2: agent 3's row at time 0\.0 does not follow a robot row at that time"),
+            ("ped_time", r"run_0000\.csv:3: agent 3's row at time 0\.1 does not follow a robot row at that time"),
         ],
     )
     def test_config_error_names_the_file_and_line(self, tmp_path, case, message):

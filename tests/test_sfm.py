@@ -9,6 +9,10 @@ def world_with(agents, t=0.0):
     return WorldState(t, agents)
 
 
+def by_id(world, agent_id):
+    return next(a for a in world.agents if a.id == agent_id)
+
+
 class TestWorldState:
     def test_duplicate_ids_rejected(self):
         a = AgentState(1, (0, 0), (0, 0), (1, 1), SFM)
@@ -51,7 +55,7 @@ class TestStepSfm:
         speeds = []
         for _ in range(int(3 * params.relaxation_time / dt)):
             world = step_sfm(world, params, dt)
-            speeds.append(float(np.linalg.norm(world.get(0).vel)))
+            speeds.append(float(np.linalg.norm(by_id(world, 0).vel)))
         assert all(b >= a - 1e-12 for a, b in zip(speeds, speeds[1:]))
         assert speeds[-1] >= 0.95 * params.desired_speed
         assert speeds[-1] <= params.desired_speed + 1e-9
@@ -64,10 +68,10 @@ class TestStepSfm:
         center = np.array([5.0, 0.0])
         for _ in range(120):
             world = step_sfm(world, params, 0.05)
-            pa, pb = world.get(0).pos, world.get(1).pos
+            pa, pb = by_id(world, 0).pos, by_id(world, 1).pos
             assert np.max(np.abs((pa - center) + (pb - center))) < 1e-9
         # the rightward tie-break separated them laterally
-        assert abs(world.get(0).pos[1]) > 1e-4
+        assert abs(by_id(world, 0).pos[1]) > 1e-4
 
     def test_agent_at_goal_stays_put(self):
         params = SfmParams()
@@ -75,7 +79,7 @@ class TestStepSfm:
         world = world_with([agent])
         for _ in range(100):
             world = step_sfm(world, params, 0.05)
-        assert np.linalg.norm(world.get(0).pos - np.array([2.0, 3.0])) < 0.01
+        assert np.linalg.norm(by_id(world, 0).pos - np.array([2.0, 3.0])) < 0.01
 
     def test_robot_and_replay_agents_do_not_move(self):
         params = SfmParams()
@@ -87,7 +91,7 @@ class TestStepSfm:
         )
         out = step_sfm(world, params, 0.1)
         assert np.array_equal(out.robot().pos, world.robot().pos)
-        assert not np.array_equal(out.get(0).pos, world.get(0).pos)
+        assert not np.array_equal(by_id(out, 0).pos, by_id(world, 0).pos)
 
     def test_repulsion_pushes_away_from_robot(self):
         params = SfmParams(repulsion_strength=5.0)
@@ -95,7 +99,7 @@ class TestStepSfm:
         robot = AgentState(-1, (0.2, 0.0), (0, 0), (5, 0), ROBOT)
         world = world_with([ped, robot])
         out = step_sfm(world, params, 0.1)
-        assert out.get(0).pos[0] < 0.0  # pushed in -x, away from the robot
+        assert by_id(out, 0).pos[0] < 0.0  # pushed in -x, away from the robot
 
     def test_dt_must_be_positive(self):
         world = world_with([AgentState(0, (0, 0), (0, 0), (1, 0), SFM)])
@@ -113,7 +117,7 @@ class TestStepSfm:
             )
             for _ in range(50):
                 world = step_sfm(world, params, 0.1)
-            return world.get(0).pos.copy(), world.get(1).pos.copy()
+            return by_id(world, 0).pos.copy(), by_id(world, 1).pos.copy()
 
         one, two = run(), run()
         assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])

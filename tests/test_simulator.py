@@ -247,17 +247,17 @@ class TestRunReplay:
         log = run_replay(two_ped_dataset, partial, FAST_PLANNER, seed=0)
         for step in log.steps:
             frame = round(step.time / two_ped_dataset.frame_period)
-            for agent in step.world.agents:
-                if agent.kind == REPLAY:
-                    rec = two_ped_dataset.position_at(agent.id, frame)
+            for agent, x, y in step.rows:
+                if agent != log.robot_id:
+                    rec = two_ped_dataset.position_at(agent, frame)
                     assert rec is not None
-                    assert agent.pos[0] == rec[0] and agent.pos[1] == rec[1]
+                    assert x == rec[0] and y == rec[1]
 
     def test_min_sep_defined_whenever_pedestrian_present(self, two_ped_dataset):
         partial = extract_partials(two_ped_dataset)[0]
         log = run_replay(two_ped_dataset, partial, FAST_PLANNER, seed=0)
         for step in log.steps:
-            has_ped = any(a.kind == REPLAY for a in step.world.agents)
+            has_ped = any(agent != log.robot_id for agent, _, _ in step.rows)
             assert has_ped == np.isfinite(step.min_sep)
 
     def test_executed_path_is_continuous(self, two_ped_dataset):
@@ -339,17 +339,17 @@ class TestRunInteractive:
         assert len(a.steps) == len(b.steps)
         assert np.array_equal(a.robot_positions(), b.robot_positions())
         for sa, sb in zip(a.steps, b.steps):
-            for ag_a, ag_b in zip(sa.world.agents, sb.world.agents):
-                assert np.array_equal(ag_a.pos, ag_b.pos)
+            for row_a, row_b in zip(sa.rows, sb.rows):
+                assert row_a == row_b
 
     def test_robot_visible_to_pedestrians(self):
         # the lone pedestrian crosses near the robot and must deviate from the
         # straight line it would walk in an empty arena (robot repels it)
         scenario = ScenarioConfig(n_pedestrians=1, time_cap_s=20.0)
         log = run_interactive(scenario, FAST_PLANNER, seed=3)
-        ped_path = np.array([s.world.get(0).pos for s in log.steps])
+        ped_path = np.array([next(row[1:] for row in s.rows if row[0] == 0) for s in log.steps])
         start = ped_path[0]
-        goal = log.steps[0].world.get(0).goal
+        goal = -start  # run_interactive's first goal: across the arena
         line_dir = (goal - start) / np.linalg.norm(goal - start)
         rel = ped_path - start
         lateral = np.abs(rel[:, 0] * line_dir[1] - rel[:, 1] * line_dir[0])
