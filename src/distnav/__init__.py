@@ -46,6 +46,6 @@ from .simulator import (
     run_interactive,
     run_replay,
 )
-from .world import AgentState, WorldState
+from .world import AgentState
 
 __version__ = "0.1.0"

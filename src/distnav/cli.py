@@ -201,8 +201,8 @@ def _write_runs(out: Path, results, count: int, thresholds, no_timing: bool):
             continue
         if no_timing:  # so that neither the written log nor its classification keeps a wall time
             for step in result.steps:
-                step.replan_s = None
-        write_runlog(result, csv_path, summary_path, not no_timing)
+                step.replan_ms = None
+        write_runlog(result, csv_path, summary_path)
         classifications.append(classify_run(result, thresholds))
         completed.append((result.outcome, result.duration))
         del result  # drop this run's log before the next run starts

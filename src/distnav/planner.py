@@ -45,7 +45,7 @@ from .engine import (
 )
 from .gp import KernelParams, fit_preference, sample_trajectories
 from .grids import TimeGrid, Trajectory
-from .world import WorldState
+from .world import AgentState
 
 __all__ = ["PlannerConfig", "ReplanResult", "replan"]
 
@@ -128,7 +128,8 @@ def _sample_seed(seed: int, frame: int, agent_id: int):
 
 
 def replan(
-    world: WorldState,
+    robot: AgentState,
+    peds: Sequence[int],
     history: Mapping[int, Sequence[tuple]],
     cfg: PlannerConfig,
     seed: int = 0,
@@ -137,24 +138,26 @@ def replan(
     """Plan the robot's horizon jointly with predictions for the critical
     pedestrians; ``predictions`` holds no other pedestrian.
 
-    ``history[a]`` holds agent a's observed ``(t, x, y)`` rows, oldest first,
-    its last row at ``world.time``; every agent of the world needs one. The
-    fit keeps each agent's last ``cfg.history_window`` rows.
+    ``robot`` gives the robot's position and goal, ``peds`` the ids of the
+    pedestrians present now. ``history[a]`` holds agent a's observed
+    ``(t, x, y)`` rows, oldest first; the robot and every pedestrian of
+    ``peds`` need one, and any other agent's rows are not read. The plan
+    starts at ``now``, the time of the robot's last row. The fit keeps each
+    agent's last ``cfg.history_window`` rows.
     """
-    robot = world.robot()
-    now = world.time
-    grid = cfg.grid_at(now)
-
-    missing = [a.id for a in world.agents if not history.get(a.id)]
+    ids = [robot.id, *peds]  # the robot first
+    missing = [a for a in ids if not history.get(a)]
     if missing:
         raise ValueError(f"no observation of agents {missing} in the history")
-    peds = world.pedestrians()
+    now = history[robot.id][-1][0]
+    grid = cfg.grid_at(now)
+
     tracks, lines = zip(_robot_observations(robot, history[robot.id], cfg, now),
-                        *(_pedestrian_observations(history[p.id], cfg) for p in peds))
-    gps = dict(zip([robot.id, *(p.id for p in peds)], fit_preference(tracks, grid, cfg.kernel, lines)))
+                        *(_pedestrian_observations(history[p], cfg) for p in peds))
+    gps = dict(zip(ids, fit_preference(tracks, grid, cfg.kernel, lines)))
     robot_gp = gps[robot.id]
 
-    ids, m = list(gps), cfg.samples_per_agent  # the robot first
+    m = cfg.samples_per_agent
     seeds = [_sample_seed(seed, frame, a) for a in ids]
     robot_set = sample_trajectories([robot_gp], m, seeds[:1], ids[:1])[0]
     ped_sets = sample_trajectories(list(gps.values())[1:], m, seeds[1:], ids[1:])

@@ -5,9 +5,9 @@ row per agent present, the robot's first, plus the step's time, replan time
 and robot-to-nearest-pedestrian separation. Each run produces one CSV (one
 line per row: ``t, agent_id, x, y, min_sep, replan_ms``; the separation and
 timing columns are filled on the robot's line) plus a JSON summary. Floats
-are written with ``repr``, so a reloaded log holds every row and separation
-bit for bit; a replan time, written in milliseconds, may come back one
-rounding off.
+are written with ``repr``, so a reloaded log holds every row, separation and
+replan time bit for bit. A step keeps its replan time in milliseconds, the
+quantity the CSV holds; ``RunLog.replan_times`` gives it in seconds.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ TIMEOUT = "timeout"
 class RunLogStep:
     time: float
     rows: list  # (agent_id, x, y) per agent present, the robot's first
-    replan_s: float | None  # None on a step that made no replan
+    replan_ms: float | None  # None on a step that made no replan
     min_sep: float  # NaN when no pedestrian is present
 
 
@@ -53,7 +53,8 @@ class RunLog:
         return np.array([s.min_sep for s in self.steps])
 
     def replan_times(self) -> list:
-        return [s.replan_s for s in self.steps if s.replan_s is not None]
+        """Each replan's time, in seconds."""
+        return [s.replan_ms / 1000.0 for s in self.steps if s.replan_ms is not None]
 
     @property
     def duration(self) -> float:
@@ -66,7 +67,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_runlog(log: RunLog, csv_path, summary_path, include_timing: bool = True) -> None:
+def write_runlog(log: RunLog, csv_path, summary_path) -> None:
+    """Write a run's CSV and summary; the summary has ``mean_replan_s``
+    exactly when the log holds a replan time."""
     csv_path, summary_path = Path(csv_path), Path(summary_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with csv_path.open("w", newline="") as fh:
@@ -74,7 +77,7 @@ def write_runlog(log: RunLog, csv_path, summary_path, include_timing: bool = Tru
         writer.writerow(["t", "agent_id", "x", "y", "min_sep", "replan_ms"])
         for step in log.steps:
             min_sep = "" if math.isnan(step.min_sep) else _fmt(step.min_sep)
-            replan_ms = _fmt(step.replan_s * 1000.0) if step.replan_s is not None and include_timing else ""
+            replan_ms = "" if step.replan_ms is None else _fmt(step.replan_ms)
             cells = [min_sep, replan_ms]  # the robot's row, then blanks
             for agent_id, x, y in step.rows:
                 writer.writerow([_fmt(step.time), agent_id, _fmt(x), _fmt(y), *cells])
@@ -89,9 +92,9 @@ def write_runlog(log: RunLog, csv_path, summary_path, include_timing: bool = Tru
         "robot_path_length_m": arc_length(log.robot_positions()),
         "human_path_length_m": log.human_length,
     }
-    if include_timing:
-        times = log.replan_times()
-        summary["mean_replan_s"] = float(np.mean(times)) if times else None
+    times = log.replan_times()
+    if times:
+        summary["mean_replan_s"] = float(np.mean(times))
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
@@ -127,14 +130,14 @@ def read_runlog(csv_path, summary_path) -> RunLog:
         try:
             t, agent, x, y, min_sep, replan_ms = row
             agent, t, x, y = int(agent), float(t), float(x), float(y)
-            replan_s = float(replan_ms) / 1000.0 if replan_ms else None
+            replan_ms = float(replan_ms) if replan_ms else None
             min_sep = float(min_sep) if min_sep else math.nan
             if not math.isfinite(t):
                 raise ValueError(f"non-finite time {t}")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"agent {agent} has non-finite state")
             if agent == robot_id:
-                steps.append(RunLogStep(t, [(agent, x, y)], replan_s, min_sep))
+                steps.append(RunLogStep(t, [(agent, x, y)], replan_ms, min_sep))
             elif not steps or t != steps[-1].time:
                 raise ValueError(f"agent {agent}'s row at time {t} does not follow a robot row at that time")
             else:

@@ -1,7 +1,8 @@
 """Reactive pedestrian backend: a minimal social-force model.
 
-Each agent relaxes toward its desired velocity and is pushed away from every
-other agent by an exponential repulsion. Integration is symplectic Euler.
+Each pedestrian relaxes toward its desired velocity and is pushed away from
+every other pedestrian, and from every agent it is given that does not move
+(the robot), by an exponential repulsion. Integration is symplectic Euler.
 Deterministic; an exact head-on deadlock is broken by a fixed small rightward
 bias so symmetric scenes stay symmetric instead of overlapping forever.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import SFM, AgentState, WorldState
+from .world import AgentState
 
 __all__ = ["SfmParams", "step_sfm"]
 
@@ -64,18 +65,16 @@ def _repulsion(agent, others, params: SfmParams) -> np.ndarray:
     return force
 
 
-def step_sfm(world: WorldState, params: SfmParams, dt: float) -> WorldState:
-    """The world ``dt`` later: each sfm agent a new state, every other agent passed through."""
+def step_sfm(peds: list, others: list, params: SfmParams, dt: float) -> list:
+    """Each of ``peds`` ``dt`` later, pushed by ``others`` and by the other
+    pedestrians; ``others`` are read and not moved."""
     if not (dt > 0):
         raise ValueError("dt must be positive")
     agents = []
-    for prev in world.agents:
-        if prev.kind != SFM:
-            agents.append(prev)
-            continue
-        others = [a for a in world.agents if a.id != prev.id]
+    for prev in peds:
+        neighbours = [*others, *(q for q in peds if q.id != prev.id)]
         v_des = _desired_velocity(prev, params)
-        rep = _repulsion(prev, others, params)
+        rep = _repulsion(prev, neighbours, params)
         accel = (v_des - prev.vel) / params.relaxation_time + rep
 
         d_norm = float(np.linalg.norm(v_des))
@@ -91,5 +90,5 @@ def step_sfm(world: WorldState, params: SfmParams, dt: float) -> WorldState:
         speed = float(np.linalg.norm(vel))
         if speed > params.max_speed:
             vel = vel * (params.max_speed / speed)
-        agents.append(AgentState(prev.id, prev.pos + vel * dt, vel, prev.goal, SFM))
-    return WorldState(world.time + dt, agents)
+        agents.append(AgentState(prev.id, prev.pos + vel * dt, vel, prev.goal))
+    return agents

@@ -6,7 +6,10 @@ verbatim (non-responsive). Interactive runs put the robot among social-force
 pedestrians that treat it as a repulsive neighbour and recycle their goals on
 arrival, keeping the crowd density steady.
 
-The robot tracks its current plan open-loop for one frame, then replans.
+Each frame is a list of ``(id, x, y)`` rows, the robot's first. The robot
+and the social-force pedestrians are the agents that move; a replayed
+pedestrian is only its row at each frame. The robot tracks its current plan
+open-loop for one frame, then replans.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .dataset import PartialRun, TrajectoryDataset
 from .planner import PlannerConfig, replan
 from .runlog import ARRIVED, TIMEOUT, RunLog, RunLogStep
 from .sfm import SfmParams, step_sfm
-from .world import REPLAY, ROBOT, SFM, AgentState, WorldState, min_separation
+from .world import AgentState, min_separation
 
 __all__ = [
     "ReplayConfig",
@@ -71,7 +74,6 @@ def _advance_along_plan(robot: AgentState, plan, dt: float, max_speed: float) ->
     limit = max_speed * dt
     if norm > limit:
         step = step * (limit / norm)
-    robot.vel = step / dt
     robot.pos = robot.pos + step
 
 
@@ -79,20 +81,20 @@ def _run_episode(robot, frames, crowd, cfg, goal_tolerance, seed, human_length, 
     """Drive the robot until it reaches its goal or the frames run out.
 
     ``frames`` yields ``(frame, now)`` pairs and ``crowd(frame)`` the other
-    agents at that frame. Each frame takes every agent's ``(id, x, y)`` row
-    once, the robot's first: the step's record keeps them, and each agent's
-    history gets its ``(now, x, y)`` (oldest first; the planner picks the
-    rows it fits and their noises). Then it either stops at the goal or
-    replans, moves the robot along the plan and calls ``react(robot, now)``.
+    agents' ``(id, x, y)`` rows at that frame. Each frame builds its rows
+    once, the robot's first: the step's record keeps them, the separation is
+    read off them, and each agent's history gets its ``(now, x, y)`` (oldest
+    first; the planner picks the rows it fits and their noises). Then it
+    either stops at the goal or replans for the robot and the pedestrians
+    present, moves the robot along the plan and calls ``react(robot)``.
     """
     log = RunLog(seed=seed, robot_id=robot.id, human_length=human_length)
     history: dict[int, list] = {}  # agent id -> (t, x, y) rows
     for frame, now in frames:
-        world = WorldState(now, [robot, *crowd(frame)])
-        rows = world.rows()
+        rows = [(robot.id, *robot.pos.tolist()), *crowd(frame)]
         for agent_id, x, y in rows:
             history.setdefault(agent_id, []).append((now, x, y))
-        sep = min_separation(world)
+        sep = min_separation(rows)
 
         if float(np.linalg.norm(robot.pos - robot.goal)) <= goal_tolerance:
             log.steps.append(RunLogStep(now, rows, None, sep))
@@ -100,27 +102,23 @@ def _run_episode(robot, frames, crowd, cfg, goal_tolerance, seed, human_length, 
             return log
 
         t0 = _time.perf_counter()
-        result = replan(world, history, cfg, seed=seed, frame=frame)
-        elapsed = _time.perf_counter() - t0
-        log.steps.append(RunLogStep(now, rows, elapsed, sep))
+        result = replan(robot, [r[0] for r in rows[1:]], history, cfg, seed=seed, frame=frame)
+        elapsed_ms = (_time.perf_counter() - t0) * 1000.0
+        log.steps.append(RunLogStep(now, rows, elapsed_ms, sep))
         _advance_along_plan(robot, result.robot_plan, cfg.dt, cfg.max_speed)
         if react is not None:
-            react(robot, now)
+            react(robot)
 
     log.outcome = TIMEOUT
     return log
 
 
 def _replay_crowd(ds: TrajectoryDataset, ped_id: int):
-    """Frame -> the recorded pedestrians present at it, ``ped_id`` left out."""
+    """Frame -> the ``(id, x, y)`` rows of the recorded pedestrians present
+    at it, ``ped_id`` left out."""
 
     def crowd(frame: int) -> list:
-        agents = []
-        for ped in ds.present_at(frame):
-            if ped != ped_id:
-                pos = ds.position_at(ped, frame)
-                agents.append(AgentState(ped, pos, np.zeros(2), pos, REPLAY))
-        return agents
+        return [(ped, *ds.position_at(ped, frame).tolist()) for ped in ds.present_at(frame) if ped != ped_id]
 
     return crowd
 
@@ -141,7 +139,7 @@ def run_replay(
     last_frame = partial.end_frame + stride * math.ceil(replay_cfg.grace_fraction * n_frames)
     frames = ((f, f * period / stride) for f in range(partial.start_frame, last_frame + 1, stride))
 
-    robot = AgentState(ROBOT_ID, partial.start.copy(), np.zeros(2), partial.goal.copy(), ROBOT)
+    robot = AgentState(ROBOT_ID, partial.start.copy(), np.zeros(2), partial.goal.copy())
     return _run_episode(
         robot, frames, _replay_crowd(ds, partial.ped_id), replace(planner_cfg, dt=period),
         replay_cfg.goal_tolerance, seed, partial.human_length,
@@ -157,9 +155,8 @@ def human_baseline(ds: TrajectoryDataset, partial: PartialRun) -> RunLog:
     log = RunLog(seed=None, robot_id=ROBOT_ID, human_length=partial.human_length)
     for frame, pos in zip(frames[mask], xy[mask]):
         now = float(frame) * period / stride
-        robot = AgentState(ROBOT_ID, pos, np.zeros(2), partial.goal, ROBOT)
-        world = WorldState(now, [robot, *crowd(int(frame))])
-        log.steps.append(RunLogStep(now, world.rows(), None, min_separation(world)))
+        rows = [(ROBOT_ID, *pos.tolist()), *crowd(int(frame))]
+        log.steps.append(RunLogStep(now, rows, None, min_separation(rows)))
     log.outcome = ARRIVED
     return log
 
@@ -177,23 +174,19 @@ def run_interactive(
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xD15C)))
     radius = scenario.arena_radius
 
-    robot = AgentState(
-        ROBOT_ID, _circle_point(radius, math.pi), np.zeros(2), _circle_point(radius, 0.0), ROBOT
-    )
+    robot = AgentState(ROBOT_ID, _circle_point(radius, math.pi), np.zeros(2), _circle_point(radius, 0.0))
     peds = []
     # fixed rotation keeps every start clear of the robot's start and goal
     for k in range(scenario.n_pedestrians):
         angle = 2.0 * math.pi * (k + 0.5) / max(scenario.n_pedestrians, 1) + 0.37
         start = _circle_point(radius, angle)
-        peds.append(AgentState(k, start, np.zeros(2), -start, SFM))
+        peds.append(AgentState(k, start, np.zeros(2), -start))
 
-    def react(robot: AgentState, now: float) -> None:
+    def react(robot: AgentState) -> None:
         # the pedestrians see the robot where its move just took it
-        world = WorldState(now, [robot, *peds])
         sub_dt = planner_cfg.dt / scenario.sfm_substeps
         for _ in range(scenario.sfm_substeps):
-            world = step_sfm(world, scenario.sfm, sub_dt)
-        peds[:] = world.pedestrians()
+            peds[:] = step_sfm(peds, [robot], scenario.sfm, sub_dt)
         for ped in peds:
             if float(np.linalg.norm(ped.pos - ped.goal)) <= scenario.recycle_tolerance:
                 ped.goal = _circle_point(radius, rng.uniform(0.0, 2.0 * math.pi))
@@ -201,5 +194,5 @@ def run_interactive(
     human_length = float(np.linalg.norm(robot.goal - robot.pos))
     n_frames = int(math.ceil(scenario.time_cap_s / planner_cfg.dt))
     frames = ((f, f * planner_cfg.dt) for f in range(n_frames + 1))
-    crowd = lambda frame: peds
+    crowd = lambda frame: [(p.id, *p.pos.tolist()) for p in peds]
     return _run_episode(robot, frames, crowd, planner_cfg, scenario.goal_tolerance, seed, human_length, react)

@@ -93,8 +93,8 @@ def demo_log():
         robot, ped = rng.normal(size=2), rng.normal(size=2)
         rows = [(-1, *robot.tolist()), (3, *ped.tolist())]
         sep = float(np.linalg.norm(robot - ped))
-        replan_s = rng.uniform(0.01, 0.1)
-        steps.append(RunLogStep(0.4 * k, rows, replan_s if k < 5 else None, sep))
+        replan_ms = rng.uniform(10.0, 100.0)
+        steps.append(RunLogStep(0.4 * k, rows, replan_ms if k < 5 else None, sep))
     return RunLog(steps=steps, outcome="arrived", seed=12, robot_id=-1, human_length=3.3)
 
 

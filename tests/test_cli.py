@@ -184,10 +184,10 @@ class TestExitCodes:
 
         real = simulator.replan
 
-        def flaky(world, history, cfg, seed=0, frame=0):
+        def flaky(robot, peds, history, cfg, seed=0, frame=0):
             if seed == 1:
                 raise NumericalError("synthetic failure")
-            return real(world, history, cfg, seed=seed, frame=frame)
+            return real(robot, peds, history, cfg, seed=seed, frame=frame)
 
         monkeypatch.setattr(simulator, "replan", flaky)
         out = tmp_path / "sim"

@@ -8,7 +8,7 @@ from distnav.metrics import Thresholds, aggregate, classify_run
 from distnav.runlog import ARRIVED, TIMEOUT, RunLog, RunLogStep
 
 
-def synthetic_log(min_seps, xs=None, outcome=ARRIVED, replans=(0.01, 0.02), human_length=1.0):
+def synthetic_log(min_seps, xs=None, outcome=ARRIVED, replans=(10.0, 20.0), human_length=1.0):
     """RunLog with the robot walking +x and a pedestrian parked to give min_sep."""
     steps = []
     xs = xs if xs is not None else [0.4 * k for k in range(len(min_seps))]
@@ -16,8 +16,8 @@ def synthetic_log(min_seps, xs=None, outcome=ARRIVED, replans=(0.01, 0.02), huma
         rows = [(-1, float(x), 0.0)]
         if not math.isnan(sep):
             rows.append((1, float(x), float(sep)))
-        replan_s = replans[k % len(replans)] if replans else None
-        steps.append(RunLogStep(0.4 * k, rows, replan_s, sep))
+        replan_ms = replans[k % len(replans)] if replans else None
+        steps.append(RunLogStep(0.4 * k, rows, replan_ms, sep))
     return RunLog(steps=steps, outcome=outcome, robot_id=-1, human_length=human_length)
 
 

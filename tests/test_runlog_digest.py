@@ -59,3 +59,17 @@ class TestExpect:
         with pytest.raises(SystemExit) as exc:
             tool.main(["--expect", *LINES.values(), "d" * 64])
         assert exc.value.code == 2
+
+
+class TestSameReport:
+    def test_equal_reports_pass(self, tool, tmp_path):
+        (tmp_path / "made.json").write_text('{"runs": 4}\n')
+        (tmp_path / "written.json").write_text('{"runs": 4}\n')
+        tool.same_report(tmp_path / "made.json", tmp_path / "written.json")
+
+    def test_a_report_one_byte_off_exits_with_a_message(self, tool, tmp_path):
+        (tmp_path / "made.json").write_text('{"runs": 4}\n')
+        (tmp_path / "written.json").write_text('{"runs": 5}\n')
+        with pytest.raises(SystemExit) as exc:
+            tool.same_report(tmp_path / "made.json", tmp_path / "written.json")
+        assert "distnav metrics --logs" in str(exc.value.code) and "made.json" in str(exc.value.code)

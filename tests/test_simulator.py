@@ -16,7 +16,7 @@ from distnav.simulator import (
     run_interactive,
     run_replay,
 )
-from distnav.world import REPLAY, ROBOT, AgentState, WorldState
+from distnav.world import AgentState
 
 from helpers import U, mean_operator_norm
 
@@ -52,11 +52,11 @@ def hallway(c=(0.0, 0.0)):
     at it. Every position and goal is shifted by c."""
     cfg = PlannerConfig(samples_per_agent=150)
     c = np.asarray(c, dtype=float)
-    robot = AgentState(-1, c + (0.0, 0.0), (1.3, 0.0), c + (10.0, 0.0), ROBOT)
-    p1 = AgentState(1, c + (8.0, 0.3), (-1.3, 0.0), c + (0.0, 0.3), REPLAY)
-    p2 = AgentState(2, c + (8.0, -0.3), (-1.3, 0.0), c + (0.0, -0.3), REPLAY)
+    robot = AgentState(-1, c + (0.0, 0.0), (1.3, 0.0), c + (10.0, 0.0))
+    p1 = AgentState(1, c + (8.0, 0.3), (-1.3, 0.0), c + (0.0, 0.3))
+    p2 = AgentState(2, c + (8.0, -0.3), (-1.3, 0.0), c + (0.0, -0.3))
     history = {a.id: constant_velocity_history(a, a.vel, 2.0, cfg) for a in (robot, p1, p2)}
-    return WorldState(2.0, [robot, p1, p2]), history, cfg
+    return robot, [1, 2], history, cfg
 
 
 @pytest.fixture
@@ -75,10 +75,9 @@ def bench_workloads(monkeypatch):
 class TestReplan:
     def test_zero_pedestrians_selects_prior_best(self):
         cfg = FAST_PLANNER
-        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (6.0, 0.0), ROBOT)
-        world = WorldState(0.0, [robot])
+        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (6.0, 0.0))
         history = {-1: constant_velocity_history(robot, (1.3, 0.0), 0.0, cfg)}
-        res = replan(world, history, cfg, seed=3, frame=0)
+        res = replan(robot, [], history, cfg, seed=3, frame=0)
         assert res.report is None
         assert res.critical == [-1]
         assert res.predictions == {}
@@ -96,19 +95,18 @@ class TestReplan:
 
     def test_plan_starts_at_robot_position(self):
         cfg = FAST_PLANNER
-        robot = AgentState(-1, (2.0, 1.0), (1.0, 0.0), (8.0, 1.0), ROBOT)
-        ped = AgentState(5, (5.0, 1.0), (-1.0, 0.0), (0.0, 1.0), REPLAY)
-        world = WorldState(4.0, [robot, ped])
+        robot = AgentState(-1, (2.0, 1.0), (1.0, 0.0), (8.0, 1.0))
+        ped = AgentState(5, (5.0, 1.0), (-1.0, 0.0), (0.0, 1.0))
         history = {
             -1: constant_velocity_history(robot, (1.0, 0.0), 4.0, cfg),
             5: constant_velocity_history(ped, (-1.0, 0.0), 4.0, cfg),
         }
-        res = replan(world, history, cfg, seed=1, frame=10)
+        res = replan(robot, [5], history, cfg, seed=1, frame=10)
         assert np.linalg.norm(res.robot_plan.states[0] - robot.pos) < 0.05
 
     def test_hallway_keeps_predicted_separation(self):
-        world, history, cfg = hallway()
-        res = replan(world, history, cfg, seed=11, frame=5)
+        robot, peds, history, cfg = hallway()
+        res = replan(robot, peds, history, cfg, seed=11, frame=5)
         assert set(res.critical) == {-1, 1, 2}
         plan = res.robot_plan.states
         for pid, pred in res.predictions.items():
@@ -141,13 +139,13 @@ class TestReplan:
         residuals, which are not zero against its flat line; the worst error
         measured at these shifts is 36 u (1 + |c|).
         """
-        world, history, cfg = hallway()
-        base = replan(world, history, cfg, seed=11, frame=5)
+        robot, peds, history, cfg = hallway()
+        base = replan(robot, peds, history, cfg, seed=11, frame=5)
         shifted = replan(*hallway(c), seed=11, frame=5)
         assert shifted.critical == base.critical == [-1, 1, 2]
 
         grid, now = cfg.grid_at(2.0), 2.0
-        robot_track, _ = _robot_observations(world.robot(), history[-1], cfg, now)
+        robot_track, _ = _robot_observations(robot, history[-1], cfg, now)
         ped_track, _ = _pedestrian_observations(history[1], cfg)
         norms = [
             mean_operator_norm(times, noises, grid, cfg.kernel)
@@ -166,19 +164,18 @@ class TestReplan:
         import distnav.engine as engine
 
         cfg = FAST_PLANNER
-        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (10.0, 0.0), ROBOT)
+        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (10.0, 0.0))
         peds = [
-            AgentState(1, (8.0, 0.3), (-1.3, 0.0), (0.0, 0.3), REPLAY),
-            AgentState(2, (8.0, -0.3), (-1.3, 0.0), (0.0, -0.3), REPLAY),
-            AgentState(3, (30.0, 30.0), (0.0, 1.0), (30.0, 40.0), REPLAY),
-            AgentState(4, (-20.0, 15.0), (-1.0, 0.0), (-30.0, 15.0), REPLAY),
+            AgentState(1, (8.0, 0.3), (-1.3, 0.0), (0.0, 0.3)),
+            AgentState(2, (8.0, -0.3), (-1.3, 0.0), (0.0, -0.3)),
+            AgentState(3, (30.0, 30.0), (0.0, 1.0), (30.0, 40.0)),
+            AgentState(4, (-20.0, 15.0), (-1.0, 0.0), (-30.0, 15.0)),
         ]
-        world = WorldState(2.0, [robot, *peds])
         history = {a.id: constant_velocity_history(a, a.vel, 2.0, cfg) for a in [robot, *peds]}
         calls = []
         real = engine.log_densities
         monkeypatch.setattr(engine, "log_densities", lambda gp, traj: calls.append(gp) or real(gp, traj))
-        res = replan(world, history, cfg, seed=11, frame=5)
+        res = replan(robot, [1, 2, 3, 4], history, cfg, seed=11, frame=5)
         assert res.critical == [-1, 1, 2]
         assert len(calls) == len(res.critical)
         assert res.predictions.keys() == set(res.critical[1:])
@@ -186,32 +183,31 @@ class TestReplan:
 
     def test_same_seed_same_plan(self):
         cfg = FAST_PLANNER
-        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (6.0, 0.0), ROBOT)
-        ped = AgentState(1, (4.0, 0.2), (-1.3, 0.0), (0.0, 0.2), REPLAY)
-        world = WorldState(0.0, [robot, ped])
+        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (6.0, 0.0))
+        ped = AgentState(1, (4.0, 0.2), (-1.3, 0.0), (0.0, 0.2))
         history = {
             -1: constant_velocity_history(robot, (1.3, 0.0), 0.0, cfg),
             1: constant_velocity_history(ped, (-1.3, 0.0), 0.0, cfg),
         }
-        a = replan(world, history, cfg, seed=9, frame=2)
-        b = replan(world, history, cfg, seed=9, frame=2)
+        a = replan(robot, [1], history, cfg, seed=9, frame=2)
+        b = replan(robot, [1], history, cfg, seed=9, frame=2)
         assert np.array_equal(a.robot_plan.states, b.robot_plan.states)
         for pid in a.predictions:
             assert np.array_equal(a.predictions[pid].states, b.predictions[pid].states)
 
     def test_a_replan_fits_only_the_last_history_window_rows(self):
         cfg = FAST_PLANNER
-        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (10.0, 0.0), ROBOT)
-        peds = [AgentState(1, (5.0, 0.3), (-1.3, 0.0), (0.0, 0.3), REPLAY),
-                AgentState(2, (6.0, -0.4), (-1.0, 0.2), (0.0, -0.4), REPLAY)]
-        world = WorldState(4.4, [robot, *peds])
+        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (10.0, 0.0))
+        peds = [AgentState(1, (5.0, 0.3), (-1.3, 0.0), (0.0, 0.3)),
+                AgentState(2, (6.0, -0.4), (-1.0, 0.2), (0.0, -0.4))]
         history = {a.id: constant_velocity_history(a, a.vel, 4.4, cfg, frames=12) for a in [robot, *peds]}
         # the rows before the window are off the line, so fitting them would show
         history = {a: [(t, x + 0.5, y - 0.5) for t, x, y in rows[:4]] + rows[4:] for a, rows in history.items()}
         assert cfg.history_window == 8  # the window starts after the changed rows
-        full = replan(world, history, cfg, seed=5, frame=11)
-        window = replan(world, {a: rows[-cfg.history_window:] for a, rows in history.items()}, cfg, seed=5, frame=11)
-        wide = replan(world, history, replace(cfg, history_window=12), seed=5, frame=11)
+        full = replan(robot, [1, 2], history, cfg, seed=5, frame=11)
+        window = replan(robot, [1, 2], {a: rows[-cfg.history_window:] for a, rows in history.items()}, cfg,
+                        seed=5, frame=11)
+        wide = replan(robot, [1, 2], history, replace(cfg, history_window=12), seed=5, frame=11)
         assert full.critical == window.critical and full.scores == window.scores
         assert full.robot_plan.states.tobytes() == window.robot_plan.states.tobytes()
         assert full.predictions.keys() == window.predictions.keys()
@@ -222,15 +218,27 @@ class TestReplan:
     @pytest.mark.parametrize("rows", [None, []])
     def test_a_world_agent_without_history_is_refused(self, rows):
         cfg = FAST_PLANNER
-        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (6.0, 0.0), ROBOT)
-        ped = AgentState(7, (4.0, 0.2), (-1.3, 0.0), (0.0, 0.2), REPLAY)
+        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (6.0, 0.0))
+        ped = AgentState(7, (4.0, 0.2), (-1.3, 0.0), (0.0, 0.2))
         history = {-1: constant_velocity_history(robot, robot.vel, 0.0, cfg)}
         if rows is not None:
             history[7] = rows
         with pytest.raises(ValueError, match=r"no observation of agents \[7\]"):
-            replan(WorldState(0.0, [robot, ped]), history, cfg)
+            replan(robot, [ped.id], history, cfg)
         with pytest.raises(ValueError, match=r"no observation of agents \[-1\]"):
-            replan(WorldState(0.0, [robot]), {}, cfg)
+            replan(robot, [], {}, cfg)
+
+    def test_rows_of_pedestrians_who_have_left_are_not_read(self):
+        robot, peds, history, cfg = hallway()
+        gone = AgentState(9, (4.0, 0.5), (-1.0, 0.0), (0.0, 0.5))
+        with_gone = {**history, 9: constant_velocity_history(gone, gone.vel, 1.6, cfg)}
+        base = replan(robot, peds, history, cfg, seed=11, frame=5)
+        got = replan(robot, peds, with_gone, cfg, seed=11, frame=5)
+        assert got.critical == base.critical and got.scores == base.scores
+        assert got.robot_plan.states.tobytes() == base.robot_plan.states.tobytes()
+        assert got.predictions.keys() == base.predictions.keys()
+        for a in base.predictions:
+            assert got.predictions[a].states.tobytes() == base.predictions[a].states.tobytes()
 
 
 class TestRunReplay:

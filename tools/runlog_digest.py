@@ -18,7 +18,10 @@ solve of seed 7 (the inputs of its timed rounds), and of the three files
 ``distnav evolve1d --compare-sampler`` writes at defaults (``evolution.csv``,
 ``jc_trace.csv``, ``ks_summary.json``, hashed as the total is); no run log
 covers any of them. A change meant to leave the program's outputs alone must
-leave all four unchanged. With ``--expect TOTAL [HUMAN [ORACLE [EVOLVE1D]]]``
+leave all four unchanged. After the total, ``distnav metrics --logs`` rereads
+the replay's run logs into a report outside the hashed tree; the command
+exits with a message unless that report equals the replay's own
+``metrics_report.json`` byte for byte. With ``--expect TOTAL [HUMAN [ORACLE [EVOLVE1D]]]``
 the command still prints every line, then exits 1 when any line given
 differs, and names each line that differs on stderr. Uses the checkout's own
 ``src/`` and ``bench/`` and pins BLAS to one thread, as the benchmark does.
@@ -65,6 +68,13 @@ def oracle_weights_digest() -> str:
     return digest.hexdigest()
 
 
+def same_report(made: Path, written: Path) -> None:
+    """Exit with a message unless the report ``made`` from reread run logs
+    holds the bytes of the report ``written`` by the runs themselves."""
+    if made.read_bytes() != written.read_bytes():
+        sys.exit(f"runlog_digest: distnav metrics --logs gave {made}, which differs from {written}")
+
+
 def tree_digest(root: Path, show: bool = False) -> str:
     """sha256 over the lines ``<path> <sha256>`` of every file under root, in
     path order; with show, print each file's line first."""
@@ -98,6 +108,8 @@ def digests() -> dict:
 
         total = tree_digest(out, show=True)
         print(f"{total}  total")
+        _distnav("metrics", "--logs", out / "replay", "--out", tmp / "metrics_report.json")
+        same_report(tmp / "metrics_report.json", out / "replay" / "metrics_report.json")
         human = tmp / "human"
         _distnav("replay", "--dataset", plaza.plaza, "--limit", 4, "--m", 100, "--seed", 7,
                  "--out", human, "--jobs", 1, "--no-timing", "--human-baseline")
