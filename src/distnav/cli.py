@@ -66,7 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--m", type=int, default=None, help="samples per agent")
     common.add_argument("--out", type=Path, default=None, help="output directory")
-    common.add_argument("--no-timing", action="store_true", help="omit wall-time fields")
+
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument("--jobs", type=int, default=1)
+    batch.add_argument("--no-timing", action="store_true", help="omit wall-time fields")
 
     p = sub.add_parser("print-config", help="print the full default configuration")
     p.set_defaults(func=lambda args: (print(dump_default_config(), end=""), 0)[1])
@@ -76,19 +79,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-sampler", action="store_true")
     p.set_defaults(func=cmd_evolve1d)
 
-    p = sub.add_parser("replay", parents=[common], help="partial-trajectory replay benchmark")
+    p = sub.add_parser("replay", parents=[common, batch], help="partial-trajectory replay benchmark")
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--frame-period", type=float, default=None)
     p.add_argument("--dry-run", action="store_true", help="list partial runs and stop")
     p.add_argument("--human-baseline", action="store_true")
     p.add_argument("--limit", type=int, default=None, help="run at most N partials")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("simulate", parents=[common], help="interactive social-force runs")
+    p = sub.add_parser("simulate", parents=[common, batch], help="interactive social-force runs")
     p.add_argument("--pedestrians", type=int, default=None)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("metrics", help="recompute metrics from run logs")
@@ -109,12 +110,12 @@ def _check_counts(args) -> None:
 
 def _experiment_config(args, extra: dict | None = None) -> ExperimentConfig:
     overrides = {
-        "seed": getattr(args, "seed", None),
-        "samples_per_agent": getattr(args, "m", None),
-        "out": str(args.out) if getattr(args, "out", None) else None,
+        "seed": args.seed,
+        "samples_per_agent": args.m,
+        "out": str(args.out) if args.out else None,
     }
     overrides.update(extra or {})
-    return load_config(getattr(args, "config", None), overrides)
+    return load_config(args.config, overrides)
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -127,8 +128,7 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_evolve1d(args) -> int:
-    extra = {"evolve1d.sweeps": args.sweeps} if args.sweeps is not None else {}
-    cfg = _experiment_config(args, extra)
+    cfg = _experiment_config(args, {"evolve1d.sweeps": args.sweeps})
     out = _out_dir(cfg)
     ev = cfg.evolve1d
 
@@ -228,9 +228,7 @@ def _write_report(path: Path | None, report: dict, errors: dict) -> None:
 def cmd_replay(args) -> int:
     cfg = _experiment_config(args)
     ds = load_dataset(args.dataset, frame_period=args.frame_period)
-    partials = extract_partials(ds)
-    if args.limit is not None:
-        partials = partials[: args.limit]
+    partials = extract_partials(ds)[: args.limit]
     if args.dry_run:
         print(f"{len(partials)} partial runs:")
         for k, p in enumerate(partials):
@@ -269,10 +267,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    extra = {}
-    if args.pedestrians is not None:
-        extra["scenario.n_pedestrians"] = args.pedestrians
-    cfg = _experiment_config(args, extra)
+    cfg = _experiment_config(args, {"scenario.n_pedestrians": args.pedestrians})
     out = _out_dir(cfg)
     scenario = cfg.scenario_config()
     planner_cfg = cfg.planner_config()

@@ -118,27 +118,6 @@ class CollisionKernel:
         return self.weight * (2.0 * math.pi * self.sigma**2) ** (-dim / 2.0)
 
 
-def _min_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-over-time squared distance between batches (T,d,ma) and (T,d,mb),
-    by direct differences.
-
-    Per time step, the per-axis differences are squared and summed in axis
-    order, the same arithmetic as a sum over the last axis of diff * diff.
-    """
-    steps, dim = a.shape[:2]
-    scratch = np.empty((1 + dim, a.shape[2], b.shape[2]))
-    acc, diffs = scratch[0], scratch[1:]
-    acc.fill(np.inf)
-    for t in range(steps):
-        for k in range(dim):
-            np.subtract.outer(a[t, k], b[t, k], out=diffs[k])
-        np.square(diffs, out=diffs)
-        for k in range(1, dim):
-            diffs[0] += diffs[k]
-        np.minimum(acc, diffs[0], out=acc)
-    return acc
-
-
 def _to_penalty(d2: np.ndarray, kernel: CollisionKernel, dim: int) -> np.ndarray:
     """Turn min squared distances into penalties in place, flushing entries
     below ``_TINY`` to 0."""
@@ -150,9 +129,16 @@ def _to_penalty(d2: np.ndarray, kernel: CollisionKernel, dim: int) -> np.ndarray
 
 
 def penalty_row(f: Trajectory, batch: np.ndarray, kernel: CollisionKernel) -> np.ndarray:
-    """Penalties of one trajectory against each of a (T, d, m) trajectory
-    batch, by the direct arithmetic of :func:`_min_sq_dist`."""
-    d2 = _min_sq_dist(f.states[:, :, None], batch)[0]
+    """Penalties of one trajectory against each of a (T, d, m) batch, by direct
+    differences: squared per axis, summed in axis order, minimum over steps."""
+    d2 = np.full(batch.shape[2], np.inf)
+    diffs = np.empty(batch.shape[1:])  # (d, m)
+    for t, point in enumerate(f.states):
+        np.subtract(point[:, None], batch[t], out=diffs)
+        np.square(diffs, out=diffs)
+        for k in range(1, f.dim):
+            diffs[0] += diffs[k]
+        np.minimum(d2, diffs[0], out=d2)
     return _to_penalty(d2, kernel, f.dim)
 
 

@@ -56,7 +56,11 @@ says the sweep lowered J by at least that much. A sweep whose weights moved
 by a KL of at most rtol * J is near a fixed point of the update, relative to
 the objective still at stake, and the solve reports ``converged``. Far-apart
 agents give sum KL = J = 0 and stop on the first sweep; ``rtol = 0`` stops
-only on a sweep that moved nothing and otherwise runs ``max_sweeps``.
+only on a sweep whose KL sum is 0 and otherwise runs ``max_sweeps``.
+
+Each update moves weight toward the agent's best response to the others, so
+the sweeps head to a vertex, one sample per agent, that no agent improves on
+alone (a sample whose weight underflowed aside); not always the joint minimum.
 """
 
 from __future__ import annotations
@@ -98,7 +102,8 @@ _WEIGHT_FLOOR = 1e-250
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Termination knobs for :func:`solve`."""
+    """Termination knobs for :func:`solve`, and ``critical_threshold``, the
+    planner's selection threshold, which :func:`solve` never reads."""
 
     epsilon: float = 1e-3
     max_sweeps: int = 30
@@ -267,7 +272,7 @@ def solve(
     (J_k - J_{k+1} >= sum KL), and a sweep whose KL sum is at most
     rtol * J moved the weights by a negligible amount relative to the
     objective left, so it ends the solve (``terminated_by == "converged"``).
-    ``rtol = 0`` ends it only on a sweep that moved nothing.
+    ``rtol = 0`` ends it only on a sweep whose KL sum is 0.
 
     The initial objective comes from the seed pass, each later one from its
     sweep's products; :class:`PenaltyCache` decides how the pairs are held."""

@@ -173,17 +173,13 @@ class PreferenceGP:
 
 
 class _Posterior:
-    """An observation schedule's posterior covariance, with its Gram factor
-    and cross-covariance, from which each agent's mean follows, and the
-    Cholesky factors made from the covariance. The sampling and density
-    factors are computed on first use.
-    """
+    """An observation schedule's posterior covariance and the Cholesky factors
+    made from it for sampling and densities, each computed on first use."""
 
-    __slots__ = ("cov", "jitter", "gram_low", "k_star", "_sample_low", "_density")
+    __slots__ = ("cov", "jitter", "_sample_low", "_density")
 
-    def __init__(self, cov, jitter, gram_low, k_star):
+    def __init__(self, cov, jitter):
         self.cov, self.jitter = cov, jitter
-        self.gram_low, self.k_star = gram_low, k_star
         self._sample_low = None
         self._density = None
 
@@ -270,20 +266,19 @@ def fit_preference(tracks: Sequence[tuple], grid: TimeGrid, kp: KernelParams,
             raise ValueError("observation noises must be >= 0")
         for _, _, _, y_k, (t0, pos, vel) in members:  # after the checks: a non-finite time raises, not warns
             y_k -= pos + (t_obs - t0)[:, None] * vel
-        post = _fit_posterior(t_obs, noise, grid, kp)
-        alpha = _cho_solve(post.gram_low, np.hstack([member[3] for member in members]))  # (n, agents * dim)
+        post, gram_low, k_star = _fit_posterior(t_obs, noise, grid, kp)
+        alpha = _cho_solve(gram_low, np.hstack([member[3] for member in members]))  # (n, agents * dim)
         # one (steps, n) @ (n, dim) product per agent, the one its fit alone makes
-        means = post.k_star.T @ alpha.reshape(len(y), len(members), -1).transpose(1, 0, 2)
+        means = k_star.T @ alpha.reshape(len(y), len(members), -1).transpose(1, 0, 2)
         for (k, *_, (t0, pos, vel)), mean in zip(members, means):
             mean += pos + (times - t0)[:, None] * vel
             gps[k] = PreferenceGP(grid, mean, post)
     return gps
 
 
-def _fit_posterior(
-    t_obs: np.ndarray, noise: np.ndarray, grid: TimeGrid, kp: KernelParams
-) -> _Posterior:
-    """The posterior covariance of one observation schedule, checked."""
+def _fit_posterior(t_obs: np.ndarray, noise: np.ndarray, grid: TimeGrid, kp: KernelParams) -> tuple:
+    """One observation schedule's posterior, its covariance checked, and the lower
+    factor of its Gram matrix and (n, steps) cross-covariance, which give each mean."""
     gram = _se_kernel(t_obs, t_obs, kp) + np.diag(noise)
     low = _cholesky_psd(gram, kp.jitter, from_zero=False, what="singular Gram matrix")
     t_grid = grid.times()
@@ -294,7 +289,7 @@ def _fit_posterior(
     if np.linalg.eigvalsh(cov).min() < -1e-9 * max(np.trace(cov), 1.0):
         raise ValueError("cov is not positive semi-definite within tolerance")
     cov.setflags(write=False)
-    return _Posterior(cov, kp.jitter, low, k_star)
+    return _Posterior(cov, kp.jitter), low, k_star
 
 
 def _lower_product(low: np.ndarray, zt: np.ndarray) -> np.ndarray:

@@ -123,8 +123,9 @@ def _pedestrian_observations(rows, cfg: PlannerConfig):
 
 
 def _sample_seed(seed: int, frame: int, agent_id: int):
-    # agent ids are >= -1 (robot may be -1); SeedSequence needs non-negatives
-    return np.random.SeedSequence((int(seed), int(frame), int(agent_id) + 1))
+    # SeedSequence needs non-negatives: agent ids are >= -1 (the robot's may be -1), and
+    # % 2^64 maps frames >= -(2^63 - 1) one to one into [0, 2^64), each frame >= 0 to itself
+    return np.random.SeedSequence((int(seed), int(frame) % 2**64, int(agent_id) + 1))
 
 
 def replan(

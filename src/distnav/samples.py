@@ -25,9 +25,7 @@ class SampleSet:
     weights: np.ndarray = field(repr=False)  # (m,)
 
     def __post_init__(self):
-        traj = np.asarray(self.trajectories, dtype=float)
-        if traj.ndim == 2:
-            traj = traj[:, :, None]
+        traj = np.array(self.trajectories, dtype=float, order="C")  # a copy, made read-only below
         if traj.ndim != 3 or traj.shape[1] != self.grid.steps:
             raise ValueError(
                 f"trajectories must be (m, {self.grid.steps}, dim), got {traj.shape}"
@@ -36,7 +34,6 @@ class SampleSet:
             raise ValueError("a sample set needs at least one trajectory")
         if not np.all(np.isfinite(traj)):
             raise ValueError("trajectories contain non-finite values")
-        traj = traj.copy()
         traj.setflags(write=False)
         self.trajectories = traj
         weights = np.asarray(self.weights, dtype=float).copy()

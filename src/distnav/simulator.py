@@ -68,8 +68,7 @@ class ScenarioConfig:
 
 def _advance_along_plan(robot: AgentState, plan, dt: float, max_speed: float) -> None:
     """Move the robot to the plan's next state, clamped to max_speed * dt."""
-    target = plan.states[min(1, plan.states.shape[0] - 1)]
-    step = target - robot.pos
+    step = plan.states[1] - robot.pos
     norm = float(np.linalg.norm(step))
     limit = max_speed * dt
     if norm > limit:

@@ -20,17 +20,18 @@ def mean_operator_norm(times, noise, grid, kp) -> float:
     """||A||_inf of a schedule's posterior-mean map A = K*^T (K + N)^-1: a
     change of at most e in every residual moves the mean by at most
     ||A||_inf * e on each axis."""
-    post = _fit_posterior(np.asarray(times, dtype=float), np.asarray(noise, dtype=float), grid, kp)
-    return float(np.abs(_cho_solve(post.gram_low, post.k_star)).sum(axis=0).max())
+    times, noise = np.asarray(times, dtype=float), np.asarray(noise, dtype=float)
+    _, gram_low, k_star = _fit_posterior(times, noise, grid, kp)
+    return float(np.abs(_cho_solve(gram_low, k_star)).sum(axis=0).max())
 
 
 def gp_of_cov(grid, mean, cov, jitter=0.0):
     """A PreferenceGP over ``grid`` made directly from a positive definite
     ``cov``: its posterior holds a read-only copy of ``cov``, as a fit's
-    does, and ``jitter``, and no Gram factor."""
+    does, and ``jitter``."""
     cov = np.array(cov, dtype=float)
     cov.setflags(write=False)
-    return PreferenceGP(grid, mean, _Posterior(cov, jitter, None, None))
+    return PreferenceGP(grid, mean, _Posterior(cov, jitter))
 
 
 def zero_lines(tracks):

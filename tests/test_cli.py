@@ -410,6 +410,21 @@ class TestReplay:
         times = [float(r["t"]) for r in robot]
         assert all(abs((b - a) - 0.4) < 1e-9 for a, b in zip(times, times[1:]))
 
+    def test_negative_frame_ids_replay(self, tmp_path, fast_config):
+        # the dataset fixture's two walkers, at frame ids -100 ... -43
+        walkers = tmp_path / "negative.txt"
+        walkers.write_text(
+            "".join(f"{k - 100} {ped} {0.52 * k:.6f} {y}\n" for k in range(58) for ped, y in ((1, 0.0), (2, 5.0)))
+        )
+        out = tmp_path / "runs"
+        code = run_cli(
+            "replay", "--dataset", walkers, "--config", fast_config,
+            "--out", out, "--limit", 1, "--no-timing",
+        )
+        assert code == 0
+        log = read_runlog(out / "run_0000.csv", out / "run_0000.summary.json")
+        assert log.steps[0].time == -100 * 0.4
+
     def test_replayed_rows_read_back_as_recorded(self, dataset, tmp_path, fast_config):
         out = tmp_path / "runs"
         code = run_cli(

@@ -305,6 +305,35 @@ class TestPenaltyKernelProperties:
         assert not np.any((mat > 0) & (mat < np.finfo(float).tiny))
 
 
+def direct_penalty_row(f, batch, kernel):
+    """Reference for penalty_row in plain numpy: the minimum over steps of the
+    squared per-axis differences (T, d, m), summed in axis order, turned into
+    penalties by the module's own _to_penalty."""
+    sq = (f[:, :, None] - batch) ** 2
+    d2 = sq[:, 0]
+    for k in range(1, f.shape[1]):
+        d2 = d2 + sq[:, k]
+    return collision._to_penalty(d2.min(axis=0), kernel, f.shape[1])
+
+
+class TestPenaltyRow:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        steps=st.integers(1, 6),
+        dim=st.sampled_from([1, 2]),
+        spread=SPREADS,
+        centre=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+    )
+    def test_equals_plain_numpy_bit_for_bit(self, seed, m, steps, dim, spread, centre):
+        intent, b = drawn_sets(seed, [1, m], steps, dim, spread, centre)
+        f, batch = intent.trajectory(0), b.trajectories.transpose(1, 2, 0)
+        kernel = CollisionKernel(weight=10.0, sigma=0.3)
+        row = collision.penalty_row(f, batch, kernel)
+        assert row.tobytes() == direct_penalty_row(f.states, batch, kernel).tobytes()
+
+
 class TestPenaltyCacheRows:
     @settings(max_examples=60, deadline=None)
     @given(

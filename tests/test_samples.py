@@ -20,5 +20,5 @@ class TestSampleSetChecks:
         # an underflow of every weight
         grid = TimeGrid(0.0, 1.0, 1)
         with pytest.raises(ValueError, match="non-finite"):
-            SampleSet(0, grid, np.array([[0.0], [np.nan]]), np.ones(2))
+            SampleSet(0, grid, np.array([[[0.0]], [[np.nan]]]), np.ones(2))
 

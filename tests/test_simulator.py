@@ -240,6 +240,17 @@ class TestReplan:
         for a in base.predictions:
             assert got.predictions[a].states.tobytes() == base.predictions[a].states.tobytes()
 
+    def test_sample_seeds_take_negative_frames(self):
+        from distnav.planner import _sample_seed
+
+        def state(seq):
+            return seq.generate_state(4).tobytes()
+
+        for frame in (0, 1, 57, 2**63 - 1):  # a frame >= 0 keeps the seed it always had
+            assert state(_sample_seed(3, frame, -1)) == state(np.random.SeedSequence((3, frame, 0)))
+        frames = range(-5, 6)
+        assert len({state(_sample_seed(3, frame, 2)) for frame in frames}) == len(frames)
+
 
 class TestRunReplay:
     def test_unobstructed_run_is_nearly_straight(self, two_ped_dataset):
