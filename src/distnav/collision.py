@@ -40,7 +40,10 @@ minimum and one step's product stay in a core's L2 cache (2 MiB per core on
 the 2-vCPU Xeon the benchmark was measured on): every time step rereads and
 rewrites the whole block, and a block larger than the cache turns each of
 those passes into memory traffic. Entries do not depend on the block size, so
-a call may stack several sample sets as rows. Penalties below the smallest
+a call may stack several sample sets as rows. The product's operands are
+filled one coordinate axis at a time over every row, or every column: a
+broadcast whose innermost axis holds the d coordinates runs numpy's inner
+loop d elements at a time, once per row and step. Penalties below the smallest
 normal float64 are flushed to zero: a subnormal entry adds nothing a normal
 one would not, but it slows every later product with the matrix.
 
@@ -124,7 +127,7 @@ def _to_penalty(d2: np.ndarray, kernel: CollisionKernel, dim: int) -> np.ndarray
     np.multiply(d2, -0.5 / kernel.sigma**2, out=d2)
     np.exp(d2, out=d2)
     d2 *= kernel.peak(dim)
-    d2 *= d2 >= _TINY  # the flush; penalties are >= 0, so x * 0 is +0
+    d2[d2 < _TINY] = 0.0  # the flush: +0 in place of every entry below tiny
     return d2
 
 
@@ -200,12 +203,10 @@ def penalty_matrix(
     n = max(ma, 2)
     left = np.empty((steps, n, dim + 2))  # [p, |p|^2, 1] per row and step
     left[:, ma:] = 0.0  # the padding row of a one-row call, never stored
-    start = 0
-    for s in sets:
-        p = left[:, start : start + s.m, :dim]
-        np.subtract(s.trajectories.transpose(1, 0, 2), centre[:, None, :], out=p)
-        _sum_squares(p.transpose(2, 0, 1), left[:, start : start + s.m, dim])
-        start += s.m
+    stacked = np.concatenate([s.trajectories for s in sets])  # (ma, T, d)
+    for k in range(dim):
+        np.subtract(stacked[:, :, k].T, centre[:, k, None], out=left[:, :ma, k])
+    _sum_squares(left[:, :ma, :dim].transpose(2, 0, 1), left[:, :ma, dim])
     left[:, :, dim + 1] = 1.0
 
     # per entry: a block's running minimum, one time step's product, and one

@@ -40,8 +40,18 @@ def zero_lines(tracks):
 
 
 def crowd_of(sets):
-    """The sets as one sampling call returns them: a CrowdSamples whose block stacks their trajectories."""
-    return CrowdSamples(sets, np.concatenate([s.trajectories for s in sets]))
+    """The sets as one sampling call returns them: a CrowdSamples of read-only
+    views, in turn, of one block that stacks their trajectories; each view
+    keeps its set's agent and a copy of its weights."""
+    block = np.concatenate([s.trajectories for s in sets])
+    block.setflags(write=False)
+    edges = np.cumsum([0] + [s.m for s in sets])
+    views = []
+    for s, lo, hi in zip(sets, edges, edges[1:]):
+        view = SampleSet._of_block(s.agent, s.grid, block[lo:hi])
+        view.weights = s.weights.copy()
+        views.append(view)
+    return CrowdSamples(views, block)
 
 
 def gaussian_sets_1d(means, sigma, m, seed):

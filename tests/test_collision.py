@@ -334,6 +334,32 @@ class TestPenaltyRow:
         assert row.tobytes() == direct_penalty_row(f.states, batch, kernel).tobytes()
 
 
+class TestFlush:
+    def test_entries_below_tiny_become_plus_zero_and_the_rest_keep_their_bits(self):
+        tiny = np.finfo(float).tiny
+        sigma, dim = 0.5, 2
+        # squared distances whose penalties are well above tiny, at tiny (the
+        # weight is fitted to d2[at] below), subnormal and 0
+        d2 = np.r_[0.0, 0.3, 5.0, 100.0, 300.0, 353.97, np.linspace(354.5, 372.0, 8), 380.0, 1e4]
+        at = 5
+        bumps = np.exp(d2 * (-0.5 / sigma**2))
+        # step the weight an ulp at a time until d2[at]'s penalty is exactly tiny
+        weight = tiny / bumps[at] * 2.0 * math.pi * sigma**2
+        for _ in range(64):
+            plain = CollisionKernel(weight, sigma).peak(dim) * bumps  # penalties, no flush
+            if plain[at] == tiny:
+                break
+            weight = np.nextafter(weight, np.inf if plain[at] < tiny else -np.inf)
+        kernel = CollisionKernel(weight, sigma)
+        assert plain[at] == tiny and np.any(plain > 1e-3)
+        assert np.any(plain == 0.0) and np.any((plain > 0.0) & (plain < tiny))
+
+        out = collision._to_penalty(d2.copy(), kernel, dim)
+        below = plain < tiny
+        assert np.all(out[below] == 0.0) and not np.any(np.signbit(out[below]))
+        assert out[~below].tobytes() == plain[~below].tobytes()
+
+
 class TestPenaltyCacheRows:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -356,6 +382,33 @@ class TestPenaltyCacheRows:
                 # laid out as a per-pair build, so BLAS products round alike
                 assert mat.flags.c_contiguous
                 assert np.array_equal(mat, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 30), min_size=3, max_size=7),
+        steps=st.integers(1, 12),
+        dim=st.sampled_from([1, 2]),
+        spread=SPREADS,
+        budget=st.integers(1, 400),
+    )
+    def test_views_of_one_block_in_solve_order(self, seed, sizes, steps, dim, spread, budget):
+        # as the planner lays a solve out: the robot's own set, then views of
+        # one sampling call's block in interaction-score order
+        robot, *peds = drawn_sets(seed, sizes, steps, dim, spread)
+        crowd = crowd_of(peds)
+        order = np.random.default_rng(seed).permutation(len(peds))
+        views = [robot] + [crowd[k] for k in order]
+        assert all(v.trajectories.base is crowd.block for v in views[1:])
+        copies = [SampleSet(v.agent, v.grid, v.trajectories, v.weights) for v in views]
+        with mock.patch.object(collision, "_BLOCK_BUDGET", budget):
+            cache = PenaltyCache(views, KERNEL)
+            alone = PenaltyCache(copies, KERNEL)
+        for j in range(len(views)):
+            assert cache.column(j).tobytes() == alone.column(j).tobytes()
+            for i in range(j):
+                mat = cache.column(j)[cache.edges[i]:cache.edges[i + 1]]
+                assert mat.tobytes() == penalty_matrix(copies[i], copies[j], KERNEL).tobytes()
 
     def test_out_receives_the_entries_and_must_match_the_shape(self):
         a, b = drawn_sets(3, [7, 5], 4, 2, 1.0)
