@@ -241,8 +241,7 @@ def cmd_replay(args) -> int:
         raise ConfigError("dataset yields no partial runs")
 
     out = _out_dir(cfg)
-    planner_cfg = cfg.planner_config()
-    payloads = [(ds, p, planner_cfg, cfg.replay, cfg.seed + k) for k, p in enumerate(partials)]
+    payloads = [(ds, p, cfg.planner, cfg.replay, cfg.seed + k) for k, p in enumerate(partials)]
     classifications, completed, errors = _run_batch(
         out, args.jobs, run_replay, payloads, cfg.thresholds, args.no_timing
     )
@@ -269,9 +268,7 @@ def cmd_replay(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _experiment_config(args, {"scenario.n_pedestrians": args.pedestrians})
     out = _out_dir(cfg)
-    scenario = cfg.scenario_config()
-    planner_cfg = cfg.planner_config()
-    payloads = [(scenario, planner_cfg, cfg.seed + k) for k in range(args.runs)]
+    payloads = [(cfg.scenario, cfg.planner, cfg.seed + k) for k in range(args.runs)]
     classifications, completed, errors = _run_batch(
         out, args.jobs, run_interactive, payloads, cfg.thresholds, args.no_timing
     )
@@ -282,7 +279,7 @@ def cmd_simulate(args) -> int:
     arrived = [duration for outcome, duration in completed if outcome == "arrived"]
     summary = {
         "runs": len(completed),
-        "pedestrians": scenario.n_pedestrians,
+        "pedestrians": cfg.scenario.n_pedestrians,
         "arrived": len(arrived),
         "arrived_pct": 100.0 * len(arrived) / len(completed),
         "collisions": sum(1 for c in classifications if c.collision),
@@ -299,9 +296,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    overrides = {f.name: getattr(args, f.name) for f in fields(Thresholds)}
+    overrides = {f.name: getattr(args, f.name) for f in fields(Thresholds) if getattr(args, f.name) is not None}
+    for name, value in overrides.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
     try:
-        thresholds = Thresholds(**{k: v for k, v in overrides.items() if v is not None})
+        thresholds = Thresholds(**overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -46,6 +46,10 @@ class Evolve1dConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every section of one experiment. ``planner`` and ``scenario`` hold the
+    shared sections from construction on: a field that ``_FED_FIELDS`` feeds
+    always takes the top-level value, so ``cfg.planner`` is the planner that runs."""
+
     seed: int = 0
     samples_per_agent: int = 100
     out: str = "runs"
@@ -62,19 +66,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0 <= self.seed <= _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
-        if self.samples_per_agent < 1:
-            raise ValueError("samples_per_agent must be >= 1")
-
-    def planner_config(self) -> PlannerConfig:
-        """Planner assembled from the shared sections plus planner-local knobs."""
-        return self._fed("planner")
-
-    def scenario_config(self) -> ScenarioConfig:
-        return self._fed("scenario")
-
-    def _fed(self, name: str):
-        fed = {f: getattr(self, key) for f, key in _FED_FIELDS[name].items()}
-        return replace(getattr(self, name), **fed)
+        for name, fed in _FED_FIELDS.items():
+            section = replace(getattr(self, name), **{f: getattr(self, key) for f, key in fed.items()})
+            object.__setattr__(self, name, section)
 
 
 # a field with a default factory is a section, every other field a scalar key

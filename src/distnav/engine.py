@@ -133,7 +133,7 @@ class SolveReport:
 
 class PenaltyCache:
     """Pairwise penalties of a list of sample sets, built once and read by
-    columns.
+    columns, ``columns[j]`` for column j.
 
     Column j is the (e_j, m_j) operator of every earlier agent, its samples
     stacked as rows, against agent j; column 0 has no rows. Each is one call
@@ -158,21 +158,17 @@ class PenaltyCache:
             s.grid.steps == 1 and s.dim == 1 for s in sets
         ):
             rest = (GaussTransform(sets[:j], sets[j], kernel) for j in range(1, self.n))
-            self._columns = [np.empty((0, sizes[0])), *rest]
+            self.columns = [np.empty((0, sizes[0])), *rest]
             return
         buffer = np.empty(sum(e * m for e, m in zip(self.edges, sizes)))
-        self._columns = []
+        self.columns = []
         start = 0
         for j, m in enumerate(sizes):
             column = buffer[start : start + self.edges[j] * m].reshape(self.edges[j], m)
             start += column.size
-            self._columns.append(column)
+            self.columns.append(column)
             if j:
                 penalty_matrix(sets[:j], sets[j], kernel, out=column)
-
-    def column(self, j: int):
-        """(e_j, m_j) matrix, or operator, of every earlier agent against agent j."""
-        return self._columns[j]
 
 
 def _seed(sets: Sequence[SampleSet], cache: PenaltyCache) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +180,7 @@ def _seed(sets: Sequence[SampleSet], cache: PenaltyCache) -> tuple[np.ndarray, n
     later = np.zeros(v.size)
     for j in range(1, cache.n):
         e, f = cache.edges[j], cache.edges[j + 1]
-        later[:e] += cache.column(j) @ v[e:f]
+        later[:e] += cache.columns[j] @ v[e:f]
     return v, later
 
 
@@ -192,7 +188,7 @@ def _gamma(i: int, cache: PenaltyCache, v: np.ndarray, later: np.ndarray) -> tup
     """gamma_hat for every sample of agent i, and the part of it that the
     agents before i contribute."""
     e, f = cache.edges[i], cache.edges[i + 1]
-    earlier = cache.column(i).T @ v[:e]
+    earlier = cache.columns[i].T @ v[:e]
     return earlier + later[e:f], earlier
 
 
@@ -253,7 +249,7 @@ def _sweep(sets, cache, v, later) -> tuple[float, int, float]:
         vk = np.divide(sets[k].weights, sets[k].m, out=v[e:f])
         vk[vk < _WEIGHT_FLOOR] = 0.0
         jc += float(vk @ earlier)
-        later[:e] += cache.column(k) @ vk
+        later[:e] += cache.columns[k] @ vk
         kl_sum += kl
         zeros += z
     return kl_sum, zeros, jc
@@ -327,8 +323,9 @@ def interaction_scores(
 
 
 def select_critical(scores: Mapping, threshold: float, robot: Hashable) -> list:
-    """The robot, then the agents whose interaction score strictly exceeds the threshold."""
-    return [robot] + [a for a, v in scores.items() if v > threshold and a != robot]
+    """The solve order: the robot, which commits first, then the agents whose
+    interaction score strictly exceeds the threshold, in ascending (score, id)."""
+    return [robot] + sorted((a for a, v in scores.items() if v > threshold), key=lambda a: (scores[a], a))
 
 
 def select_optimal(

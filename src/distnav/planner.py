@@ -88,7 +88,7 @@ class ReplanResult:
     robot_plan: Trajectory
     predictions: dict  # critical ped_id -> Trajectory
     report: SolveReport | None  # None when no critical pedestrians
-    critical: list
+    critical: list  # the solve order: the robot, then pedestrians in ascending (score, id)
     scores: dict
 
 
@@ -166,14 +166,9 @@ def replan(
     scores = interaction_scores(robot_gp.mean_trajectory(), ped_sets, cfg.collision)
     critical = select_critical(scores, cfg.solver.critical_threshold, robot=robot.id)
 
-    report = None
-    if len(critical) >= 2:
-        # robot commits first, then pedestrians in ascending interaction score
-        ordered = [robot.id] + sorted(critical[1:], key=lambda a: (scores[a], a))
-        solve_sets = [sets[a] for a in ordered]
-        report = solve(solve_sets, cfg.collision, cfg.solver)
-
-    best = select_optimal([sets[a] for a in critical], gps)
+    critical_sets = [sets[a] for a in critical]
+    report = solve(critical_sets, cfg.collision, cfg.solver) if len(critical) >= 2 else None
+    best = select_optimal(critical_sets, gps)
     return ReplanResult(
         robot_plan=best[robot.id],
         predictions={a: best[a] for a in critical[1:]},

@@ -107,13 +107,21 @@ def read_summary(summary_path):
         raise ConfigError(f"cannot read run summary {summary_path}: {exc}") from None
 
 
+def _nonnegative(name: str, cell: str) -> float:
+    value = float(cell)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {cell}")
+    return value
+
+
 def read_runlog(csv_path, summary_path) -> RunLog:
     """Rebuild a run from disk, every row of every step. A robot row starts a
     step; any other row joins the step before it, at the same time. A summary
     without a positive finite human path length, a row with a field that is
-    not a number or a non-finite time or position, and a pedestrian row that
-    does not follow a robot row at its time raise ConfigError naming the file
-    (and line)."""
+    not a number, a non-finite time or position, or a negative or non-finite
+    separation or replan time, and a pedestrian row that does not follow a
+    robot row at its time raise ConfigError naming the file (and line); a
+    blank separation or replan time reads as NaN or None."""
     summary = read_summary(summary_path)
     if not (isinstance(summary, dict) and isinstance(summary.get("robot_id"), int) and "outcome" in summary):
         raise ConfigError(f"{summary_path}: a run summary needs an integer robot_id and an outcome")
@@ -130,8 +138,8 @@ def read_runlog(csv_path, summary_path) -> RunLog:
         try:
             t, agent, x, y, min_sep, replan_ms = row
             agent, t, x, y = int(agent), float(t), float(x), float(y)
-            replan_ms = float(replan_ms) if replan_ms else None
-            min_sep = float(min_sep) if min_sep else math.nan
+            replan_ms = _nonnegative("replan time", replan_ms) if replan_ms else None
+            min_sep = _nonnegative("separation", min_sep) if min_sep else math.nan
             if not math.isfinite(t):
                 raise ValueError(f"non-finite time {t}")
             if not (math.isfinite(x) and math.isfinite(y)):

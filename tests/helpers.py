@@ -119,6 +119,10 @@ BROKEN_ROWS = {
     "inf_y": (3, "0.4,-1,1.0,-inf,0.5,"),
     "nan_t": (3, "nan,-1,1.0,0.5,0.5,"),
     "inf_t": (3, "inf,-1,1.0,0.5,0.5,"),
+    "neg_sep": (3, "0.4,-1,1.0,0.5,-3.0,"),
+    "nan_sep": (3, "0.4,-1,1.0,0.5,nan,"),
+    "inf_replan": (3, "0.4,-1,1.0,0.5,0.5,inf"),
+    "neg_replan": (3, "0.4,-1,1.0,0.5,0.5,-1.0"),
     "ped_field": (3, "0.0,3,west,1.0,,"),
     "ped_inf_y": (3, "0.0,3,1.0,inf,,"),
     "ped_first": (2, "0.0,3,1.0,1.0,,"),

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -683,3 +684,12 @@ class TestNumericFlags:
             "--discomfort-dist", discomfort, "--freezing-ratio", freezing,
         )
         assert code in (0, 2)
+        if not all(math.isfinite(float(v)) for v in (collision, discomfort, freezing)):
+            assert code == 2
+
+    @pytest.mark.parametrize("value", ["inf", "1e309"])
+    @pytest.mark.parametrize("flag", ["--collision-dist", "--discomfort-dist", "--freezing-ratio"])
+    def test_non_finite_metrics_flag_exits_2(self, flag_inputs, capsys, flag, value):
+        _, logs = flag_inputs
+        assert run_cli("metrics", "--logs", logs, flag, value) == 2
+        assert f"{flag} must be finite, got inf" in capsys.readouterr().err

@@ -290,7 +290,7 @@ class TestPenaltyKernelProperties:
         assert np.all(gap <= reference_bound(ta, tb, kernel))
         assert np.all((mat >= 0) & (mat <= kernel.peak(dim)))
         assert not np.any((mat > 0) & (mat < np.finfo(float).tiny))
-        assert np.array_equal(cache.column(1), mat)
+        assert np.array_equal(cache.columns[1], mat)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -376,7 +376,7 @@ class TestPenaltyCacheRows:
             cache = PenaltyCache(sets, KERNEL)
         for j in range(len(sets)):
             for i in range(j):
-                mat = cache.column(j)[cache.edges[i]:cache.edges[i + 1]]
+                mat = cache.columns[j][cache.edges[i]:cache.edges[i + 1]]
                 ref = penalty_matrix(sets[i], sets[j], KERNEL)
                 assert mat.dtype == np.float64
                 # laid out as a per-pair build, so BLAS products round alike
@@ -405,9 +405,9 @@ class TestPenaltyCacheRows:
             cache = PenaltyCache(views, KERNEL)
             alone = PenaltyCache(copies, KERNEL)
         for j in range(len(views)):
-            assert cache.column(j).tobytes() == alone.column(j).tobytes()
+            assert cache.columns[j].tobytes() == alone.columns[j].tobytes()
             for i in range(j):
-                mat = cache.column(j)[cache.edges[i]:cache.edges[i + 1]]
+                mat = cache.columns[j][cache.edges[i]:cache.edges[i + 1]]
                 assert mat.tobytes() == penalty_matrix(copies[i], copies[j], KERNEL).tobytes()
 
     def test_out_receives_the_entries_and_must_match_the_shape(self):

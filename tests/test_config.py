@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 import yaml
@@ -14,6 +14,7 @@ from distnav.config import (
     load_config,
 )
 from distnav.errors import ConfigError
+from distnav.sfm import SfmParams
 
 
 class TestLoadConfig:
@@ -216,7 +217,7 @@ class TestPlannerAssembly:
             "samples_per_agent: 33\ngp:\n  length_scale: 2.5\ncollision:\n  weight: 4.0\n"
             "solver:\n  max_sweeps: 7\n"
         )
-        pc = load_config(path).planner_config()
+        pc = load_config(path).planner
         assert pc.samples_per_agent == 33
         assert pc.kernel.length_scale == 2.5
         assert pc.collision.weight == 4.0
@@ -225,8 +226,22 @@ class TestPlannerAssembly:
     def test_sfm_flows_into_scenario(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("sfm:\n  desired_speed: 1.0\n")
-        sc = load_config(path).scenario_config()
+        sc = load_config(path).scenario
         assert sc.sfm.desired_speed == 1.0
+
+    def test_dotted_overrides_flow_in(self):
+        cfg = load_config(None, {"samples_per_agent": 7, "solver.critical_threshold": 0.5,
+                                 "gp.length_scale": 2.5, "collision.weight": 4.0, "sfm.desired_speed": 1.0})
+        assert cfg.planner.samples_per_agent == 7
+        assert cfg.planner.solver.critical_threshold == 0.5
+        assert cfg.planner.kernel.length_scale == 2.5
+        assert cfg.planner.collision.weight == 4.0
+        assert cfg.scenario.sfm.desired_speed == 1.0
+
+    def test_a_replaced_top_level_value_reaches_its_section(self):
+        cfg = replace(load_config(None), samples_per_agent=9, sfm=SfmParams(desired_speed=1.1))
+        assert cfg.planner.samples_per_agent == 9
+        assert cfg.scenario.sfm.desired_speed == 1.1
 
 
 class TestDefaultDump:

@@ -362,6 +362,10 @@ class TestSelectCritical:
         out = select_critical(scores, 0.3, robot="R")
         assert out == ["R", "c"]
 
+    def test_ascending_score_then_id_is_the_solve_order(self):
+        scores = {7: 0.5, 3: 0.2, 5: 0.2, 1: 0.9, 2: 0.0}
+        assert select_critical(scores, 0.1, robot=-1) == [-1, 3, 5, 7, 1]
+
 
 class TestSelectOptimal:
     def make_gp(self, grid):

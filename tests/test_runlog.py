@@ -35,11 +35,12 @@ class TestRoundTrip:
         position = st.floats(-1e150, 1e150)  # the summary's path length squares no overflow
         times = data.draw(st.lists(finite, min_size=1, max_size=5, unique=True).map(sorted))
         replan = st.none() | st.floats(0.0, 1e6)
+        separation = st.floats(0.0, allow_infinity=False)  # a distance: read_runlog refuses a negative one
         steps = []
         for t in times:
             peds = data.draw(st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=3))
             rows = [(agent, data.draw(position), data.draw(position)) for agent in [-1, *peds]]
-            steps.append(RunLogStep(t, rows, data.draw(replan), data.draw(st.just(math.nan) | finite)))
+            steps.append(RunLogStep(t, rows, data.draw(replan), data.draw(st.just(math.nan) | separation)))
         log = RunLog(steps=steps, outcome="timeout", seed=None, robot_id=-1, human_length=1.0)
 
         tmp_path = tmp_path_factory.mktemp("log")
@@ -105,6 +106,10 @@ class TestBrokenLogs:
             ("inf_y", r"run_0000\.csv:3: agent -1 has non-finite state"),
             ("nan_t", r"run_0000\.csv:3: non-finite time nan"),
             ("inf_t", r"run_0000\.csv:3: non-finite time inf"),
+            ("neg_sep", r"run_0000\.csv:3: separation must be finite and >= 0, got -3\.0"),
+            ("nan_sep", r"run_0000\.csv:3: separation must be finite and >= 0, got nan"),
+            ("inf_replan", r"run_0000\.csv:3: replan time must be finite and >= 0, got inf"),
+            ("neg_replan", r"run_0000\.csv:3: replan time must be finite and >= 0, got -1\.0"),
             ("no_human", r"run_0000\.summary\.json: human_path_length_m must be a positive finite number, got None"),
             ("null_human", r"run_0000\.summary\.json: human_path_length_m must be .*, got None"),
             ("text_human", r"run_0000\.summary\.json: human_path_length_m must be .*, got '3\.3'"),

@@ -181,6 +181,22 @@ class TestReplan:
         assert res.predictions.keys() == set(res.critical[1:])
         assert set(res.scores) == {1, 2, 3, 4}
 
+    def test_critical_is_the_order_the_solve_receives(self, monkeypatch):
+        import distnav.planner as planner
+
+        cfg = FAST_PLANNER
+        robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (10.0, 0.0))
+        peds = [  # pedestrian 1 walks at the robot, 2 passes 1.5 m to its side
+            AgentState(1, (8.0, 0.0), (-1.3, 0.0), (0.0, 0.0)),
+            AgentState(2, (8.0, 1.5), (-1.3, 0.0), (0.0, 1.5)),
+        ]
+        history = {a.id: constant_velocity_history(a, a.vel, 2.0, cfg) for a in [robot, *peds]}
+        received, real = [], planner.solve
+        monkeypatch.setattr(planner, "solve", lambda sets, *a: received.append([s.agent for s in sets]) or real(sets, *a))
+        res = replan(robot, [1, 2], history, cfg, seed=11, frame=5)
+        assert res.scores[1] > res.scores[2] > cfg.solver.critical_threshold
+        assert received == [res.critical] == [[-1, 2, 1]]
+
     def test_same_seed_same_plan(self):
         cfg = FAST_PLANNER
         robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (6.0, 0.0))
