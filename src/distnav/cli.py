@@ -178,7 +178,10 @@ def _attempt(worker, payload):
 def _run_batch(out: Path, jobs: int, worker, payloads, thresholds, no_timing: bool):
     """Run ``worker(*payload)`` per payload; write, classify and drop each run's log
     in payload order as it finishes. Returns the completed runs' classifications and
-    ``(outcome, duration)`` pairs in payload order, and each failed run's error by name."""
+    ``(outcome, duration)`` pairs in payload order, and each failed run's error by name.
+    An earlier batch's run files in ``out`` are deleted first: ``metrics`` reads them all."""
+    for stale in [*out.glob("run_*.csv"), *out.glob("run_*.summary.json")]:
+        stale.unlink()
     run = partial(_attempt, worker)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for --jobs > 1
@@ -196,7 +199,6 @@ def _write_runs(out: Path, results, count: int, thresholds, no_timing: bool):
         if isinstance(result, dict):
             errors[f"run_{k:04d}"] = result["error"]
             print(f"run_{k:04d}: {result['error']}", file=sys.stderr)
-            csv_path.unlink(missing_ok=True)  # a stale CSV would pair with this summary
             summary_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
             continue
         if no_timing:  # so that neither the written log nor its classification keeps a wall time

@@ -178,10 +178,10 @@ def penalty_matrix(
 
     Each time step's squared distances come from one matrix product,
     [p, |p|^2, 1] @ [-2q; 1; |q|^2] = |p - q|^2, with p and q measured from
-    the step's mean of ``b``; a running minimum folds the steps together. The
-    rows are computed in blocks of at least two: numpy sends a one-row
-    product to gemv, which sums in another order than gemm's rows, while gemm
-    gives a row the same entries whichever block it is in.
+    the step's mean of ``b``; a running minimum folds the steps together.
+    numpy sends a one-row product to gemv, which sums in another order than
+    gemm's rows, but gemm gives a row the same entries in any block of two or
+    more: so a block of one row is computed beside a zero row, never stored.
     """
     sets = [a] if isinstance(a, SampleSet) else list(a)
     for s in sets:
@@ -200,9 +200,8 @@ def penalty_matrix(
     _sum_squares(q.transpose(1, 0, 2), right[:, dim + 1])
     q *= -2.0
     right[:, dim] = 1.0
-    n = max(ma, 2)
-    left = np.empty((steps, n, dim + 2))  # [p, |p|^2, 1] per row and step
-    left[:, ma:] = 0.0  # the padding row of a one-row call, never stored
+    left = np.empty((steps, ma + 1, dim + 2))  # [p, |p|^2, 1] per row and step
+    left[:, ma] = 0.0  # the zero row (p = 0) beside a block of one row
     stacked = np.concatenate([s.trajectories for s in sets])  # (ma, T, d)
     for k in range(dim):
         np.subtract(stacked[:, :, k].T, centre[:, k, None], out=left[:, :ma, k])
@@ -211,19 +210,18 @@ def penalty_matrix(
 
     # per entry: a block's running minimum, one time step's product, and one
     # byte for the flush's flags, all reused so they stay in cache
-    block = max(2, min(n, 8 * _BLOCK_BUDGET // (17 * mb)))
+    block = max(2, min(ma, 8 * _BLOCK_BUDGET // (17 * mb)))
     scratch = np.empty((2, block, mb))
     for lo in range(0, ma, block):
-        hi = min(lo + block, n)
-        lo = min(lo, hi - 2)  # a last row on its own is redone with the one before
-        acc, d2 = scratch[0, : hi - lo], scratch[1, : hi - lo]
-        np.matmul(left[0, lo:hi], right[0], out=acc)
+        hi = min(lo + block, ma)
+        k = max(hi - lo, 2)
+        acc, d2 = scratch[0, :k], scratch[1, :k]
+        np.matmul(left[0, lo : lo + k], right[0], out=acc)
         for t in range(1, steps):
-            np.matmul(left[t, lo:hi], right[t], out=d2)
+            np.matmul(left[t, lo : lo + k], right[t], out=d2)
             np.minimum(acc, d2, out=acc)
         np.maximum(acc, 0.0, out=acc)  # rounding can take |p - q|^2 below 0
-        rows = out[lo : min(hi, ma)]
-        rows[...] = _to_penalty(acc, kernel, dim)[: len(rows)]
+        out[lo:hi] = _to_penalty(acc, kernel, dim)[: hi - lo]
     return out
 
 

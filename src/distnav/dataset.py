@@ -182,9 +182,10 @@ def arc_length(positions: np.ndarray) -> float:
 def extract_partials(ds: TrajectoryDataset) -> list[PartialRun]:
     """Greedy non-overlapping ~10 m segments from every pedestrian's recording.
 
-    Walking each track from the start, a segment closes as soon as its arc
-    length reaches 10 m (kept when it lands within [8, 12] m); a trailing
-    segment shorter than 10 m is kept when it is at least 8 m.
+    Walking each track from the start, a segment closes as soon as a running
+    sum of its steps reaches 10 m; a trailing segment shorter than that is
+    kept when it is at least 8 m, and a closed one when it is at most 12 m,
+    both by :func:`arc_length`, the measure :class:`PartialRun` checks.
     """
     if not ds.tracks:
         raise ConfigError("empty dataset")
@@ -196,14 +197,14 @@ def extract_partials(ds: TrajectoryDataset) -> list[PartialRun]:
         for k in range(1, frames.size):
             arc += float(np.linalg.norm(xy[k] - xy[k - 1]))
             if arc >= TARGET_RUN_LENGTH:
-                if arc <= MAX_RUN_LENGTH:
+                if arc_length(xy[start : k + 1]) <= MAX_RUN_LENGTH:
                     partials.append(
                         PartialRun(ped, int(frames[start]), int(frames[k]), xy[start : k + 1])
                     )
                 # either way restart after the crossing frame
                 start = k
                 arc = 0.0
-        if arc >= MIN_RUN_LENGTH:
+        if arc_length(xy[start:]) >= MIN_RUN_LENGTH:
             partials.append(
                 PartialRun(ped, int(frames[start]), int(frames[-1]), xy[start:])
             )

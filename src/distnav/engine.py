@@ -21,9 +21,9 @@ agent's rows ``later`` holds the terms of the agents after it at pre-sweep
 weights, so gamma_hat of k is earlier_k + later[rows of k]; rows once read
 are cleared and refilled for the next sweep. A seed pass, later[:e_j] +=
 col(j) @ v_j for ascending j, fills it first, in the order a sweep refills
-it, so ``_current_gamma`` equals bit for bit what a sweep applies. It also
-gives J_0 = v . later; after a sweep, J = sum_k v_k' . earlier_k counts each
-pair once, at its later member.
+it, so a fresh seed pass gives bit for bit the gamma_hat a sweep applies.
+It also gives J_0 = v . later; after a sweep, J = sum_k v_k' . earlier_k
+counts each pair once, at its later member.
 
 Each gamma_hat entry sums M = sum_{j != k} m_j nonnegative terms, with two
 roundings each and M - 1 additions in any order, so it is within
@@ -192,11 +192,6 @@ def _gamma(i: int, cache: PenaltyCache, v: np.ndarray, later: np.ndarray) -> tup
     return earlier + later[e:f], earlier
 
 
-def _current_gamma(i: int, sets: Sequence[SampleSet], cache: PenaltyCache) -> np.ndarray:
-    """gamma_hat of agent i under everyone's current weights, formed as a sweep forms it."""
-    return _gamma(i, cache, *_seed(sets, cache))[0]
-
-
 def _reweight(i: int, sets: Sequence[SampleSet], gamma: np.ndarray) -> tuple[float, int]:
     """Set agent i's weights to old * exp(low - gamma), renormalised, where
     low is the least gamma of a sample that still has weight; returns
@@ -220,19 +215,6 @@ def _reweight(i: int, sets: Sequence[SampleSet], gamma: np.ndarray) -> tuple[flo
     new *= sets[i].m / total  # mean weight back to 1
     sets[i].weights = new
     return max(kl, 0.0), int(np.count_nonzero(alive)) - int(np.count_nonzero(new))
-
-
-def _update_agent(
-    i: int,
-    sets: Sequence[SampleSet],
-    cache: PenaltyCache,
-    updated: set,
-) -> tuple[float, int]:
-    """Reweight agent i in place; returns (KL(new || old), samples driven to
-    zero weight)."""
-    if i in updated:
-        raise ValueError(f"agent {i} cannot condition on its own update")
-    return _reweight(i, sets, _current_gamma(i, sets, cache))
 
 
 def _sweep(sets, cache, v, later) -> tuple[float, int, float]:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from distnav.collision import CollisionKernel
+from distnav.dataset import arc_length
 from distnav.gp import PreferenceGP, _cho_solve, _fit_posterior, _Posterior
 from distnav.grids import TimeGrid, Trajectory
 from distnav.oracle import GridDensity
@@ -87,6 +88,30 @@ def random_instance(rng):
         states = center + rng.normal(scale=rng.uniform(0.2, 1.5), size=(m, steps, 2))
         sets.append(SampleSet(k, grid, states, np.ones(m)))
     return sets, kernel
+
+
+def walk_at_bound(bound):
+    """The first seeded walk whose running sum of steps, as
+    :func:`~distnav.dataset.extract_partials` adds them, is exactly ``bound``
+    while :func:`~distnav.dataset.arc_length` puts it outside [8, 12] m. At
+    8 m it is a trailing segment; at 12 m it crosses 10 m only at a final
+    step that starts at 9 m."""
+
+    def running(xy):
+        arc = 0.0
+        for k in range(1, len(xy)):
+            arc += float(np.linalg.norm(xy[k] - xy[k - 1]))
+        return arc
+
+    rng = np.random.default_rng(0)
+    while True:
+        xy = np.vstack([np.zeros((1, 2)), np.cumsum(rng.normal(size=(20, 2)), axis=0)])
+        xy *= min(bound, 9.0) / running(xy)
+        if bound > 10.0:
+            step = rng.normal(size=2)
+            xy = np.vstack([xy, xy[-1] + step / np.linalg.norm(step) * (bound - running(xy))])
+        if running(xy) == bound and not 8.0 <= arc_length(xy) <= 12.0:
+            return xy
 
 
 def straight_line_trajectory(grid: TimeGrid, start, end) -> Trajectory:

@@ -16,7 +16,7 @@ import distnav
 from distnav.cli import main
 from distnav.dataset import extract_partials, load_dataset
 from distnav.runlog import read_runlog, write_runlog
-from helpers import BROKEN_ROWS, BROKEN_SUMMARIES, broken_log, demo_log
+from helpers import BROKEN_ROWS, BROKEN_SUMMARIES, broken_log, demo_log, walk_at_bound
 
 
 @pytest.fixture()
@@ -263,6 +263,21 @@ class TestStreamedBatch:
         assert code == 0
         assert previous_gone == [True, True]
 
+    def test_a_batch_replaces_the_run_files_of_an_earlier_one(self, tmp_path, fast_config, capsys):
+        args = ("simulate", "--config", fast_config, "--pedestrians", 2, "--seed", 0, "--no-timing")
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run_cli(*args, "--runs", 3, "--out", reused) == 0
+        assert run_cli(*args, "--runs", 1, "--out", reused) == 0
+        assert run_cli(*args, "--runs", 1, "--out", fresh) == 0
+        assert_same_files(reused, fresh)
+        capsys.readouterr()
+        reports = []
+        for out in (reused, fresh):
+            assert run_cli("metrics", "--logs", out) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["runs"] == 1
+
     def test_an_interrupted_batch_keeps_the_runs_it_finished(self, tmp_path, fast_config, monkeypatch):
         import distnav.cli as cli
 
@@ -342,6 +357,16 @@ class TestReplay:
         text = capsys.readouterr().out
         assert "6 partial runs" in text
         assert not out.exists()
+
+    @pytest.mark.parametrize("bound", [8.0, 12.0])
+    def test_a_walk_on_a_length_bound_is_a_dataset_without_partials(self, tmp_path, capsys, bound):
+        xy, path = walk_at_bound(bound), tmp_path / "ds.txt"
+        path.write_text("".join(f"{k} 1 {x!r} {y!r}\n" for k, (x, y) in enumerate(xy.tolist())))
+        assert load_dataset(path).tracks[1][1].tobytes() == xy.tobytes()
+        assert run_cli("replay", "--dataset", path, "--dry-run") == 0
+        assert "0 partial runs" in capsys.readouterr().out
+        assert run_cli("replay", "--dataset", path, "--out", tmp_path / "runs") == 2
+        assert "dataset yields no partial runs" in capsys.readouterr().err
 
     def test_runs_and_reports(self, dataset, tmp_path, fast_config):
         out = tmp_path / "runs"

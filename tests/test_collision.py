@@ -410,6 +410,24 @@ class TestPenaltyCacheRows:
                 mat = cache.columns[j][cache.edges[i]:cache.edges[i + 1]]
                 assert mat.tobytes() == penalty_matrix(copies[i], copies[j], KERNEL).tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_lone_row_gets_the_bits_of_the_default_budget(self, dim):
+        # a budget of 68 against 8 columns makes blocks of 4 rows: column 2's
+        # nine rows end in a block of one, and column 1 is a call of one row;
+        # at the default budget each column is one block
+        sets = drawn_sets(5, [1, 8, 8], 6, dim, 1.0)
+        default = PenaltyCache(sets, KERNEL)
+        with mock.patch.object(collision, "_BLOCK_BUDGET", 68):
+            assert 8 * collision._BLOCK_BUDGET // (17 * 8) == 4
+            cache = PenaltyCache(sets, KERNEL)
+            lone = penalty_matrix(sets[0], sets[2], KERNEL)
+        assert lone.tobytes() == default.columns[2][:1].tobytes()
+        for j in (1, 2):
+            assert cache.columns[j].tobytes() == default.columns[j].tobytes()
+            for i in range(j):
+                mat = cache.columns[j][cache.edges[i]:cache.edges[i + 1]]
+                assert mat.tobytes() == penalty_matrix(sets[i], sets[j], KERNEL).tobytes()
+
     def test_out_receives_the_entries_and_must_match_the_shape(self):
         a, b = drawn_sets(3, [7, 5], 4, 2, 1.0)
         out = np.empty((7, 5))

@@ -14,6 +14,8 @@ from distnav.dataset import (
 )
 from distnav.errors import ConfigError
 
+from helpers import walk_at_bound
+
 
 def write_dataset(tmp_path, lines, name="ds.txt"):
     path = tmp_path / name
@@ -280,6 +282,15 @@ class TestExtractPartials:
         partials = extract_partials(load_dataset(path))
         assert len(partials) == 1  # only the clean post-jump stretch (10.4 m)
         assert partials[0].start_frame == 3
+
+    @pytest.mark.parametrize("bound", [8.0, 12.0])
+    def test_a_walk_whose_running_sum_lands_on_a_bound_is_kept_by_arc_length(self, bound):
+        # the running sum says 8 or 12 m, arc_length says just outside
+        xy = walk_at_bound(bound)
+        ds = TrajectoryDataset(0.4, {1: (np.arange(len(xy)), xy)})
+        partials = extract_partials(ds)
+        assert all(8.0 <= arc_length(p.path) <= 12.0 for p in partials)
+        assert partials == []
 
     def test_partial_run_validates_length(self):
         with pytest.raises(ValueError):

@@ -14,10 +14,8 @@ from distnav.collision import CollisionKernel, joint_expected_penalty, penalty_m
 from distnav.engine import (
     PenaltyCache,
     SolverConfig,
-    _current_gamma,
     _seed,
     _sweep,
-    _update_agent,
     interaction_scores,
     select_critical,
     select_optimal,
@@ -33,6 +31,11 @@ from helpers import GRID_1D, U, crowd_of, gaussian_sets_1d, gp_of_cov, random_in
 SIGMA = 0.35
 UNIT_PEAK = CollisionKernel(weight=2 * math.pi * SIGMA**2, sigma=SIGMA)  # peak = 1
 GRID1 = TimeGrid(0.0, 0.4, 1)
+
+
+def _current_gamma(i, sets, cache):
+    """gamma_hat of agent i under everyone's current weights, from a fresh seed pass."""
+    return engine._gamma(i, cache, *_seed(sets, cache))[0]
 
 
 def hand_case_sets():
@@ -67,7 +70,7 @@ class TestGammaHat:
     def test_reads_the_weights_of_agents_already_updated(self):
         sets = hand_case_sets()
         cache = PenaltyCache(sets, UNIT_PEAK)
-        _update_agent(0, sets, cache, set())
+        engine._reweight(0, sets, _current_gamma(0, sets, cache))
         assert _current_gamma(1, sets, cache)[0] == pytest.approx(sets[0].weights[0] / 2, abs=1e-12)
 
 
@@ -78,16 +81,16 @@ class TestUpdateAgent:
         a = SampleSet("a", grid, rng.normal(size=(5, 3, 2)), np.ones(5))
         b = SampleSet("b", grid, 1000.0 + rng.normal(size=(5, 3, 2)), np.ones(5))
         cache = PenaltyCache([a, b], CollisionKernel(10.0, 0.35))
-        kl, _ = _update_agent(0, [a, b], cache, set())
+        kl, _ = engine._reweight(0, [a, b], _current_gamma(0, [a, b], cache))
         assert kl == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(a.weights, 1.0)
 
     def test_hand_case_weights(self):
         sets = hand_case_sets()
         cache = PenaltyCache(sets, UNIT_PEAK)
-        _update_agent(0, sets, cache, set())
+        engine._reweight(0, sets, _current_gamma(0, sets, cache))
         assert np.allclose(sets[0].weights, [0.7551, 1.2449], atol=1e-4)
-        _update_agent(1, sets, cache, {0})
+        engine._reweight(1, sets, _current_gamma(1, sets, cache))
         assert np.allclose(sets[1].weights, [0.8135, 1.1865], atol=1e-4)
 
     def test_normalization_after_update(self):
@@ -95,7 +98,7 @@ class TestUpdateAgent:
         for _ in range(20):
             sets, kernel = random_instance(rng)
             cache = PenaltyCache(sets, kernel)
-            _update_agent(0, sets, cache, set())
+            engine._reweight(0, sets, _current_gamma(0, sets, cache))
             assert abs(sets[0].weights.mean() - 1.0) < 1e-9
 
     def test_huge_penalty_update_is_exact(self):
@@ -106,11 +109,11 @@ class TestUpdateAgent:
         b = SampleSet("b", GRID1, states.copy(), np.ones(2))
         cache = PenaltyCache([a, b], kernel)
         assert _current_gamma(0, [a, b], cache)[0] > 1e7
-        assert _update_agent(0, [a, b], cache, set()) == (0.0, 0)
+        assert engine._reweight(0, [a, b], _current_gamma(0, [a, b], cache)) == (0.0, 0)
         assert np.allclose(a.weights, 1.0, rtol=1e-15, atol=0.0)
         # one sample 6e7 above the other: exactly zero weight, KL exactly log 2
         a = SampleSet("a", GRID1, np.array([[[0.0, 0.0]], [[100.0, 0.0]]]), np.ones(2))
-        kl, zeroed = _update_agent(0, [a, b], PenaltyCache([a, b], kernel), set())
+        kl, zeroed = engine._reweight(0, [a, b], _current_gamma(0, [a, b], PenaltyCache([a, b], kernel)))
         assert a.weights.tolist() == [0.0, 2.0]
         assert kl == math.log(2.0)
         assert zeroed == 1

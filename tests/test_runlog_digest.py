@@ -1,6 +1,7 @@
 """tools/runlog_digest.py: which lines ``--expect`` gates, checked without making the runs."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +9,14 @@ import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "runlog_digest.py"
 LINES = {"total": "a" * 64, "human": "b" * 64, "oracle": "c" * 64, "evolve1d": "e" * 64}
+# The program's four gated outputs, in --expect's order. A change that moves an
+# output updates this constant and records the move in CHANGES.md.
+PINNED = (
+    "fe9fde42e92e283ed16303d8f4f8fc708b0ad76d44288f7511d13a738bc3ea51",
+    "d29bfd5823052d34a52bb7be0525e6cc2bd3f820be821fac13a52bed4f3bbeb4",
+    "a15d8e4ef267e989fb45ae0332ae66d7c5d21b700c43bd23d623ca471cff8d92",
+    "ea951f121bc47bea027fb95bd71307ea4c4d622de5113beb3db5b9499c2982e7",
+)
 
 
 @pytest.fixture
@@ -73,3 +82,9 @@ class TestSameReport:
         with pytest.raises(SystemExit) as exc:
             tool.same_report(tmp_path / "made.json", tmp_path / "written.json")
         assert "distnav metrics --logs" in str(exc.value.code) and "made.json" in str(exc.value.code)
+
+
+def test_the_program_gives_the_pinned_outputs():
+    # in its own process, so that the tool pins BLAS threads before numpy loads
+    done = subprocess.run([sys.executable, str(TOOL), "--expect", *PINNED], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
