@@ -201,11 +201,12 @@ def penalty_matrix(
     q *= -2.0
     right[:, dim] = 1.0
     left = np.empty((steps, ma + 1, dim + 2))  # [p, |p|^2, 1] per row and step
-    left[:, ma] = 0.0  # the zero row (p = 0) beside a block of one row
-    stacked = np.concatenate([s.trajectories for s in sets])  # (ma, T, d)
+    # the rows, then b's centre, whose p = 0 is the zero row beside a block of
+    # one row; filling every row keeps each operand one contiguous run
+    stacked = np.concatenate([*(s.trajectories for s in sets), centre[None]])  # (ma + 1, T, d)
     for k in range(dim):
-        np.subtract(stacked[:, :, k].T, centre[:, k, None], out=left[:, :ma, k])
-    _sum_squares(left[:, :ma, :dim].transpose(2, 0, 1), left[:, :ma, dim])
+        np.subtract(stacked[:, :, k].T, centre[:, k, None], out=left[:, :, k])
+    _sum_squares(left[:, :, :dim].transpose(2, 0, 1), left[:, :, dim])
     left[:, :, dim + 1] = 1.0
 
     # per entry: a block's running minimum, one time step's product, and one
