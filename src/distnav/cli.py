@@ -155,7 +155,7 @@ def cmd_evolve1d(args) -> int:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
             draws = mu + s * rng.standard_normal(m)
             sets.append(SampleSet(k, grid, draws[:, None, None], np.ones(m)))
-        if len(sets) >= 2 and ev.sweeps >= 1:  # else the oracle leaves every density as it was
+        if ev.sweeps >= 1:  # else the oracle leaves every density as it was
             solve(sets, cfg.collision, SolverConfig(epsilon=0.0, max_sweeps=ev.sweeps, rtol=0.0))
         summary = {}
         for k, (gd, ss) in enumerate(zip(densities, sets)):
@@ -176,13 +176,16 @@ def _attempt(worker, payload):
 
 
 def _run_batch(out: Path, jobs: int, worker, payloads, thresholds, no_timing: bool):
-    """Run ``worker(*payload)`` per payload; write, classify and drop each run's log
-    in payload order as it finishes. Returns the completed runs' classifications and
-    ``(outcome, duration)`` pairs in payload order, and each failed run's error by name.
-    An earlier batch's run files in ``out`` are deleted first: ``metrics`` reads them all."""
-    for stale in [*out.glob("run_*.csv"), *out.glob("run_*.summary.json")]:
-        stale.unlink()
+    """Run ``worker(*payload)`` per payload, in at most one process each; write, classify
+    and drop each run's log in payload order as it finishes. Returns the completed runs'
+    classifications and ``(outcome, duration)`` pairs in payload order, and each failed
+    run's error by name. An earlier batch's run files and reports in ``out`` are deleted
+    first: ``metrics`` reads every run file, and a batch whose runs all fail writes no report."""
+    reports = ("metrics_report.json", "human_report.json", "metrics_table.txt", "simulation_report.json")
+    for stale in [*out.glob("run_*.csv"), *out.glob("run_*.summary.json"), *(out / r for r in reports)]:
+        stale.unlink(missing_ok=True)
     run = partial(_attempt, worker)
+    jobs = min(jobs, len(payloads))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for --jobs > 1
 

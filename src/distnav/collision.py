@@ -375,9 +375,7 @@ def expected_penalty(a: SampleSet, b: SampleSet, kernel: CollisionKernel) -> flo
 
 
 def joint_expected_penalty(sets: Sequence[SampleSet], kernel: CollisionKernel) -> float:
-    """Sum of expected penalties over all unordered pairs of sample sets."""
-    if len(sets) < 2:
-        raise ValueError("need at least 2 sample sets")
+    """Sum of expected penalties over all unordered pairs of sample sets (0.0 for one set)."""
     total = 0.0
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):

@@ -139,10 +139,9 @@ def _sidecar_frame_period(path: Path) -> float:
     if not isinstance(meta, dict):
         raise ConfigError(f"{sidecar}: top level must be a mapping")
     value = meta.get("frame_period_s", DEFAULT_FRAME_PERIOD)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{sidecar}: frame_period_s must be a number, got {value!r}") from None
+    if type(value) not in (int, float):  # a bool or a quoted number is not a period
+        raise ConfigError(f"{sidecar}: frame_period_s must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -123,12 +123,15 @@ class SolverConfig:
 class SolveReport:
     """Per-sweep objective and KL traces plus the termination reason."""
 
-    sweeps: int
     objective_trace: list = field(default_factory=list)
     kl_trace: list = field(default_factory=list)
     terminated_by: str = "max_sweeps"
     initial_objective: float = math.nan
     zero_weights: int = 0  # samples the updates drove to zero weight
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.kl_trace)
 
 
 class PenaltyCache:
@@ -254,21 +257,20 @@ def solve(
 
     The initial objective comes from the seed pass, each later one from its
     sweep's products; :class:`PenaltyCache` decides how the pairs are held."""
-    if len(sets) < 2:
-        raise ValueError("solve needs at least 2 sample sets")
+    if not sets:
+        raise ValueError("solve needs at least 1 sample set")
     for s in sets[1:]:
         require_same_grid(sets[0].grid, s.grid, "sample sets")
     cache = PenaltyCache(sets, kernel)
 
     v, later = _seed(sets, cache)
-    report = SolveReport(sweeps=0, initial_objective=float(v @ later))
+    report = SolveReport(initial_objective=float(v @ later))
     if report.initial_objective < config.epsilon:
         report.terminated_by = "objective_threshold"
         return report
 
     for _ in range(config.max_sweeps):
         kl_sum, zeros, jc = _sweep(sets, cache, v, later)
-        report.sweeps += 1
         report.objective_trace.append(jc)
         report.kl_trace.append(kl_sum)
         report.zero_weights += zeros
@@ -278,7 +280,6 @@ def solve(
         if kl_sum <= config.rtol * jc:
             report.terminated_by = "converged"
             return report
-    report.terminated_by = "max_sweeps"
     return report
 
 
@@ -293,8 +294,6 @@ def interaction_scores(
     direct arithmetic of :func:`~distnav.collision.pairwise_penalty`, read off
     the block of the sets; each set's score reads its own slice of that row.
     """
-    if not sets:
-        return {}
     for s in sets:
         require_same_grid(robot_intent.grid, s.grid, "robot intent and sample set")
         if s.dim != robot_intent.dim:

@@ -55,13 +55,14 @@ import importlib.machinery
 import importlib.util
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GridMismatchError, NumericalError
-from .grids import TimeGrid, Trajectory
+from .grids import TimeGrid
 from .samples import CrowdSamples, SampleSet
 
 __all__ = [
@@ -168,34 +169,24 @@ class PreferenceGP:
     def dim(self) -> int:
         return self.mean.shape[1]
 
-    def mean_trajectory(self) -> Trajectory:
-        return Trajectory(self.grid, self.mean)
-
 
 class _Posterior:
     """An observation schedule's posterior covariance and the Cholesky factors
     made from it for sampling and densities, each computed on first use."""
 
-    __slots__ = ("cov", "jitter", "_sample_low", "_density")
-
     def __init__(self, cov, jitter):
         self.cov, self.jitter = cov, jitter
-        self._sample_low = None
-        self._density = None
 
+    @cached_property
     def sample_factor(self) -> np.ndarray:
         """Lower factor of the covariance."""
-        if self._sample_low is None:
-            self._sample_low = _cholesky_psd(self.cov, self.jitter)
-        return self._sample_low
+        return _cholesky_psd(self.cov, self.jitter)
 
+    @cached_property
     def density_factor(self) -> tuple:
         """Lower factor of cov + jitter * I, and half its log-determinant."""
-        if self._density is None:
-            steps = self.cov.shape[0]
-            low = _cholesky_psd(self.cov + self.jitter * np.eye(steps), self.jitter)
-            self._density = (low, float(np.sum(np.log(np.diag(low)))))
-        return self._density
+        low = _cholesky_psd(self.cov + self.jitter * np.eye(len(self.cov)), self.jitter)
+        return low, float(np.sum(np.log(np.diag(low))))
 
 
 class DensityMoments(NamedTuple):
@@ -310,16 +301,16 @@ def sample_trajectories(
     (None without ``agents``): same seed, bit-identical samples, whichever
     other GPs are sampled in the same call. GPs that share a posterior
     covariance share their products, up to ``_PRODUCT_COLUMNS`` columns each.
-    The GPs of a call have one number of steps and one dimension: their
-    samples fill one read-only block, GP k's rows k * m to (k + 1) * m.
+    A call takes at least one GP, all of one number of steps and one dimension:
+    their samples fill one read-only block, GP k's rows k * m to (k + 1) * m.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     agents = [None] * len(gps) if agents is None else agents
     if not len(gps) == len(seeds) == len(agents):
         raise ValueError("sample_trajectories needs one seed and one agent per GP")
-    shapes = {(gp.grid.steps, gp.dim) for gp in gps} or {(0, 1)}
-    if len(shapes) > 1:
+    shapes = {(gp.grid.steps, gp.dim) for gp in gps}
+    if len(shapes) != 1:
         raise ValueError(f"sample_trajectories needs GPs of one (steps, dim), got {sorted(shapes)}")
     ((steps, dim),) = shapes
     schedules: dict = {}
@@ -333,7 +324,7 @@ def sample_trajectories(
         for g, k in enumerate(members):
             z = np.random.default_rng(seeds[k]).standard_normal((m, steps, dim))
             zt[:, :, g * m:(g + 1) * m] = z.transpose(1, 2, 0)
-        traj = _lower_product(post.sample_factor(), zt)
+        traj = _lower_product(post.sample_factor, zt)
         for g, k in enumerate(members):
             np.add(traj[:, :, g * m:(g + 1) * m].transpose(2, 0, 1), gps[k].mean, out=block[k * m:(k + 1) * m])
     if not np.isfinite(block).all():
@@ -352,7 +343,7 @@ def log_densities(gp: PreferenceGP, trajectories: np.ndarray) -> np.ndarray:
         raise GridMismatchError(
             f"batch shape {traj.shape} incompatible with GP ({gp.grid.steps}, {gp.dim})"
         )
-    low, log_det_half = gp._post.density_factor()
+    low, log_det_half = gp._post.density_factor
     resid = (traj - gp.mean[None]).transpose(1, 0, 2).reshape(steps, m * dim)
     z = _solve_lower(low, resid).reshape(steps, m, dim)
     quad = np.einsum("tmd,tmd->m", z, z)

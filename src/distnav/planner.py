@@ -2,11 +2,11 @@
 
 Every frame: fit a preference GP per agent from recent observations, every
 agent in one call (agents observed on the same schedule share one posterior
-covariance, one solve and one product), sample each GP, keep only agents
-whose interaction score against the robot's intent is critical, run the
-sequential variational solve, and read off the best sample of the robot and
-of each critical pedestrian: the others keep unit weights and get no
-prediction.
+covariance, one solve and one product), sample every GP in one call, keep
+only agents whose interaction score against the robot's intent is critical,
+run the sequential variational solve (a lone robot's too: it has no pair),
+and read off the best sample of the robot and of each critical pedestrian:
+the others keep unit weights and get no prediction.
 
 The caller passes each agent's observed ``(t, x, y)`` rows as they are; the
 planner alone decides how they enter the fit. It keeps an agent's last
@@ -45,6 +45,7 @@ from .engine import (
 )
 from .gp import KernelParams, fit_preference, sample_trajectories
 from .grids import TimeGrid, Trajectory
+from .samples import CrowdSamples
 from .world import AgentState
 
 __all__ = ["PlannerConfig", "ReplanResult", "replan"]
@@ -79,15 +80,12 @@ class PlannerConfig:
             if not value >= 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
-    def grid_at(self, t0: float) -> TimeGrid:
-        return TimeGrid(t0, self.dt, self.horizon_steps)
-
 
 @dataclass
 class ReplanResult:
     robot_plan: Trajectory
     predictions: dict  # critical ped_id -> Trajectory
-    report: SolveReport | None  # None when no critical pedestrians
+    report: SolveReport  # a lone robot's solve has no pair: J_0 = 0
     critical: list  # the solve order: the robot, then pedestrians in ascending (score, id)
     scores: dict
 
@@ -151,24 +149,21 @@ def replan(
     if missing:
         raise ValueError(f"no observation of agents {missing} in the history")
     now = history[robot.id][-1][0]
-    grid = cfg.grid_at(now)
+    grid = TimeGrid(now, cfg.dt, cfg.horizon_steps)
 
     tracks, lines = zip(_robot_observations(robot, history[robot.id], cfg, now),
                         *(_pedestrian_observations(history[p], cfg) for p in peds))
-    gps = dict(zip(ids, fit_preference(tracks, grid, cfg.kernel, lines)))
-    robot_gp = gps[robot.id]
+    fits = fit_preference(tracks, grid, cfg.kernel, lines)
 
     m = cfg.samples_per_agent
-    seeds = [_sample_seed(seed, frame, a) for a in ids]
-    robot_set = sample_trajectories([robot_gp], m, seeds[:1], ids[:1])[0]
-    ped_sets = sample_trajectories(list(gps.values())[1:], m, seeds[1:], ids[1:])
-    sets = dict(zip(ids, [robot_set, *ped_sets]))
-    scores = interaction_scores(robot_gp.mean_trajectory(), ped_sets, cfg.collision)
+    crowd = sample_trajectories(fits, m, [_sample_seed(seed, frame, a) for a in ids], ids)
+    ped_sets = CrowdSamples(crowd[1:], crowd.block[m:])
+    scores = interaction_scores(Trajectory(grid, fits[0].mean), ped_sets, cfg.collision)
     critical = select_critical(scores, cfg.solver.critical_threshold, robot=robot.id)
 
-    critical_sets = [sets[a] for a in critical]
-    report = solve(critical_sets, cfg.collision, cfg.solver) if len(critical) >= 2 else None
-    best = select_optimal(critical_sets, gps)
+    critical_sets = [crowd[ids.index(a)] for a in critical]
+    report = solve(critical_sets, cfg.collision, cfg.solver)
+    best = select_optimal(critical_sets, dict(zip(ids, fits)))
     return ReplanResult(
         robot_plan=best[robot.id],
         predictions={a: best[a] for a in critical[1:]},

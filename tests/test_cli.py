@@ -278,6 +278,54 @@ class TestStreamedBatch:
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["runs"] == 1
 
+    def test_a_batch_deletes_the_reports_of_an_earlier_one(self, dataset, tmp_path, fast_config, monkeypatch):
+        """A replay's reports go when a simulate batch reuses its directory, and a
+        batch whose every run fails leaves no report of an earlier batch."""
+        import distnav.cli as cli
+
+        common = ("--config", fast_config, "--seed", 0, "--no-timing")
+        simulate = ("simulate", "--pedestrians", 2, "--runs", 1, *common)
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run_cli("replay", "--dataset", dataset, "--limit", 1, "--human-baseline", *common, "--out", reused) == 0
+        assert {"human_report.json", "metrics_report.json", "metrics_table.txt"} <= {p.name for p in reused.iterdir()}
+        assert run_cli(*simulate, "--out", reused) == 0
+        assert run_cli(*simulate, "--out", fresh) == 0
+        assert_same_files(reused, fresh)
+
+        def fails(*payload):
+            raise RuntimeError("every run fails")
+
+        monkeypatch.setattr(cli, "run_interactive", fails)
+        assert run_cli(*simulate, "--out", reused) == 1
+        assert [p.name for p in reused.iterdir()] == ["run_0000.summary.json"]
+
+    @pytest.mark.parametrize("runs, jobs, pools", [(2, 64, [2]), (1, 8, [])])
+    def test_jobs_start_at_most_one_worker_per_run(self, tmp_path, fast_config, monkeypatch, runs, jobs, pools):
+        """A fake pool records the workers asked for and maps in this process,
+        so no worker process is started; a lone run takes no pool."""
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        args = ("simulate", "--config", fast_config, "--pedestrians", 2, "--runs", runs, "--jobs", jobs)
+        assert run_cli(*args, "--no-timing", "--out", tmp_path / "out") == 0
+        assert asked == pools
+        assert len(list((tmp_path / "out").glob("run_*.csv"))) == runs
+
     def test_an_interrupted_batch_keeps_the_runs_it_finished(self, tmp_path, fast_config, monkeypatch):
         import distnav.cli as cli
 
@@ -616,6 +664,14 @@ class TestUnusableFiles:
         (tmp_path / "ds.txt").write_text("0 1 0.0 0.0\n")
         (tmp_path / "ds.txt.meta.yaml").write_bytes(NOT_UTF8)
         self.exits_2_naming(capsys, "ds.txt.meta.yaml", "replay", "--dataset", tmp_path / "ds.txt", "--dry-run")
+
+    @pytest.mark.parametrize("period", ["yes", "true", "'0.4'"])
+    def test_dataset_sidecar_period_not_a_number(self, tmp_path, capsys, period):
+        """YAML reads yes and true as bools and '0.4' as a string: none is a period."""
+        (tmp_path / "ds.txt").write_text("0 1 0.0 0.0\n")
+        (tmp_path / "ds.txt.meta.yaml").write_text(f"frame_period_s: {period}\n")
+        self.exits_2_naming(capsys, "ds.txt.meta.yaml: frame_period_s must be a number", "replay",
+                            "--dataset", tmp_path / "ds.txt", "--dry-run")
 
     def test_config_is_a_directory(self, tmp_path, capsys):
         self.exits_2_naming(capsys, str(tmp_path), "simulate", "--config", tmp_path, "--out", tmp_path / "o")

@@ -20,9 +20,8 @@ from distnav.collision import (
 )
 from distnav.engine import PenaltyCache, interaction_scores
 from distnav.errors import GridMismatchError
-from distnav.gp import sample_trajectories
 from distnav.grids import TimeGrid, Trajectory
-from distnav.samples import SampleSet
+from distnav.samples import CrowdSamples, SampleSet
 
 from helpers import crowd_of
 
@@ -181,10 +180,9 @@ class TestJointExpectedPenalty:
         total = joint_expected_penalty([a, b, c], KERNEL)
         assert total == pytest.approx(expected_penalty(a, b, KERNEL), abs=1e-12)
 
-    def test_fewer_than_two_sets_raises(self):
+    def test_a_lone_set_has_no_pair(self):
         rng = np.random.default_rng(12)
-        with pytest.raises(ValueError):
-            joint_expected_penalty([sample_set("a", rng, 3)], KERNEL)
+        assert joint_expected_penalty([sample_set("a", rng, 3)], KERNEL) == 0.0
 
     def test_reordering_invariance(self):
         rng = np.random.default_rng(13)
@@ -546,4 +544,5 @@ class TestInteractionScoresProperties:
             assert scores[s.agent] == float(row @ s.weights) / s.m
 
     def test_no_sets_gives_no_scores(self):
-        assert interaction_scores(traj(np.zeros((GRID.steps, 2))), sample_trajectories([], 1, []), KERNEL) == {}
+        empty = CrowdSamples([], np.empty((0, GRID.steps, 2)))
+        assert interaction_scores(traj(np.zeros((GRID.steps, 2))), empty, KERNEL) == {}

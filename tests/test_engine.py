@@ -270,11 +270,24 @@ class TestSolve:
         report = solve(sets, kernel, SolverConfig(epsilon=0.0, max_sweeps=25))
         assert report.objective_trace[-1] < 0.05 * report.initial_objective
 
-    def test_single_set_rejected(self):
+    def test_a_lone_set_is_solved_as_no_pair(self):
+        """A lone set has no pair: J_0 is 0.0, as joint_expected_penalty gives it.
+        At epsilon > 0 that ends the solve before a sweep; at epsilon = rtol = 0
+        one sweep moves nothing and ends it converged, the weights' bits kept.
+        Only an empty list is refused."""
         rng = np.random.default_rng(8)
         a = SampleSet("a", GRID1, rng.normal(size=(3, 1, 2)), np.ones(3))
-        with pytest.raises(ValueError):
-            solve([a], CollisionKernel(10.0, 0.35))
+        kernel = CollisionKernel(10.0, 0.35)
+        report = solve([a], kernel)
+        assert report.initial_objective == joint_expected_penalty([a], kernel) == 0.0
+        assert (report.sweeps, report.terminated_by) == (0, "objective_threshold")
+        before = a.weights.tobytes()
+        report = solve([a], kernel, SolverConfig(epsilon=0.0, rtol=0.0))
+        assert (report.sweeps, report.terminated_by) == (1, "converged")
+        assert report.kl_trace == report.objective_trace == [0.0]
+        assert a.weights.tobytes() == before
+        with pytest.raises(ValueError, match="at least 1 sample set"):
+            solve([], kernel)
 
     def test_zero_weights_counted(self):
         rng = np.random.default_rng(13)

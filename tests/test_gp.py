@@ -520,9 +520,9 @@ class TestBatchSampling:
         with pytest.raises(ValueError, match="one seed and one agent per GP"):
             sample_trajectories([gp], 4, [1], ["a", "b"])
 
-    def test_no_gps_no_sets(self):
-        crowd = sample_trajectories([], 5, [])
-        assert len(crowd) == 0 and crowd.m == 0
+    def test_no_gps_raises(self):
+        with pytest.raises(ValueError, match="one \\(steps, dim\\), got \\[\\]"):
+            sample_trajectories([], 5, [])
 
     def test_gps_of_one_call_share_steps_and_dim(self):
         planar = gp_of_cov(make_grid(steps=3), np.zeros((3, 2)), np.eye(3))

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import distnav.planner
 from distnav.dataset import extract_partials, load_dataset
+from distnav.grids import TimeGrid
 from distnav.metrics import classify_run
 from distnav.planner import PlannerConfig, _pedestrian_observations, _robot_observations, replan
 from distnav.runlog import ARRIVED
@@ -78,7 +80,9 @@ class TestReplan:
         robot = AgentState(-1, (0.0, 0.0), (1.3, 0.0), (6.0, 0.0))
         history = {-1: constant_velocity_history(robot, (1.3, 0.0), 0.0, cfg)}
         res = replan(robot, [], history, cfg, seed=3, frame=0)
-        assert res.report is None
+        # a lone robot is solved like any crowd: no pair, J_0 = 0, no sweep
+        assert res.report.initial_objective == 0.0
+        assert (res.report.sweeps, res.report.terminated_by) == (0, "objective_threshold")
         assert res.critical == [-1]
         assert res.predictions == {}
         # reproduce the selection by hand: prior-density argmax of the same set
@@ -86,12 +90,35 @@ class TestReplan:
         from distnav.gp import fit_preference, sample_trajectories
         from distnav.planner import _sample_seed
 
-        grid = cfg.grid_at(0.0)
+        grid = TimeGrid(0.0, cfg.dt, cfg.horizon_steps)
         track, prior = _robot_observations(robot, history[-1], cfg, 0.0)
         gp = fit_preference([track], grid, cfg.kernel, [prior])[0]
         ss = sample_trajectories([gp], cfg.samples_per_agent, [_sample_seed(3, 0, -1)], [-1])[0]
         expected = select_optimal([ss], {-1: gp})[-1]
         assert np.array_equal(res.robot_plan.states, expected.states)
+
+    @pytest.mark.parametrize("threshold", [0.01, 1e9])  # both pedestrians critical, or neither
+    def test_one_sampling_call_and_one_solve_per_replan(self, threshold, monkeypatch):
+        """Every agent is sampled in one call, the robot first, and the critical
+        agents are solved whether or not a pedestrian is among them."""
+        calls = []
+
+        def recorded(fn):
+            def call(*args):
+                calls.append((fn.__name__, args, fn(*args)))
+                return calls[-1][2]
+            return call
+
+        for name in ("sample_trajectories", "solve"):
+            monkeypatch.setattr(distnav.planner, name, recorded(getattr(distnav.planner, name)))
+        robot, peds, history, cfg = hallway()
+        cfg = replace(cfg, solver=replace(cfg.solver, critical_threshold=threshold))
+        res = replan(robot, peds, history, cfg, seed=11, frame=5)
+        assert [name for name, _, _ in calls] == ["sample_trajectories", "solve"]
+        (_, sample_args, crowd), (_, solve_args, report) = calls
+        assert sample_args[3] == [-1, 1, 2] and [s.agent for s in crowd] == [-1, 1, 2]
+        assert res.critical == ([-1, 1, 2] if threshold < 1 else [-1])
+        assert [s.agent for s in solve_args[0]] == res.critical and res.report is report
 
     def test_plan_starts_at_robot_position(self):
         cfg = FAST_PLANNER
@@ -144,7 +171,7 @@ class TestReplan:
         shifted = replan(*hallway(c), seed=11, frame=5)
         assert shifted.critical == base.critical == [-1, 1, 2]
 
-        grid, now = cfg.grid_at(2.0), 2.0
+        grid, now = TimeGrid(2.0, cfg.dt, cfg.horizon_steps), 2.0
         robot_track, _ = _robot_observations(robot, history[-1], cfg, now)
         ped_track, _ = _pedestrian_observations(history[1], cfg)
         norms = [
